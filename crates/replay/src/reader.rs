@@ -30,25 +30,60 @@ impl Trace {
     /// Any [`TraceError`] on malformed, truncated, or corrupted input.
     pub fn parse(bytes: &[u8]) -> Result<Trace, TraceError> {
         let mut dec = Decoder::new(bytes)?;
-        let version = dec.version();
-        let mut trace = Trace {
+        let mut trace = Trace::empty(dec.version());
+        while let Some(record) = dec.next_record()? {
+            let events_began = !trace.events.is_empty();
+            if let Some(event) = trace.absorb_setup(record, events_began)? {
+                trace.events.push(event);
+            }
+        }
+        Ok(trace)
+    }
+
+    /// A trace with no records yet.
+    pub fn empty(version: u16) -> Trace {
+        Trace {
             meta: Vec::new(),
             classes: Vec::new(),
             threads: Vec::new(),
             seeds: Vec::new(),
             events: Vec::new(),
             version,
-        };
-        while let Some(record) = dec.next_record()? {
-            match record {
-                TraceRecord::Meta { key, value } => trace.meta.push((key, value)),
-                TraceRecord::DefClass(c) => trace.classes.push(c),
-                TraceRecord::SpawnThread { thread } => trace.threads.push(thread),
-                TraceRecord::Seed(s) => trace.seeds.push(s),
-                other => trace.events.push(other),
-            }
         }
-        Ok(trace)
+    }
+
+    /// The setup-versus-event split, shared by [`Trace::parse`] and the
+    /// streaming judge: files a setup record into the setup section and
+    /// hands an event record back to the caller. `events_began` says
+    /// whether an event record came before this one.
+    ///
+    /// # Errors
+    ///
+    /// [`TraceError::Corrupt`] for a `DefClass`, `SpawnThread` or `Seed`
+    /// record after the first event, and for a late `Meta` record
+    /// outside the `obs.*` namespace (TRACE_FORMAT.md, "Replay
+    /// semantics").
+    pub fn absorb_setup(
+        &mut self,
+        record: TraceRecord,
+        events_began: bool,
+    ) -> Result<Option<TraceRecord>, TraceError> {
+        match record {
+            TraceRecord::Meta { key, value } if !events_began || key.starts_with("obs.") => {
+                self.meta.push((key, value));
+            }
+            TraceRecord::DefClass(c) if !events_began => self.classes.push(c),
+            TraceRecord::SpawnThread { thread } if !events_began => self.threads.push(thread),
+            TraceRecord::Seed(s) if !events_began => self.seeds.push(s),
+            TraceRecord::Meta { .. }
+            | TraceRecord::DefClass(_)
+            | TraceRecord::SpawnThread { .. }
+            | TraceRecord::Seed(_) => {
+                return Err(TraceError::Corrupt("setup record in event stream".into()))
+            }
+            event => return Ok(Some(event)),
+        }
+        Ok(None)
     }
 
     /// Looks up a metadata value by key (first match).
@@ -163,6 +198,7 @@ mod tests {
     use crate::writer::TraceWriter;
     use minijni::BoundaryTap;
     use minijvm::{JValue, MethodId, ThreadId};
+    use std::rc::Rc;
 
     #[test]
     fn parse_splits_setup_from_events() {
@@ -181,5 +217,47 @@ mod tests {
         assert_eq!(t.event_counts()["native-enter"], 1);
         assert!(t.summary(bytes.len()).contains("program: split"));
         assert_eq!(check_version(&bytes).unwrap(), FORMAT_VERSION);
+    }
+
+    #[test]
+    fn late_setup_records_are_rejected_except_obs_meta() {
+        type Late<'a> = &'a dyn Fn(&mut TraceWriter);
+        let mut vm = minijni::Vm::new(Box::new(crate::record::RecordVendor));
+        let baseline = vm.jvm().registry().class_count();
+        vm.define_native_class("t/Late", "f", "()V", true, Rc::new(|_, _| Ok(JValue::Void)));
+        let main = vm.jvm().main_thread();
+        let text = vm.jvm_mut().alloc_string("seed");
+        let seed = vm.jvm_mut().new_local(main, text);
+        let jvm = vm.jvm();
+
+        // One activation with `late` written between its enter and exit.
+        let trace_with = |late: Late<'_>| {
+            let mut w = TraceWriter::new();
+            w.meta("program", "late");
+            BoundaryTap::native_enter(&mut w, main, MethodId::forged(0), &[]);
+            late(&mut w);
+            BoundaryTap::native_exit(&mut w, main, MethodId::forged(0), &Ok(JValue::Void));
+            w.finish()
+        };
+        let late: [(&str, Late<'_>); 4] = [
+            ("DefClass", &|w| w.def_classes(jvm, baseline)),
+            ("SpawnThread", &|w| w.spawn_thread(ThreadId(1))),
+            ("Seed", &|w| w.seed(jvm, seed)),
+            ("Meta", &|w| w.meta("gc_period", "8")),
+        ];
+        for (what, write) in late {
+            let err = Trace::parse(&trace_with(write)).expect_err(what);
+            assert_eq!(
+                err.to_string(),
+                "corrupt trace: setup record in event stream",
+                "late {what}"
+            );
+        }
+
+        // `obs.*` metadata after the events is the one late record the
+        // split accepts; it lands in the setup section.
+        let t = Trace::parse(&trace_with(&|w| w.meta("obs.dropped", "3"))).unwrap();
+        assert_eq!(t.meta_value("obs.dropped"), Some("3"));
+        assert_eq!(t.events.len(), 2);
     }
 }

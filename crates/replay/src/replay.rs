@@ -130,29 +130,12 @@ impl ReplayOutcome {
     }
 }
 
-/// One recorded native-body activation: the JNI calls it issued, in
-/// order, and how it finished.
-#[derive(Debug, Clone, Default)]
-struct NativeFrame {
-    calls: Vec<CallRec>,
-    ret: Option<JValue>,
-}
-
 /// One recorded `Call:C→Java` with the presented env token.
 #[derive(Debug, Clone)]
 struct CallRec {
     presented: u32,
     func: u16,
     args: Vec<JniArg>,
-}
-
-/// Mutable replay state shared with the scripted method bodies.
-#[derive(Debug, Default)]
-struct ReplayState {
-    native_frames: HashMap<u32, VecDeque<NativeFrame>>,
-    managed_outcomes: HashMap<u32, VecDeque<ManagedRec>>,
-    events_replayed: u64,
-    divergences: u64,
 }
 
 /// A top-level program entry observed in the trace.
@@ -163,192 +146,11 @@ struct TopEntry {
     args: Vec<JValue>,
 }
 
-enum Ctx {
-    Native { method: u32, frame: NativeFrame },
-    Managed,
-    Jni,
-}
-
-/// Structural pass: fold the flat event stream into per-method FIFO
-/// queues of scripted activations, plus the list of top-level entries.
-fn build_queues(trace: &Trace) -> Result<(ReplayState, Vec<TopEntry>), TraceError> {
-    let mut state = ReplayState::default();
-    let mut tops = Vec::new();
-    let mut stack: Vec<Ctx> = Vec::new();
-
-    for event in &trace.events {
-        match event {
-            TraceRecord::NativeEnter {
-                thread,
-                method,
-                args,
-            } => {
-                if stack.is_empty() {
-                    tops.push(TopEntry {
-                        thread: *thread,
-                        method: *method,
-                        args: args.clone(),
-                    });
-                }
-                stack.push(Ctx::Native {
-                    method: *method,
-                    frame: NativeFrame::default(),
-                });
-            }
-            TraceRecord::NativeExit {
-                method,
-                status,
-                ret,
-                ..
-            } => {
-                let Some(Ctx::Native {
-                    method: m,
-                    mut frame,
-                }) = stack.pop()
-                else {
-                    return Err(TraceError::Corrupt("unbalanced NativeExit".into()));
-                };
-                if m != *method {
-                    return Err(TraceError::Corrupt(format!(
-                        "NativeExit method {method} does not match enter {m}"
-                    )));
-                }
-                if *status == CallStatus::Ok {
-                    frame.ret = *ret;
-                }
-                state.native_frames.entry(m).or_default().push_back(frame);
-            }
-            TraceRecord::JniEnter {
-                presented,
-                func,
-                args,
-                ..
-            } => {
-                let rec = CallRec {
-                    presented: *presented,
-                    func: *func,
-                    args: args.clone(),
-                };
-                match stack
-                    .iter_mut()
-                    .rev()
-                    .find(|c| matches!(c, Ctx::Native { .. }))
-                {
-                    Some(Ctx::Native { frame, .. }) => frame.calls.push(rec),
-                    _ => {
-                        return Err(TraceError::Corrupt(
-                            "JniEnter outside any native body".into(),
-                        ))
-                    }
-                }
-                stack.push(Ctx::Jni);
-            }
-            TraceRecord::JniExit { .. } => {
-                if !matches!(stack.pop(), Some(Ctx::Jni)) {
-                    return Err(TraceError::Corrupt("unbalanced JniExit".into()));
-                }
-            }
-            TraceRecord::ManagedEnter { .. } => stack.push(Ctx::Managed),
-            TraceRecord::ManagedExit {
-                method, outcome, ..
-            } => {
-                if !matches!(stack.pop(), Some(Ctx::Managed)) {
-                    return Err(TraceError::Corrupt("unbalanced ManagedExit".into()));
-                }
-                state
-                    .managed_outcomes
-                    .entry(*method)
-                    .or_default()
-                    .push_back(outcome.clone());
-            }
-            // Substrate diagnostics: informative, not re-driven (the
-            // replayed VM re-makes these decisions itself).
-            TraceRecord::GcPoint { .. }
-            | TraceRecord::VendorUb { .. }
-            | TraceRecord::ObsEvent { .. }
-            | TraceRecord::PyCall { .. } => {}
-            TraceRecord::Meta { .. }
-            | TraceRecord::DefClass(_)
-            | TraceRecord::SpawnThread { .. }
-            | TraceRecord::Seed(_) => {
-                return Err(TraceError::Corrupt("setup record in event stream".into()))
-            }
-        }
-    }
-    Ok((state, tops))
-}
-
-fn make_native_body(state: Rc<RefCell<ReplayState>>, method: u32) -> minijni::NativeFn {
-    Rc::new(move |env: &mut JniEnv<'_>, _args: &[JValue]| {
-        let frame = state
-            .borrow_mut()
-            .native_frames
-            .get_mut(&method)
-            .and_then(VecDeque::pop_front);
-        let Some(frame) = frame else {
-            state.borrow_mut().divergences += 1;
-            return Ok(JValue::Void);
-        };
-        let own = env.presented_env();
-        for call in &frame.calls {
-            env.set_presented_env(EnvToken(call.presented));
-            let result = env.invoke(FuncId(call.func), call.args.clone());
-            state.borrow_mut().events_replayed += 1;
-            // Ok, or an exception now pending: keep issuing the recorded
-            // calls — the recorded body did, and the driver's final
-            // pending-exception check reproduces the Java-side rethrow
-            // identically. Only death/detection stops the body.
-            if let Err(e @ (JniError::Death(_) | JniError::Detected(_))) = result {
-                env.set_presented_env(own);
-                return Err(e);
-            }
-        }
-        env.set_presented_env(own);
-        Ok(frame.ret.unwrap_or(JValue::Void))
-    })
-}
-
-fn make_managed_body(state: Rc<RefCell<ReplayState>>, method: u32) -> minijni::ManagedFn {
-    Rc::new(move |env: &mut JniEnv<'_>, _args: &[JValue]| {
-        let rec = state
-            .borrow_mut()
-            .managed_outcomes
-            .get_mut(&method)
-            .and_then(VecDeque::pop_front);
-        match rec {
-            Some(ManagedRec::Return(v)) => Ok(v),
-            Some(ManagedRec::Threw { class, message }) => Err(env.java_throw(&class, &message)),
-            Some(ManagedRec::Died | ManagedRec::Detected) | None => {
-                state.borrow_mut().divergences += 1;
-                Ok(JValue::Void)
-            }
-        }
-    })
-}
-
 /// Rebuilds the recorded world inside `vm`: classes (in recorded
-/// definition order, with scripted bodies), spawned threads, and seed
-/// allocations. Returns the number of setup divergences.
+/// definition order, with the scripted bodies the factories make),
+/// spawned threads, and seed allocations. Returns the number of setup
+/// divergences.
 fn rebuild_world(
-    vm: &mut Vm,
-    trace: &Trace,
-    state: &Rc<RefCell<ReplayState>>,
-) -> Result<u64, TraceError> {
-    let native_state = Rc::clone(state);
-    let managed_state = Rc::clone(state);
-    rebuild_world_with(
-        vm,
-        trace,
-        &mut move |m| make_native_body(Rc::clone(&native_state), m),
-        &mut move |m| make_managed_body(Rc::clone(&managed_state), m),
-    )
-}
-
-/// [`rebuild_world`] with caller-supplied scripted-body factories, so
-/// the buffered driver (queues prebuilt from the whole trace) and the
-/// live driver (bodies that block on an [`EventFeed`]) share one world
-/// reconstruction — identical ids, identical divergence accounting.
-fn rebuild_world_with(
     vm: &mut Vm,
     trace: &Trace,
     native_body: &mut dyn FnMut(u32) -> minijni::NativeFn,
@@ -452,7 +254,7 @@ fn rebuild_world_with(
 /// [`TraceError::Corrupt`] when the event stream is structurally invalid
 /// (unbalanced enters/exits, setup records mid-stream, unknown classes).
 pub fn replay_trace(trace: &Trace, config: &ReplayConfig) -> Result<ReplayOutcome, TraceError> {
-    replay_trace_inner(trace, config, None)
+    replay_complete(trace, config, None)
 }
 
 /// Like [`replay_trace`], but with a live [`jinn_obs::Recorder`] wired
@@ -470,82 +272,29 @@ pub fn replay_trace_observed(
     config: &ReplayConfig,
     recorder: &jinn_obs::Recorder,
 ) -> Result<ReplayOutcome, TraceError> {
-    replay_trace_inner(trace, config, Some(recorder))
+    replay_complete(trace, config, Some(recorder))
 }
 
-fn replay_trace_inner(
+/// The whole-trace driver: folds every event into a feed, finishes it,
+/// and replays on the calling thread. A finished feed never blocks, so
+/// this is [`run_live_replay`] with the stream already complete — one
+/// fold, one executor, whether the events arrived at once or in chunks.
+fn replay_complete(
     trace: &Trace,
     config: &ReplayConfig,
     recorder: Option<&jinn_obs::Recorder>,
 ) -> Result<ReplayOutcome, TraceError> {
-    let (state, tops) = build_queues(trace)?;
-    let state = Rc::new(RefCell::new(state));
-
-    let mut vm = config.vendor().vm();
-    let setup_divergences = rebuild_world(&mut vm, trace, &state)?;
-    state.borrow_mut().divergences += setup_divergences;
-
-    let mut session = Session::new(vm);
-    if let Some(rec) = recorder {
-        session.set_recorder(rec.clone());
+    let feed = Arc::new(EventFeed::new());
+    let mut feeder = LiveFeeder::new(Arc::clone(&feed));
+    for event in &trace.events {
+        feeder.push(event)?;
     }
-    match config {
-        ReplayConfig::Default(_) => {}
-        ReplayConfig::Xcheck(v) => session.attach(v.xcheck()),
-        ReplayConfig::Jinn(_) => {
-            jinn_core::install(&mut session);
-        }
-        ReplayConfig::JinnAblated(_, cfg) => {
-            jinn_core::install_with_config(&mut session, cfg.clone());
-        }
-    }
-
-    let name = trace.program().to_string();
-    let mut outcomes = Vec::new();
-    for top in &tops {
-        let thread = ThreadId(top.thread);
-        {
-            let mut env = session.env(thread);
-            env.enter_java_frame(format!("{name}.main({name}.java:5)"));
-        }
-        // The recorded entry arguments: replayed seeds reproduce the same
-        // JRefs, so re-presenting them re-registers identical callee
-        // locals and keeps slot allocation in lock-step with the trace.
-        let outcome =
-            session.run_native(thread, MethodId::forged(u64::from(top.method)), &top.args);
-        {
-            let mut env = session.env(thread);
-            env.exit_java_frame();
-        }
-        let fatal = !matches!(outcome, RunOutcome::Completed(_));
-        outcomes.push(outcome);
-        if fatal {
-            break;
-        }
-    }
-    let shutdown_reports = session.shutdown();
-    let log = session.take_log();
-    drop(session);
-
-    let (behavior, message, violations) =
-        classify_outcomes(trace, config, &outcomes, &shutdown_reports, &log)?;
-
-    let state = state.borrow();
-    Ok(ReplayOutcome {
-        label: config.label(),
-        behavior,
-        message,
-        log,
-        events_replayed: state.events_replayed,
-        divergences: state.divergences,
-        violations,
-    })
+    feeder.finish();
+    run_live_replay(trace, config, recorder, &feed)
 }
 
 /// Classification — the microbenchmark harness's algorithm, verbatim,
-/// so replayed verdicts are comparable with live Table 1 cells. Shared
-/// by the buffered driver and the live (streaming) driver: the two must
-/// map identical run outcomes to identical verdicts.
+/// so replayed verdicts are comparable with live Table 1 cells.
 fn classify_outcomes(
     trace: &Trace,
     config: &ReplayConfig,
@@ -642,46 +391,37 @@ pub fn replay_bytes(bytes: &[u8], config: &ReplayConfig) -> Result<ReplayOutcome
 }
 
 // ---------------------------------------------------------------------------
-// Live (streaming) replay
+// The replay fold
 // ---------------------------------------------------------------------------
 //
-// The buffered driver above folds a *complete* event stream into
-// per-method activation queues, then executes. The live driver runs the
-// same execution against queues that are still being filled: an ingest
-// thread pushes decoded records into an [`EventFeed`] through a
-// [`LiveFeeder`], while [`run_live_replay`] — on its own thread, because
-// `Session`/`Vm` hold `Rc` bodies and never cross threads — blocks on
-// the feed exactly where the buffered driver would have popped a
-// prebuilt queue.
-//
-// **Parity discipline.** The buffered fold queues a native activation at
-// its `NativeExit` (exit order); the live fold must publish it at
-// `NativeEnter` so its calls can execute while the trace is still
-// arriving (enter order). The two orders agree exactly when activations
-// of the same method never overlap — so the feeder treats same-method
-// overlap as a structural anomaly, along with every condition the
-// buffered fold rejects and the one it silently tolerates (an activation
-// still open at end-of-trace, whose calls the buffered driver would
-// *not* have executed). An anomalous feed is poisoned; the caller
-// discards the speculative outcome and re-judges from its retained
-// records through the buffered path, which is the soundness valve that
-// makes the speculative execution unobservable.
+// A producer pushes event records into an [`EventFeed`] through a
+// [`LiveFeeder`], which publishes each native activation at its
+// `NativeEnter` — activations of one method are consumed in enter order,
+// which is the order a re-executing VM asks for them (a recursive native
+// reaches its inner call before the outer one returns). The scripted
+// bodies [`run_live_replay`] installs pop activations and calls off the
+// feed and block only when the executor has caught up with a stream that
+// is still arriving. [`replay_trace`] finishes the feed before replaying,
+// so nothing blocks; `jinn-serve` feeds it from ingest while the executor
+// runs on a thread of its own (`Session`/`Vm` hold `Rc` bodies and never
+// cross threads). TRACE_FORMAT.md "Replay semantics" specifies the
+// rules.
 
-/// A recorded call pulled from a live activation, or the activation's
+/// A recorded call pulled from an activation, or the activation's
 /// recorded return once its calls are exhausted.
-enum LiveCall {
+enum NextCall {
     /// The next recorded JNI call to re-issue.
     Call(CallRec),
     /// Activation closed (its `NativeExit` arrived) with this return
-    /// value; `None` also stands in for a poisoned/unclosed activation,
-    /// mirroring the buffered driver's missing-frame `Void`.
+    /// value; `None` also stands for an activation still open when the
+    /// feed finished, which returns `Void`.
     Done(Option<JValue>),
 }
 
-/// One native activation being streamed: calls appended by the feeder,
-/// consumed by the scripted body, closed by `NativeExit`.
+/// One native activation: calls appended by the feeder, consumed by the
+/// scripted body, closed by `NativeExit`.
 #[derive(Debug, Default)]
-struct LiveActivation {
+struct Activation {
     calls: VecDeque<CallRec>,
     closed: bool,
     ret: Option<JValue>,
@@ -690,22 +430,25 @@ struct LiveActivation {
 #[derive(Debug, Default)]
 struct FeedInner {
     /// Arena of activations; ids index into it and are never reused.
-    activations: Vec<LiveActivation>,
-    /// Per-method activation ids in enter order (see parity discipline).
+    activations: Vec<Activation>,
+    /// Per-method activation ids in enter order.
     ready: HashMap<u32, VecDeque<usize>>,
-    /// Per-method managed outcomes in exit order — the same order the
-    /// buffered fold queues them in.
+    /// Per-method managed outcomes in exit order.
     managed: HashMap<u32, VecDeque<ManagedRec>>,
     /// Top-level entries in stream order.
     tops: VecDeque<TopEntry>,
-    /// No more records will arrive (seal, abort, or poison).
+    /// No more records will arrive (end of trace, abort, or error).
     finished: bool,
+    /// Consumers blocked on the condvar. Publishing wakes them only
+    /// when there are any, so a feed filled before its executor runs
+    /// costs no wake-up syscalls.
+    waiters: u32,
 }
 
-/// The producer/consumer channel between an ingest thread and a live
-/// replay executor. All waits are on one condvar: the feed carries a
-/// handful of small queues, and the executor blocks only when it has
-/// genuinely caught up with the stream.
+/// The producer/consumer channel between a [`LiveFeeder`] and the replay
+/// executor. All waits are on one condvar: the feed carries a handful of
+/// small queues, and the executor blocks only when it has genuinely
+/// caught up with the stream.
 #[derive(Debug, Default)]
 pub struct EventFeed {
     inner: Mutex<FeedInner>,
@@ -726,13 +469,32 @@ impl EventFeed {
     }
 
     /// Marks the feed finished: every blocked consumer drains (missing
-    /// data reads as closed/absent, which the live bodies translate to
-    /// the buffered driver's divergence behaviour). Used for seal,
-    /// abort, and poison alike — after an anomaly the executor's result
-    /// is discarded, so draining fast is all that matters.
+    /// data reads as closed/absent, which the scripted bodies count as
+    /// divergences). Used at end of trace, and to stop an executor whose
+    /// result will not be used.
     pub fn finish(&self) {
         feed_lock(self).finished = true;
         self.cond.notify_all();
+    }
+
+    /// Blocks until a producer publishes or the feed finishes.
+    fn wait<'a>(&'a self, mut inner: MutexGuard<'a, FeedInner>) -> MutexGuard<'a, FeedInner> {
+        inner.waiters += 1;
+        let mut inner = self
+            .cond
+            .wait(inner)
+            .unwrap_or_else(PoisonError::into_inner);
+        inner.waiters -= 1;
+        inner
+    }
+
+    /// Releases a producer's lock, waking any blocked consumer.
+    fn publish(&self, inner: MutexGuard<'_, FeedInner>) {
+        let wake = inner.waiters > 0;
+        drop(inner);
+        if wake {
+            self.cond.notify_all();
+        }
     }
 
     fn pop_top(&self) -> Option<TopEntry> {
@@ -744,10 +506,7 @@ impl EventFeed {
             if inner.finished {
                 return None;
             }
-            inner = self
-                .cond
-                .wait(inner)
-                .unwrap_or_else(PoisonError::into_inner);
+            inner = self.wait(inner);
         }
     }
 
@@ -760,30 +519,24 @@ impl EventFeed {
             if inner.finished {
                 return None;
             }
-            inner = self
-                .cond
-                .wait(inner)
-                .unwrap_or_else(PoisonError::into_inner);
+            inner = self.wait(inner);
         }
     }
 
-    fn next_call(&self, id: usize) -> LiveCall {
+    fn next_call(&self, id: usize) -> NextCall {
         let mut inner = feed_lock(self);
         loop {
             let act = &mut inner.activations[id];
             if let Some(call) = act.calls.pop_front() {
-                return LiveCall::Call(call);
+                return NextCall::Call(call);
             }
             if act.closed {
-                return LiveCall::Done(act.ret.take());
+                return NextCall::Done(act.ret.take());
             }
             if inner.finished {
-                return LiveCall::Done(None);
+                return NextCall::Done(None);
             }
-            inner = self
-                .cond
-                .wait(inner)
-                .unwrap_or_else(PoisonError::into_inner);
+            inner = self.wait(inner);
         }
     }
 
@@ -796,24 +549,17 @@ impl EventFeed {
             if inner.finished {
                 return None;
             }
-            inner = self
-                .cond
-                .wait(inner)
-                .unwrap_or_else(PoisonError::into_inner);
+            inner = self.wait(inner);
         }
     }
 }
 
-/// The producer-side fold: pushes decoded event records into an
-/// [`EventFeed`], maintaining the same context stack as the buffered
-/// fold ([`build_queues`]) and rejecting — as anomalies — both its
-/// structural errors and the streaming-specific overlap cases the
-/// buffered path would order differently.
+/// The producer-side fold: pushes event records into an [`EventFeed`],
+/// keeping the context stack that attributes each JNI call to its
+/// innermost native activation.
 pub struct LiveFeeder {
     feed: Arc<EventFeed>,
     stack: Vec<FoldCtx>,
-    /// Open activations per method, for overlap detection.
-    open_native: HashMap<u32, u32>,
 }
 
 enum FoldCtx {
@@ -828,7 +574,6 @@ impl LiveFeeder {
         LiveFeeder {
             feed,
             stack: Vec::new(),
-            open_native: HashMap::new(),
         }
     }
 
@@ -836,28 +581,19 @@ impl LiveFeeder {
     ///
     /// # Errors
     ///
-    /// A human-readable anomaly reason when the record cannot be
-    /// streamed soundly — structurally invalid, a setup record after
-    /// events began, or same-method overlapping activations. The caller
-    /// must stop feeding, poison the feed ([`EventFeed::finish`]), and
-    /// fall back to a buffered re-judge of its retained records.
-    pub fn push(&mut self, event: &TraceRecord) -> Result<(), String> {
+    /// [`TraceError::Corrupt`] when the record is structurally invalid
+    /// (unbalanced exits, a JNI call outside any native body, a setup
+    /// record). The caller must stop feeding and finish the feed.
+    pub fn push(&mut self, event: &TraceRecord) -> Result<(), TraceError> {
         match event {
             TraceRecord::NativeEnter {
                 thread,
                 method,
                 args,
             } => {
-                let open = self.open_native.entry(*method).or_insert(0);
-                if *open > 0 {
-                    // Enter-order consumption would diverge from the
-                    // buffered fold's exit-order queues.
-                    return Err(format!("overlapping native activations of method {method}"));
-                }
-                *open += 1;
                 let mut inner = feed_lock(&self.feed);
                 let id = inner.activations.len();
-                inner.activations.push(LiveActivation::default());
+                inner.activations.push(Activation::default());
                 if self.stack.is_empty() {
                     inner.tops.push_back(TopEntry {
                         thread: *thread,
@@ -866,8 +602,7 @@ impl LiveFeeder {
                     });
                 }
                 inner.ready.entry(*method).or_default().push_back(id);
-                drop(inner);
-                self.feed.cond.notify_all();
+                self.feed.publish(inner);
                 self.stack.push(FoldCtx::Native {
                     method: *method,
                     id,
@@ -880,22 +615,20 @@ impl LiveFeeder {
                 ..
             } => {
                 let Some(FoldCtx::Native { method: m, id }) = self.stack.pop() else {
-                    return Err("unbalanced NativeExit".into());
+                    return Err(TraceError::Corrupt("unbalanced NativeExit".into()));
                 };
                 if m != *method {
-                    return Err(format!(
+                    return Err(TraceError::Corrupt(format!(
                         "NativeExit method {method} does not match enter {m}"
-                    ));
+                    )));
                 }
-                *self.open_native.entry(m).or_insert(1) -= 1;
                 let mut inner = feed_lock(&self.feed);
                 let act = &mut inner.activations[id];
                 if *status == CallStatus::Ok {
                     act.ret = *ret;
                 }
                 act.closed = true;
-                drop(inner);
-                self.feed.cond.notify_all();
+                self.feed.publish(inner);
             }
             TraceRecord::JniEnter {
                 presented,
@@ -911,20 +644,21 @@ impl LiveFeeder {
                         FoldCtx::Native { id, .. } => Some(*id),
                         _ => None,
                     })
-                    .ok_or_else(|| "JniEnter outside any native body".to_string())?;
+                    .ok_or_else(|| {
+                        TraceError::Corrupt("JniEnter outside any native body".into())
+                    })?;
                 let mut inner = feed_lock(&self.feed);
                 inner.activations[target].calls.push_back(CallRec {
                     presented: *presented,
                     func: *func,
                     args: args.clone(),
                 });
-                drop(inner);
-                self.feed.cond.notify_all();
+                self.feed.publish(inner);
                 self.stack.push(FoldCtx::Jni);
             }
             TraceRecord::JniExit { .. } => {
                 if !matches!(self.stack.pop(), Some(FoldCtx::Jni)) {
-                    return Err("unbalanced JniExit".into());
+                    return Err(TraceError::Corrupt("unbalanced JniExit".into()));
                 }
             }
             TraceRecord::ManagedEnter { .. } => self.stack.push(FoldCtx::Managed),
@@ -932,7 +666,7 @@ impl LiveFeeder {
                 method, outcome, ..
             } => {
                 if !matches!(self.stack.pop(), Some(FoldCtx::Managed)) {
-                    return Err("unbalanced ManagedExit".into());
+                    return Err(TraceError::Corrupt("unbalanced ManagedExit".into()));
                 }
                 let mut inner = feed_lock(&self.feed);
                 inner
@@ -940,10 +674,10 @@ impl LiveFeeder {
                     .entry(*method)
                     .or_default()
                     .push_back(outcome.clone());
-                drop(inner);
-                self.feed.cond.notify_all();
+                self.feed.publish(inner);
             }
-            // Substrate diagnostics: informative, not re-driven.
+            // Substrate diagnostics: informative, not re-driven (the
+            // replayed VM re-makes these decisions itself).
             TraceRecord::GcPoint { .. }
             | TraceRecord::VendorUb { .. }
             | TraceRecord::ObsEvent { .. }
@@ -951,43 +685,31 @@ impl LiveFeeder {
             TraceRecord::Meta { .. }
             | TraceRecord::DefClass(_)
             | TraceRecord::SpawnThread { .. }
-            | TraceRecord::Seed(_) => return Err("setup record in event stream".into()),
+            | TraceRecord::Seed(_) => {
+                return Err(TraceError::Corrupt("setup record in event stream".into()))
+            }
         }
         Ok(())
     }
 
-    /// Closes the producer side at end-of-trace and marks the feed
-    /// finished regardless of the outcome.
-    ///
-    /// # Errors
-    ///
-    /// An anomaly reason when an activation is still open — the buffered
-    /// fold silently drops such an activation's calls, but the live
-    /// executor may already have run them, so the caller must fall back.
-    pub fn finish(&mut self) -> Result<(), String> {
+    /// Closes the producer side at end of trace. Activations still open
+    /// re-issue the calls they recorded and then return `Void`.
+    pub fn finish(&mut self) {
         self.feed.finish();
-        if self.stack.is_empty() {
-            Ok(())
-        } else {
-            Err(format!(
-                "{} activation(s) still open at end of trace",
-                self.stack.len()
-            ))
-        }
     }
 }
 
-/// Executor-local replay counters (the live analogue of the counter half
-/// of [`ReplayState`], kept `Rc` so per-call updates stay lock-free).
+/// Executor-local replay counters, kept `Rc` so per-call updates stay
+/// lock-free.
 #[derive(Debug, Default)]
-struct LiveCounters {
+struct Counters {
     events_replayed: u64,
     divergences: u64,
 }
 
-fn make_live_native_body(
+fn make_native_body(
     feed: Arc<EventFeed>,
-    counters: Rc<RefCell<LiveCounters>>,
+    counters: Rc<RefCell<Counters>>,
     method: u32,
 ) -> minijni::NativeFn {
     Rc::new(move |env: &mut JniEnv<'_>, _args: &[JValue]| {
@@ -998,18 +720,21 @@ fn make_live_native_body(
         let own = env.presented_env();
         loop {
             match feed.next_call(id) {
-                LiveCall::Call(call) => {
+                NextCall::Call(call) => {
                     env.set_presented_env(EnvToken(call.presented));
                     let result = env.invoke(FuncId(call.func), call.args);
                     counters.borrow_mut().events_replayed += 1;
-                    // Same rule as the buffered body: exceptions keep the
-                    // recorded calls coming, only death/detection stops.
+                    // Ok, or an exception now pending: keep issuing the
+                    // recorded calls — the recorded body did, and the
+                    // driver's final pending-exception check reproduces
+                    // the Java-side rethrow identically. Only
+                    // death/detection stops the body.
                     if let Err(e @ (JniError::Death(_) | JniError::Detected(_))) = result {
                         env.set_presented_env(own);
                         return Err(e);
                     }
                 }
-                LiveCall::Done(ret) => {
+                NextCall::Done(ret) => {
                     env.set_presented_env(own);
                     return Ok(ret.unwrap_or(JValue::Void));
                 }
@@ -1018,9 +743,9 @@ fn make_live_native_body(
     })
 }
 
-fn make_live_managed_body(
+fn make_managed_body(
     feed: Arc<EventFeed>,
-    counters: Rc<RefCell<LiveCounters>>,
+    counters: Rc<RefCell<Counters>>,
     method: u32,
 ) -> minijni::ManagedFn {
     Rc::new(
@@ -1035,41 +760,36 @@ fn make_live_managed_body(
     )
 }
 
-/// Drives a replay against a still-arriving event stream: the world is
-/// rebuilt from `setup` (the trace's setup section, with no events),
-/// scripted bodies block on `feed`, and the run completes once the feed
-/// finishes and the recorded entries have been executed. Call on a
-/// dedicated thread — the replay substrate is single-threaded by design.
-///
-/// The returned outcome is **speculative** until the caller has verified
-/// the stream's seal declaration and checked that no feeder anomaly
-/// occurred; on either failure it must be discarded unobserved.
+/// Replays the events of `feed` under one configuration: the world is
+/// rebuilt from `setup`'s setup section (its events, if any, are
+/// ignored), scripted bodies pop their activations off the feed, and the
+/// run completes once the feed finishes and the recorded entries have
+/// been executed. Call it on a dedicated thread while a [`LiveFeeder`]
+/// is still filling the feed, or on any thread once the feed is
+/// finished — the replay substrate is single-threaded by design.
 ///
 /// # Errors
 ///
-/// As for [`replay_trace`] over the equivalent complete trace.
+/// [`TraceError::Corrupt`] when the setup section cannot be rebuilt or
+/// the feed held no top-level entry.
 pub fn run_live_replay(
     setup: &Trace,
     config: &ReplayConfig,
     recorder: Option<&jinn_obs::Recorder>,
     feed: &Arc<EventFeed>,
 ) -> Result<ReplayOutcome, TraceError> {
-    let counters = Rc::new(RefCell::new(LiveCounters::default()));
+    let counters = Rc::new(RefCell::new(Counters::default()));
 
     let mut vm = config.vendor().vm();
     let native_feed = Arc::clone(feed);
     let native_counters = Rc::clone(&counters);
     let managed_feed = Arc::clone(feed);
     let managed_counters = Rc::clone(&counters);
-    let setup_divergences = rebuild_world_with(
+    let setup_divergences = rebuild_world(
         &mut vm,
         setup,
-        &mut move |m| {
-            make_live_native_body(Arc::clone(&native_feed), Rc::clone(&native_counters), m)
-        },
-        &mut move |m| {
-            make_live_managed_body(Arc::clone(&managed_feed), Rc::clone(&managed_counters), m)
-        },
+        &mut move |m| make_native_body(Arc::clone(&native_feed), Rc::clone(&native_counters), m),
+        &mut move |m| make_managed_body(Arc::clone(&managed_feed), Rc::clone(&managed_counters), m),
     )?;
     counters.borrow_mut().divergences += setup_divergences;
 
@@ -1096,6 +816,9 @@ pub fn run_live_replay(
             let mut env = session.env(thread);
             env.enter_java_frame(format!("{name}.main({name}.java:5)"));
         }
+        // The recorded entry arguments: replayed seeds reproduce the same
+        // JRefs, so re-presenting them re-registers identical callee
+        // locals and keeps slot allocation in lock-step with the trace.
         let outcome =
             session.run_native(thread, MethodId::forged(u64::from(top.method)), &top.args);
         {
@@ -1105,8 +828,8 @@ pub fn run_live_replay(
         let fatal = !matches!(outcome, RunOutcome::Completed(_));
         outcomes.push(outcome);
         if fatal {
-            // The buffered driver stops at the first fatal entry; later
-            // tops stay unconsumed and are dropped with the feed.
+            // The recorded program stopped at its first fatal entry;
+            // later tops stay unconsumed and are dropped with the feed.
             break;
         }
     }
@@ -1149,10 +872,10 @@ mod tests {
         assert_eq!(hs.behavior, Behavior::Crash, "{hs:?}");
     }
 
-    /// Streams a parsed trace's events through a [`LiveFeeder`] on this
-    /// thread while the executor runs on another, then returns the live
-    /// outcome.
-    fn live_replay(trace: &Trace, config: &ReplayConfig) -> Result<ReplayOutcome, TraceError> {
+    /// Streams a parsed trace's events through a [`LiveFeeder`] in small
+    /// chunks on this thread, yielding between chunks, while the executor
+    /// runs on another — the order `jinn-serve` feeds a streaming session.
+    fn threaded_replay(trace: &Trace, config: &ReplayConfig) -> Result<ReplayOutcome, TraceError> {
         let feed = Arc::new(EventFeed::new());
         let mut setup = trace.clone();
         setup.events = Vec::new();
@@ -1161,79 +884,80 @@ mod tests {
         let executor =
             std::thread::spawn(move || run_live_replay(&setup, &exec_config, None, &exec_feed));
         let mut feeder = LiveFeeder::new(Arc::clone(&feed));
-        for event in &trace.events {
-            feeder.push(event).expect("corpus traces stream cleanly");
+        for chunk in trace.events.chunks(3) {
+            for event in chunk {
+                feeder.push(event).expect("corpus traces stream cleanly");
+            }
+            std::thread::yield_now();
         }
-        feeder.finish().expect("corpus traces balance");
+        feeder.finish();
         executor.join().expect("executor must not panic")
     }
 
     #[test]
     fn live_replay_matches_buffered_verdicts() {
-        let configs = [
-            ReplayConfig::Jinn(Vendor::HotSpot),
-            ReplayConfig::Default(Vendor::HotSpot),
-            ReplayConfig::Xcheck(Vendor::J9),
-        ];
-        for name in ["LocalRefDangling", "GlobalDangling", "MonitorLeak"] {
-            let p = program_by_name(name).expect("known scenario");
-            let bytes = record_program(&p);
-            let trace = Trace::parse(&bytes).unwrap();
-            for config in &configs {
-                let buffered = replay_trace(&trace, config).unwrap();
-                let live = live_replay(&trace, config).unwrap();
+        for p in crate::record::microbench_programs()
+            .iter()
+            .chain(crate::record::case_studies().iter())
+        {
+            let trace = Trace::parse(&record_program(p)).unwrap();
+            for config in &standard_configs() {
+                let whole = replay_trace(&trace, config).unwrap();
+                let live = threaded_replay(&trace, config).unwrap();
+                let what = format!("{} under {}", p.name, config.label());
                 assert_eq!(
                     live.verdict_signature(),
-                    buffered.verdict_signature(),
-                    "{name} under {}",
-                    config.label()
+                    whole.verdict_signature(),
+                    "{what}"
                 );
-                assert_eq!(live.behavior, buffered.behavior);
-                assert_eq!(live.events_replayed, buffered.events_replayed, "{name}");
-                assert_eq!(live.divergences, buffered.divergences, "{name}");
-                assert_eq!(live.violations.len(), buffered.violations.len(), "{name}");
-                assert_eq!(live.log, buffered.log, "{name}");
+                assert_eq!(live.behavior, whole.behavior, "{what}");
+                assert_eq!(live.events_replayed, whole.events_replayed, "{what}");
+                assert_eq!(live.divergences, whole.divergences, "{what}");
+                assert_eq!(live.violations.len(), whole.violations.len(), "{what}");
+                assert_eq!(live.log, whole.log, "{what}");
             }
         }
     }
 
     #[test]
-    fn live_feeder_rejects_what_streaming_cannot_order() {
-        // Same-method overlap: enter-order consumption would diverge
-        // from the buffered fold's exit-order queues.
-        let feed = Arc::new(EventFeed::new());
-        let mut feeder = LiveFeeder::new(Arc::clone(&feed));
-        let enter = TraceRecord::NativeEnter {
+    fn live_feeder_rejects_structurally_invalid_events() {
+        let reject = |events: &[TraceRecord]| {
+            let mut feeder = LiveFeeder::new(Arc::new(EventFeed::new()));
+            let mut result = Ok(());
+            for event in events {
+                result = feeder.push(event);
+                if result.is_err() {
+                    break;
+                }
+            }
+            result.expect_err("must be rejected").to_string()
+        };
+        let enter = |method| TraceRecord::NativeEnter {
             thread: 0,
-            method: 7,
+            method,
             args: vec![],
         };
-        feeder.push(&enter).unwrap();
-        let err = feeder.push(&enter).unwrap_err();
-        assert!(err.contains("overlapping"), "{err}");
+        let exit = |method| TraceRecord::NativeExit {
+            thread: 0,
+            method,
+            status: CallStatus::Ok,
+            ret: None,
+        };
 
-        // An activation still open at end-of-trace: the buffered driver
-        // would have dropped its calls, the live executor may have run
-        // them.
-        let feed = Arc::new(EventFeed::new());
-        let mut feeder = LiveFeeder::new(Arc::clone(&feed));
-        feeder
-            .push(&TraceRecord::NativeEnter {
-                thread: 0,
-                method: 1,
-                args: vec![],
-            })
-            .unwrap();
-        let err = feeder.finish().unwrap_err();
-        assert!(err.contains("still open"), "{err}");
-
-        // Setup records mid-stream poison the fold like the buffered one.
-        let feed = Arc::new(EventFeed::new());
-        let mut feeder = LiveFeeder::new(feed);
-        let err = feeder
-            .push(&TraceRecord::SpawnThread { thread: 3 })
-            .unwrap_err();
+        let err = reject(&[exit(1)]);
+        assert!(err.contains("unbalanced NativeExit"), "{err}");
+        let err = reject(&[enter(1), exit(2)]);
+        assert!(err.contains("does not match enter"), "{err}");
+        let err = reject(&[TraceRecord::SpawnThread { thread: 3 }]);
         assert!(err.contains("setup record"), "{err}");
+
+        // Same-method nesting (recursion) and an activation still open
+        // at end of trace are not errors.
+        let mut feeder = LiveFeeder::new(Arc::new(EventFeed::new()));
+        for event in [enter(7), enter(7), exit(7)] {
+            feeder.push(&event).expect("recursion folds");
+        }
+        feeder.finish();
     }
 
     #[test]

@@ -258,47 +258,39 @@ impl Drop for Daemon {
 
 fn worker_loop(shared: &Arc<Shared>) {
     while let Some(id) = shared.queue.pop() {
-        if let Some(stream) = shared.remove_stream(id) {
-            let Some((tenant, configs)) = shared.table.begin_judging_streamed(id) else {
-                stream.discard(); // quarantined while queued
-                continue;
-            };
-            let specialized = shared.registry.specialized_for(&tenant);
-            match stream.collect(
-                &tenant,
-                &configs,
-                &shared.pool,
-                specialized.as_deref(),
-                shared.config.recorder_ring,
-                shared.config.max_events_per_session,
-            ) {
-                Ok(out) => {
-                    shared.registry.observe_judged(
-                        &tenant,
-                        &out.called_functions,
-                        out.discharge_fallback,
-                        shared.config.learn_after_sessions,
-                    );
-                    shared.table.finish(id, out);
-                }
-                Err(reason) => shared.table.fail(id, &reason),
+        let max_events = shared.config.max_events_per_session;
+        // Held until after publishing, so tearing the session down stays
+        // off the seal-to-verdict path.
+        let stream = shared.remove_stream(id);
+        let (tenant, judged) = match &stream {
+            Some(stream) => {
+                let Some(tenant) = shared.table.begin_judging_streamed(id) else {
+                    stream.discard(); // quarantined while queued
+                    continue;
+                };
+                let specialized = shared.registry.specialized_for(&tenant);
+                let judged = stream.collect(&tenant, specialized.as_deref(), max_events);
+                (tenant, judged)
             }
-            continue;
-        }
-        let Some((bytes, tenant, configs)) = shared.table.begin_judging(id) else {
-            continue; // quarantined while queued
+            None => {
+                let Some((bytes, tenant, configs)) = shared.table.begin_judging(id) else {
+                    continue; // quarantined while queued
+                };
+                let specialized = shared.registry.specialized_for(&tenant);
+                let judged = judge(
+                    &bytes,
+                    id,
+                    &tenant,
+                    &configs,
+                    &shared.pool,
+                    specialized.as_deref(),
+                    shared.config.recorder_ring,
+                    max_events,
+                );
+                (tenant, judged)
+            }
         };
-        let specialized = shared.registry.specialized_for(&tenant);
-        match judge(
-            &bytes,
-            id,
-            &tenant,
-            &configs,
-            &shared.pool,
-            specialized.as_deref(),
-            shared.config.recorder_ring,
-            shared.config.max_events_per_session,
-        ) {
+        match judged {
             Ok(out) => {
                 shared.registry.observe_judged(
                     &tenant,

@@ -291,12 +291,7 @@ pub fn judge(
     )
 }
 
-/// [`judge`] for an already-parsed trace. The streaming judge's
-/// fallback valve lands here: when a live session turns out to be
-/// anomalous (overlapping activations, manifest escape discovered
-/// mid-stream, …) it discards the speculative outcome and re-judges
-/// the retained records buffered — without re-decoding bytes it
-/// already decoded once.
+/// [`judge`] for an already-parsed trace.
 #[allow(clippy::too_many_arguments)]
 pub fn judge_trace(
     trace: &Trace,

@@ -33,11 +33,12 @@
 //!   tail stays resident), and pipes events to a per-session live
 //!   replay executor, so `Seal` only verifies the declared
 //!   length/checksum against running totals and publishes the
-//!   already-computed result. The speculative verdict is never
-//!   observable before seal verification passes; seal mismatch, decode
-//!   error, or a live-replay anomaly falls back to quarantine or a
-//!   buffered re-judge with byte-identical semantics (`streaming`
-//!   module docs, DESIGN.md §16).
+//!   already-computed result. The executor runs the same replay fold
+//!   as buffered judging, so the verdicts are identical. The
+//!   speculative verdict is never observable before seal verification
+//!   passes; a seal mismatch or decode error quarantines the session
+//!   with the buffered path's reason (`streaming` module docs,
+//!   DESIGN.md §16).
 //! * **Workload-adaptive discharge** — a tenant can declare its
 //!   call-site manifest (the `Manifest` frame /
 //!   [`DaemonHandle::declare_manifest`]), or the daemon can learn one

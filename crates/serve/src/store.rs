@@ -583,7 +583,8 @@ impl SessionTable {
     /// [`SessionTable::begin_judging`] for a streaming session: there
     /// are no buffered bytes to take (the scanner consumed them as they
     /// arrived); any residual undecoded-tail charge is released here.
-    pub fn begin_judging_streamed(&self, id: SessionId) -> Option<(String, Vec<ReplayConfig>)> {
+    /// Returns the session's tenant.
+    pub fn begin_judging_streamed(&self, id: SessionId) -> Option<String> {
         let mut t = self.lock();
         let s = t.sessions.get_mut(&id)?;
         if s.state != SessionState::Queued {
@@ -591,10 +592,10 @@ impl SessionTable {
         }
         s.state = SessionState::Judging;
         let charged = std::mem::take(&mut s.stream_charged);
-        let out = (s.tenant.clone(), s.configs.clone());
+        let tenant = s.tenant.clone();
         t.buffered -= charged;
         self.changed.notify_all();
-        Some(out)
+        Some(tenant)
     }
 
     /// Worker exit, success path: records the judge output, assigns

@@ -19,22 +19,23 @@
 //! Everything the executor computes before seal verification passes is
 //! *speculative* and externally invisible: verdicts only become
 //! observable through `SessionTable::finish`, which a worker calls
-//! strictly after `Seal` succeeded. Three valves discard speculation:
+//! strictly after `Seal` succeeded. The executor runs the one replay
+//! fold ([`jinn_replay::replay_trace`] runs the same fold on a finished
+//! feed), so a streamed verdict is the buffered verdict. Two checks
+//! discard speculation:
 //!
 //! - **Seal mismatch** — the declared length/checksum disagrees with
 //!   the running totals: the session is poisoned with byte-identical
 //!   reasons to the buffered path and nothing is published.
 //! - **Decode error** — the scanner is sticky-poisoned mid-stream
-//!   (exact error parity with batch decoding); the worker fails the
-//!   session with the same `unreadable trace: …` reason the buffered
-//!   judge would produce.
-//! - **Anomaly** — the trace's activation structure makes live order
-//!   provably unable to match the buffered fold (same-method
-//!   overlapping activations, activations still open at end of trace,
-//!   setup records mid-stream), or the executor itself failed: the
-//!   speculative outcome is discarded and the retained records are
-//!   re-judged buffered ([`judge_trace`]) — producing exactly what the
-//!   buffered daemon would have.
+//!   (exact error parity with batch decoding), or a setup record
+//!   arrives after the first event ([`Trace::absorb_setup`], the split
+//!   `Trace::parse` uses): the worker fails the session with the same
+//!   `unreadable trace: …` reason the buffered judge would produce.
+//!
+//! A structurally invalid event stream (an unbalanced exit, say) stops
+//! the feed and fails the session with the buffered judge's `replay
+//! under … failed: …` reason.
 //!
 //! The manifest interplay is decided at seal, like the buffered path:
 //! a tenant's specialized pool serves the rollup only if it covers the
@@ -54,9 +55,7 @@ use jinn_replay::{
     StreamDecoder, Trace, TraceError, TraceRecord,
 };
 
-use crate::judge::{
-    discharge_stats, judge_trace, obs_counters, rollup_events_on_lease, summarize, JudgeOutput,
-};
+use crate::judge::{discharge_stats, obs_counters, rollup_events_on_lease, summarize, JudgeOutput};
 use crate::manifest::SpecializedPool;
 use crate::session::{OutcomeRec, SessionId, VerdictRec};
 
@@ -73,18 +72,17 @@ pub(crate) struct StreamingSession {
 struct StreamInner {
     decoder: StreamDecoder,
     feeder: LiveFeeder,
-    /// Every decoded record, retained in [`Trace::parse`] shape (setup
-    /// hoisted, events in order) so the anomaly valve can re-judge
-    /// buffered without re-decoding.
-    trace: Trace,
+    /// The trace's setup section, plus any trailing `obs.*` metadata.
+    /// Event records go to the feed and are not retained.
+    setup: Trace,
     saw_event: bool,
-    /// The call-site set, accumulated record-by-record during ingest so
-    /// seal-time pool selection and the discharge audit never walk the
-    /// retained events (always equal to `trace.called_functions()`).
+    /// The call-site set, accumulated record-by-record during ingest for
+    /// seal-time pool selection and the discharge audit.
     called: BTreeSet<String>,
     executor: Option<JoinHandle<Result<ReplayOutcome, TraceError>>>,
-    anomaly: Option<String>,
     decode_error: Option<TraceError>,
+    /// A structurally invalid event; feeding stopped at it.
+    replay_error: Option<TraceError>,
     /// Full-pool engine lease held `Open`→`Seal`. Reserves rollup
     /// capacity for the live session (the pool's `lease_high_water`
     /// tracks streaming concurrency) and serves the seal-time rollup
@@ -96,8 +94,7 @@ impl StreamingSession {
     /// Starts the scanner and takes the session's engine lease. The
     /// executor thread is spawned lazily at the first *event* record —
     /// only then is the setup section known complete (a later setup
-    /// record is an anomaly, exactly the condition under which the
-    /// buffered fold could disagree).
+    /// record is a decode error).
     pub(crate) fn start(
         session: SessionId,
         config: ReplayConfig,
@@ -113,19 +110,12 @@ impl StreamingSession {
             inner: Mutex::new(StreamInner {
                 decoder: StreamDecoder::new(),
                 feeder: LiveFeeder::new(feed),
-                trace: Trace {
-                    meta: Vec::new(),
-                    classes: Vec::new(),
-                    threads: Vec::new(),
-                    seeds: Vec::new(),
-                    events: Vec::new(),
-                    version: 0,
-                },
+                setup: Trace::empty(0),
                 saw_event: false,
                 called: BTreeSet::new(),
                 executor: None,
-                anomaly: None,
                 decode_error: None,
+                replay_error: None,
                 lease: Some(pool.lease()),
             }),
         }
@@ -136,100 +126,67 @@ impl StreamingSession {
     }
 
     /// Feeds one `Append` chunk: decodes whatever records it completes,
-    /// routes them (retained trace + live feed), and returns the
+    /// routes them (setup section or live feed), and returns the
     /// undecoded tail — the only bytes still resident.
     pub(crate) fn ingest(&self, chunk: &[u8]) -> u64 {
         let mut g = self.lock();
         g.decoder.feed(chunk);
         self.drain(&mut g);
-        g.trace.version = g.decoder.version();
+        g.setup.version = g.decoder.version();
         g.decoder.pending()
     }
 
     fn drain(&self, g: &mut StreamInner) {
         loop {
             match g.decoder.next_record() {
-                Ok(Some(rec)) => self.route(g, rec),
+                // Past a decode error nothing is judged; later records
+                // are decoded only to release their bytes.
+                Ok(Some(rec)) if g.decode_error.is_none() => self.route(g, rec),
+                Ok(Some(_)) => {}
                 Ok(None) => break,
                 Err(e) => {
-                    if g.decode_error.is_none() {
-                        g.decode_error = Some(e);
-                        // Nothing past a poisoned decoder can be judged
-                        // live; unblock the executor now.
-                        self.feed.finish();
-                    }
+                    self.fail_decode(g, e);
                     break;
                 }
             }
         }
     }
 
-    fn route(&self, g: &mut StreamInner, rec: TraceRecord) {
-        match rec {
-            // Setup records land in the retained trace's setup section
-            // regardless of position — exactly `Trace::parse`'s hoist —
-            // but one arriving after events began breaks live/buffered
-            // parity, so it also trips the anomaly valve.
-            TraceRecord::Meta { key, value } => {
-                self.note_setup(g);
-                g.trace.meta.push((key, value));
-            }
-            TraceRecord::DefClass(c) => {
-                self.note_setup(g);
-                g.trace.classes.push(c);
-            }
-            TraceRecord::SpawnThread { thread } => {
-                self.note_setup(g);
-                g.trace.threads.push(thread);
-            }
-            TraceRecord::Seed(s) => {
-                self.note_setup(g);
-                g.trace.seeds.push(s);
-            }
-            event => {
-                if !g.saw_event {
-                    g.saw_event = true;
-                    self.spawn_executor(g);
-                }
-                if let TraceRecord::JniEnter { func, .. } = &event {
-                    let name = minijni::FuncId(*func).name();
-                    if !g.called.contains(name) {
-                        g.called.insert(name.to_string());
-                    }
-                }
-                if g.anomaly.is_none() {
-                    if let Err(why) = g.feeder.push(&event) {
-                        self.note_anomaly(g, why);
-                    }
-                }
-                g.trace.events.push(event);
-            }
-        }
-    }
-
-    fn note_setup(&self, g: &mut StreamInner) {
-        if g.saw_event && g.anomaly.is_none() {
-            self.note_anomaly(g, "setup record in event stream".to_string());
-        }
-    }
-
-    fn note_anomaly(&self, g: &mut StreamInner, why: String) {
-        if g.anomaly.is_none() {
-            g.anomaly = Some(why);
-            // The executor's result will be discarded; let it drain out.
+    fn fail_decode(&self, g: &mut StreamInner, e: TraceError) {
+        if g.decode_error.is_none() {
+            g.decode_error = Some(e);
+            // Nothing past a decode error can be judged; unblock the
+            // executor now.
             self.feed.finish();
         }
     }
 
-    fn spawn_executor(&self, g: &mut StreamInner) {
-        let setup = Trace {
-            meta: g.trace.meta.clone(),
-            classes: g.trace.classes.clone(),
-            threads: g.trace.threads.clone(),
-            seeds: g.trace.seeds.clone(),
-            events: Vec::new(),
-            version: g.decoder.version(),
+    fn route(&self, g: &mut StreamInner, rec: TraceRecord) {
+        let event = match g.setup.absorb_setup(rec, g.saw_event) {
+            Ok(Some(event)) => event,
+            Ok(None) => return,
+            Err(e) => return self.fail_decode(g, e),
         };
+        if !g.saw_event {
+            g.saw_event = true;
+            self.spawn_executor(g);
+        }
+        if let TraceRecord::JniEnter { func, .. } = &event {
+            let name = minijni::FuncId(*func).name();
+            if !g.called.contains(name) {
+                g.called.insert(name.to_string());
+            }
+        }
+        if g.replay_error.is_none() {
+            if let Err(e) = g.feeder.push(&event) {
+                g.replay_error = Some(e);
+                self.feed.finish();
+            }
+        }
+    }
+
+    fn spawn_executor(&self, g: &mut StreamInner) {
+        let setup = g.setup.clone();
         let config = self.config.clone();
         let recorder = self.recorder.clone();
         let feed = Arc::clone(&self.feed);
@@ -270,16 +227,12 @@ impl StreamingSession {
                 g.decode_error = Some(e);
             }
         }
-        if let Err(why) = g.feeder.finish() {
-            if g.anomaly.is_none() {
-                g.anomaly = Some(why);
-            }
-        }
+        g.feeder.finish();
     }
 
-    /// Worker entry after `Seal`: joins the executor and either
-    /// publishes its (no-longer-speculative) outcome or runs one of the
-    /// discard valves.
+    /// Worker entry after `Seal`: joins the executor and publishes its
+    /// (no-longer-speculative) outcome. A trace that streamed no events
+    /// has no executor; its replay runs here, on the finished feed.
     ///
     /// # Errors
     ///
@@ -287,50 +240,32 @@ impl StreamingSession {
     pub(crate) fn collect(
         &self,
         tenant: &str,
-        configs: &[ReplayConfig],
-        pool: &Arc<AtomicEnginePool<u64>>,
         specialized: Option<&SpecializedPool>,
-        recorder_ring: usize,
         max_events: usize,
     ) -> Result<JudgeOutput, String> {
         let mut g = self.lock();
         if let Some(e) = &g.decode_error {
             return Err(format!("unreadable trace: {e}"));
         }
-        let outcome = match g.executor.take() {
-            Some(h) => match h.join() {
-                Ok(Ok(out)) => Some(out),
-                // A failed or panicked executor is treated like an
-                // anomaly: re-judge buffered so the session resolves
-                // exactly as it would have without streaming.
-                Ok(Err(_)) | Err(_) => None,
-            },
-            // No event ever streamed (setup-only trace): the buffered
-            // judge is already O(1) for it.
-            None => None,
-        };
-        match outcome {
-            Some(out) if g.anomaly.is_none() => {
-                Ok(self.assemble(&mut g, out, tenant, specialized, max_events))
+        let label = self.config.label();
+        let joined = g.executor.take().map(JoinHandle::join);
+        let replayed = match (g.replay_error.take(), joined) {
+            (Some(e), _) => Err(e),
+            (None, Some(Ok(result))) => result,
+            (None, Some(Err(_))) => return Err(format!("replay under {label} panicked")),
+            (None, None) => {
+                run_live_replay(&g.setup, &self.config, Some(&self.recorder), &self.feed)
             }
-            _ => judge_trace(
-                &g.trace,
-                self.session,
-                tenant,
-                configs,
-                pool,
-                specialized,
-                recorder_ring,
-                max_events,
-            ),
-        }
+        };
+        let out = replayed.map_err(|e| format!("replay under {label} failed: {e}"))?;
+        Ok(self.assemble(&mut g, out, tenant, specialized, max_events))
     }
 
     /// Publishes the live outcome: per-config rows from the executor,
     /// summaries and rollups from the recorder's final ring (on the
     /// held lease, or a covering specialized pool's), audit rows from
-    /// the retained trace — field-for-field what the buffered judge
-    /// produces.
+    /// the call-site set and the setup section — field-for-field what
+    /// the buffered judge produces.
     fn assemble(
         &self,
         g: &mut StreamInner,
@@ -341,7 +276,7 @@ impl StreamingSession {
     ) -> JudgeOutput {
         let session = self.session;
         let called_functions = std::mem::take(&mut g.called);
-        let trace = &g.trace;
+        let setup = &g.setup;
         let (specialized_hit, discharge_fallback) = match specialized {
             Some(sp) if sp.covers(&called_functions) => (true, false),
             Some(_) => (false, true),
@@ -387,14 +322,14 @@ impl StreamingSession {
             divergences: out.divergences,
         }];
         JudgeOutput {
-            program: trace.program().to_string(),
+            program: setup.program().to_string(),
             outcomes,
             verdicts,
             events,
             events_dropped,
             rollups,
-            obs: obs_counters(trace),
-            discharge: discharge_stats(trace.program(), &called_functions),
+            obs: obs_counters(setup),
+            discharge: discharge_stats(setup.program(), &called_functions),
             events_replayed: out.events_replayed,
             divergences: out.divergences,
             called_functions,

@@ -5,13 +5,17 @@
 //! quarantined and the rest of the fleet unharmed.
 
 use std::collections::BTreeMap;
+use std::rc::Rc;
 use std::sync::Arc;
 use std::thread;
 
+use jinn::jni::typed;
+use jinn::jvm::JValue;
+use jinn::microbench::{Behavior, Setup};
 use jinn::replay::format::fnv1a;
 use jinn::replay::{
-    case_studies, decode_stream, encode_frame, encode_ingest, microbench_programs, replay_trace,
-    Frame, ReplayConfig, Trace,
+    case_studies, decode_stream, encode_frame, encode_ingest, microbench_programs, record_program,
+    replay_trace, Frame, Program, ReplayConfig, StreamDecoder, Trace, TraceRecord,
 };
 use jinn::serve::{Daemon, Query, QueryItem, QueryKind, ServeConfig, SessionState};
 
@@ -74,6 +78,51 @@ fn served_multiset(
         }
     }
     set
+}
+
+/// Every surfaced record of a trace, with the byte offset where it ends
+/// and the raw records (intern definitions included) decoded through
+/// it. The bytes from one record's end to the next one's are the next
+/// record plus the intern definitions it introduces.
+fn records_of(bytes: &[u8]) -> Vec<(TraceRecord, usize, u64)> {
+    let mut dec = StreamDecoder::new();
+    let mut records = Vec::new();
+    for (i, b) in bytes.iter().enumerate() {
+        dec.feed(std::slice::from_ref(b));
+        while let Some(rec) = dec.next_record().expect("corpus trace decodes") {
+            records.push((rec, i + 1, dec.records_decoded()));
+        }
+    }
+    records
+}
+
+/// Appends the `End` record to `body` (header plus records): tag, the
+/// raw-record count, and the checksum of everything before the tag.
+fn seal_records(mut body: Vec<u8>, raw_records: u64) -> Vec<u8> {
+    let sum = fnv1a(&body);
+    body.push(0xFF);
+    let mut count = raw_records;
+    loop {
+        let byte = (count & 0x7F) as u8;
+        count >>= 7;
+        if count == 0 {
+            body.push(byte);
+            break;
+        }
+        body.push(byte | 0x80);
+    }
+    body.extend_from_slice(&sum.to_le_bytes());
+    body
+}
+
+fn is_setup(rec: &TraceRecord) -> bool {
+    matches!(
+        rec,
+        TraceRecord::Meta { .. }
+            | TraceRecord::DefClass(_)
+            | TraceRecord::SpawnThread { .. }
+            | TraceRecord::Seed(_)
+    )
 }
 
 #[test]
@@ -363,6 +412,8 @@ fn streaming_daemon_matches_buffered_daemon_across_corpus() {
     const UNREADABLE: u64 = 2000; // flipped byte, *honest* seal declaration
     const ABORTED: u64 = 3000;
     const LIAR: u64 = 4000;
+    const SETUP_ONLY: u64 = 5000; // the setup section alone, re-sealed
+    const LATE_SETUP: u64 = 6000; // a DefClass after the first event
 
     let names = corpus_names();
     let traces: Vec<(String, Vec<u8>)> =
@@ -441,12 +492,41 @@ fn streaming_daemon_matches_buffered_daemon_across_corpus() {
             reason: "client gave up".into(),
         });
 
+        // Wire-valid re-sealed variants, cut at record boundaries.
+        let records = records_of(bytes);
+        let first_event = records
+            .iter()
+            .position(|(r, _, _)| !is_setup(r))
+            .expect("corpus trace has events");
+        let (_, setup_end, setup_raw) = records[first_event - 1];
+        let setup_only = seal_records(bytes[..setup_end].to_vec(), setup_raw);
+        // Intern ids must stay in order, so rather than move a DefClass
+        // (which brings intern definitions) behind the first event, move
+        // a copy of the first event — a NativeEnter, one raw record with
+        // no interns — in front of the first DefClass.
+        let class_at = records
+            .iter()
+            .position(|(r, _, _)| matches!(r, TraceRecord::DefClass(_)))
+            .expect("corpus trace defines a class");
+        let (_, class_start, _) = records[class_at - 1];
+        let (_, event_start, before_event) = records[first_event - 1];
+        let (ref event, event_end, through_event) = records[first_event];
+        assert!(matches!(event, TraceRecord::NativeEnter { .. }));
+        assert_eq!(through_event - before_event, 1, "{name}: one raw record");
+        let &(_, end_pos, raw) = records.last().expect("records decoded");
+        let mut body = bytes[..class_start].to_vec();
+        body.extend_from_slice(&bytes[event_start..event_end]);
+        body.extend_from_slice(&bytes[class_start..end_pos]);
+        let late_setup = seal_records(body, raw + 1);
+
         for (base, frames) in [
             (0, clean(i, "t", bytes)),
             (CORRUPT, corrupt),
             (UNREADABLE, unreadable),
             (ABORTED, aborted),
             (LIAR, clean(LIAR + i, "liar", bytes)),
+            (SETUP_ONLY, clean(SETUP_ONLY + i, "t", &setup_only)),
+            (LATE_SETUP, clean(LATE_SETUP + i, "t", &late_setup)),
         ] {
             let id = base + i;
             let (serr, s) = drive(&sh, id, &frames);
@@ -493,6 +573,24 @@ fn streaming_daemon_matches_buffered_daemon_across_corpus() {
                     );
                 }
                 ABORTED => assert_eq!(s.state, SessionState::Aborted),
+                SETUP_ONLY => {
+                    assert_eq!(s.state, SessionState::Quarantined);
+                    let reason = s.reason.expect("failure reason");
+                    assert!(
+                        reason.contains("no top-level entries"),
+                        "{name}: unexpected reason `{reason}`"
+                    );
+                }
+                LATE_SETUP => {
+                    assert_eq!(s.state, SessionState::Quarantined);
+                    assert!(serr.is_none(), "the seal is honest");
+                    let reason = s.reason.expect("quarantine reason");
+                    assert!(
+                        reason.starts_with("unreadable trace")
+                            && reason.ends_with("setup record in event stream"),
+                        "{name}: unexpected reason `{reason}`"
+                    );
+                }
                 _ => unreachable!(),
             }
         }
@@ -523,83 +621,38 @@ fn streaming_daemon_matches_buffered_daemon_across_corpus() {
     buffered.shutdown();
 }
 
-/// A trace the live executor cannot judge faithfully — an activation
-/// still open at end of trace (the buffered fold silently drops it,
-/// live order cannot) — exercises the streaming anomaly valve: the
-/// speculative live outcome is discarded and the session is re-judged
-/// from the retained records, so streaming and buffered daemons still
-/// agree exactly.
+/// An activation still open at end of trace re-issues its recorded
+/// calls and returns `Void` (TRACE_FORMAT.md, "Replay semantics"). The
+/// streaming daemon judges such a trace in the one pass it streams, with
+/// exactly the buffered daemon's result.
 #[test]
-fn anomalous_live_trace_falls_back_and_still_matches_buffered() {
-    use jinn::replay::{StreamDecoder, TraceRecord};
-
-    // Build the anomaly from a *real* corpus trace so every method id
-    // resolves: duplicate one of its own NativeEnter records (no
-    // interned strings — the bytes are position-independent) in front
-    // of the End record, then re-seal with the new count and checksum.
+fn open_activation_at_end_of_trace_judges_identically_on_both_paths() {
+    // Build the open activation from a *real* corpus trace so every
+    // method id resolves: duplicate one of its own NativeEnter records
+    // (with any intern definitions before it) in front of the End
+    // record, then re-seal with the new count and checksum.
     let bytes = corpus_bytes("LocalRefDangling");
-    let mut dec = StreamDecoder::new();
-    let mut boundaries = Vec::new(); // (record, end offset in `bytes`)
-    for (i, b) in bytes.iter().enumerate() {
-        dec.feed(std::slice::from_ref(b));
-        while let Some(rec) = dec.next_record().expect("corpus trace decodes") {
-            boundaries.push((rec, i + 1));
-        }
-    }
-    let enter_at = boundaries
+    let records = records_of(&bytes);
+    let enter_at = records
         .iter()
-        .position(|(r, _)| matches!(r, TraceRecord::NativeEnter { .. }))
+        .position(|(r, _, _)| matches!(r, TraceRecord::NativeEnter { .. }))
         .expect("corpus trace has a native activation");
     assert!(enter_at > 0, "a setup record precedes the first activation");
-    let record = bytes[boundaries[enter_at - 1].1..boundaries[enter_at].1].to_vec();
-
-    // Everything after the last surfaced record is the End record: tag,
-    // raw-record count (interns included, so read the declared varint
-    // rather than counting surfaced records), 8-byte checksum.
-    let end_pos = boundaries.last().expect("records decoded").1;
+    let (_, prev_end, prev_raw) = records[enter_at - 1];
+    let (_, enter_end, enter_raw) = records[enter_at];
+    let &(_, end_pos, raw) = records.last().expect("records decoded");
     assert_eq!(bytes[end_pos], 0xFF, "End tag follows the last record");
-    let mut declared = 0u64;
-    let mut shift = 0;
-    for &b in &bytes[end_pos + 1..] {
-        declared |= u64::from(b & 0x7F) << shift;
-        if b & 0x80 == 0 {
-            break;
-        }
-        shift += 7;
-    }
-    let mut count = declared + 1;
-    let mut spliced = bytes[..end_pos].to_vec();
-    spliced.extend_from_slice(&record);
-    let sum = fnv1a(&spliced); // the checksum covers everything before the tag
-    spliced.push(0xFF); // End tag
-    loop {
-        let byte = (count & 0x7F) as u8;
-        count >>= 7;
-        if count == 0 {
-            spliced.push(byte);
-            break;
-        }
-        spliced.push(byte | 0x80);
-    }
-    spliced.extend_from_slice(&sum.to_le_bytes());
+    let mut body = bytes[..end_pos].to_vec();
+    body.extend_from_slice(&bytes[prev_end..enter_end]);
+    let spliced = seal_records(body, raw + enter_raw - prev_raw);
     let parsed = Trace::parse(&spliced).expect("splice is wire-valid");
     assert_eq!(
         parsed.events.len(),
-        boundaries
-            .iter()
-            .filter(|(r, _)| {
-                !matches!(
-                    r,
-                    TraceRecord::Meta { .. }
-                        | TraceRecord::DefClass(_)
-                        | TraceRecord::SpawnThread { .. }
-                        | TraceRecord::Seed(_)
-                )
-            })
-            .count()
-            + 1,
+        records.iter().filter(|(r, _, _)| !is_setup(r)).count() + 1,
         "splice adds exactly one event"
     );
+    let config = ReplayConfig::parse("jinn").unwrap();
+    let local = replay_trace(&parsed, &config).expect("open activation replays");
 
     let streaming = Daemon::start(ServeConfig {
         streaming_sessions: 4096,
@@ -616,26 +669,133 @@ fn anomalous_live_trace_falls_back_and_still_matches_buffered() {
             handle.apply_frame(&frame).expect("ingest");
         }
         let stats = handle.wait_session(9).expect("session exists");
+        assert_eq!(stats.state, SessionState::Judged, "{:?}", stats.reason);
+        assert_eq!(stats.events_replayed, local.events_replayed);
+        assert_eq!(stats.divergences, local.divergences);
         outcomes.push((
             stats.state,
             stats.reason.clone(),
+            stats.events_replayed,
+            stats.divergences,
             served_multiset(&handle, 9),
         ));
     }
     assert_eq!(
         outcomes[0], outcomes[1],
-        "anomalous trace: streaming diverges from buffered"
+        "open activation: streaming diverges from buffered"
     );
-    assert_eq!(
-        outcomes[0].0,
-        SessionState::Judged,
-        "the fallback re-judge must still publish: {:?}",
-        outcomes[0].1
-    );
+    assert_eq!(outcomes[0].4, local_multiset(&spliced, &config));
+    let sh = streaming.handle();
     assert!(
-        streaming.handle().session_stats(9).expect("stats").streamed,
-        "the session took the streaming path before falling back"
+        sh.session_stats(9).expect("stats").streamed,
+        "the session took the streaming path"
     );
+    // The engine lease taken at `Open` served the rollup: no second
+    // judge ran beside the live one.
+    assert_eq!(sh.pool_stats().leases, 1, "{:?}", sh.pool_stats());
+    streaming.shutdown();
+    buffered.shutdown();
+}
+
+/// `RecursiveNative.call(I)V`: a bug-free native that allocates and
+/// frees one string, then — while `n > 0` — looks itself up and calls
+/// itself on `n - 1` through `CallStaticVoidMethod`, starting at 3.
+fn recursive_native_program() -> Program {
+    Program {
+        name: "RecursiveNative".into(),
+        pitfall: None,
+        // Metadata only: the program is bug-free by construction.
+        machine: "local-reference",
+        error_state: "Ok",
+        leaks: false,
+        gc_period: None,
+        build: Box::new(|vm| {
+            let (_, entry) = vm.define_native_class(
+                "RecursiveNative",
+                "call",
+                "(I)V",
+                true,
+                Rc::new(|env, args| {
+                    let s = typed::new_string_utf(env, "depth")?;
+                    typed::delete_local_ref(env, s)?;
+                    let n = match args {
+                        [JValue::Int(n), ..] => *n,
+                        _ => 0,
+                    };
+                    if n > 0 {
+                        let class = typed::find_class(env, "RecursiveNative")?;
+                        let call = typed::get_static_method_id(env, class, "call", "(I)V")?;
+                        typed::call_static_void_method(env, class, call, &[JValue::Int(n - 1)])?;
+                        typed::delete_local_ref(env, class)?;
+                    }
+                    Ok(JValue::Void)
+                }),
+            );
+            Setup {
+                entries: vec![entry],
+                first_args: vec![JValue::Int(3)],
+            }
+        }),
+    }
+}
+
+/// Activations of one method are consumed in enter order, the order a
+/// re-executing VM asks for them: a recursive native replays every
+/// recorded call, cleanly, under every configuration and on both daemon
+/// paths.
+#[test]
+fn recursive_native_replays_every_recorded_call() {
+    let bytes = record_program(&recursive_native_program());
+    let trace = Trace::parse(&bytes).expect("recording parses");
+    let recorded = trace
+        .events
+        .iter()
+        .filter(|e| matches!(e, TraceRecord::JniEnter { .. }))
+        .count() as u64;
+    assert_eq!(recorded, 20, "three levels of six calls, then two");
+
+    let labels = ["jinn", "hotspot", "j9", "xcheck", "xcheck:j9"];
+    for label in labels {
+        let config = ReplayConfig::parse(label).unwrap();
+        let out = replay_trace(&trace, &config).expect("replays");
+        assert_eq!(out.events_replayed, recorded, "{label}: {out:?}");
+        assert_eq!(out.divergences, 0, "{label}: {out:?}");
+        assert_eq!(out.behavior, Behavior::Running, "{label}: {out:?}");
+        assert!(out.violations.is_empty(), "{label}: {out:?}");
+    }
+
+    let streaming = Daemon::start(ServeConfig {
+        streaming_sessions: 4096,
+        ..ServeConfig::default()
+    });
+    let buffered = Daemon::start(ServeConfig {
+        streaming_sessions: 0,
+        ..ServeConfig::default()
+    });
+    let (sh, bh) = (streaming.handle(), buffered.handle());
+    for (id, label) in (1u64..).zip(labels) {
+        let mut served = Vec::new();
+        for handle in [&sh, &bh] {
+            for frame in decode_stream(&encode_ingest(id, "t", label, &bytes, 64)).unwrap() {
+                handle.apply_frame(&frame).expect("ingest");
+            }
+            let stats = handle.wait_session(id).expect("session exists");
+            assert_eq!(
+                stats.state,
+                SessionState::Judged,
+                "{label}: {:?}",
+                stats.reason
+            );
+            assert_eq!(stats.events_replayed, recorded, "{label}");
+            assert_eq!(stats.divergences, 0, "{label}");
+            served.push(served_multiset(handle, id));
+        }
+        assert!(sh.session_stats(id).expect("stats").streamed, "{label}");
+        assert_eq!(
+            served[0], served[1],
+            "{label}: streaming diverges from buffered"
+        );
+    }
     streaming.shutdown();
     buffered.shutdown();
 }

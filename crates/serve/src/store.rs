@@ -1,17 +1,48 @@
 //! The session table: lifecycle bookkeeping, buffered ingest bytes,
-//! judged history rows, the retention budget, and the query scan.
+//! judged history rows, the retention budget, and the ordered indexes
+//! that pick victims and answer queries.
 //!
-//! One mutex guards the whole table. That is deliberate: every
-//! operation here is bookkeeping measured in microseconds, while the
-//! expensive work (replay) happens in workers *outside* the lock — a
-//! worker takes the sealed bytes out, judges without the lock, and
-//! comes back once with the results. A condvar broadcast on every state
-//! change backs `wait_session`/`wait_idle`.
+//! One mutex guards the whole table, indexes included. That still
+//! suffices because nothing done under it scans the table: a purge or
+//! eviction victim costs O(log n), a query costs O(page + log n) when
+//! filtered by tenant or session and otherwise a scan of retained
+//! history that stops at the page. The expensive work (replay) happens
+//! in workers *outside* the lock — a worker takes the sealed bytes out,
+//! judges and compacts the rows without the lock, and comes back once
+//! with the results. A condvar broadcast on every state change backs
+//! `wait_terminal`/`wait_idle`.
+//!
+//! ## Indexes
+//!
+//! Beside the id map, the table keeps ordered indexes:
+//!
+//! - terminal sessions by `(opened_seq, id)`, whose first entry is the
+//!   next record to evict;
+//! - sessions holding history by `(opened_seq, id)`, whose first entry
+//!   is the next history to purge;
+//! - histories holding at least one row by first rowid, fleet-wide and
+//!   per tenant, shared with their records so a walk never looks a
+//!   session up. A session's rowids are assigned contiguously under the
+//!   lock when it is judged, so walking an index in order visits rows
+//!   in rowid order: a query starts at the history holding
+//!   `cursor + 1` and stops once one row past its page has matched. A
+//!   history with no rows is in neither index.
+//!
+//! ## Compact history
+//!
+//! A judged session's rows are held as one text buffer plus fixed-size
+//! slots holding numbers and `(offset, len)` spans into that text, each
+//! distinct string stored once. Filters compare `&str` slices of the
+//! text; the public row types are built only for the rows a page
+//! returns. Records share one interned copy of each distinct
+//! inactive-machine set.
 //!
 //! ## Retention
 //!
 //! Judged history (verdict rows, event summaries, per-config outcomes)
-//! is held under a global byte budget. When an insert pushes the total
+//! is held under a global byte budget, charged at the approximate size
+//! of the rows as the judge produced them (not of their compact form).
+//! When an insert pushes the total
 //! over, whole-session histories are purged **oldest-session-first** by
 //! open order until back under. Only terminal sessions are candidates:
 //! a live (open/queued/judging) session has no history yet and can
@@ -30,8 +61,8 @@
 //! sessions are never evicted; the live-session cap bounds how many
 //! can exist.
 
-use std::collections::HashMap;
-use std::sync::{Condvar, Mutex};
+use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
+use std::sync::{Arc, Condvar, Mutex};
 use std::time::Instant;
 
 use jinn_replay::{verify_seal_declaration, ReplayConfig};
@@ -178,28 +209,291 @@ pub struct FleetStats {
     pub buffered_bytes_high_water: u64,
 }
 
+/// An `(offset, len)` slice of a [`History`]'s text.
+#[derive(Clone, Copy)]
+struct Span {
+    at: u32,
+    len: u32,
+}
+
+/// A [`VerdictRec`] with its strings held as spans.
+struct VerdictSlot {
+    session: SessionId,
+    tenant: Span,
+    config: Span,
+    machine: Span,
+    error_state: Span,
+    function: Span,
+    message: Span,
+}
+
+/// An [`EventSummary`] with its strings held as spans.
+struct EventSlot {
+    session: SessionId,
+    index: u64,
+    thread: u16,
+    failed: bool,
+    label: Span,
+    function: Option<Span>,
+    machine: Option<Span>,
+    entity: Option<Span>,
+}
+
+/// An [`OutcomeRec`] with its strings held as spans.
+struct OutcomeSlot {
+    session: SessionId,
+    events_replayed: u64,
+    divergences: u64,
+    config: Span,
+    behavior: Span,
+    message: Option<Span>,
+}
+
+/// One judged session's rows, compacted (see the module docs). Rowids
+/// are implicit: outcomes take `first_rowid..`, then verdicts, then
+/// events, in the order the judge produced them.
 struct History {
+    /// The retention charge: the `approx_bytes_*` of the rows as judged.
     bytes: usize,
-    outcomes: Vec<(u64, OutcomeRec)>,
-    verdicts: Vec<(u64, VerdictRec)>,
-    events: Vec<(u64, EventSummary)>,
-    rollups: Vec<MachineRollup>,
+    first_rowid: u64,
+    text: Box<str>,
+    outcomes: Box<[OutcomeSlot]>,
+    verdicts: Box<[VerdictSlot]>,
+    events: Box<[EventSlot]>,
+    rollups: Box<[MachineRollup]>,
+}
+
+/// Appends each distinct string to a history's text once.
+struct TextBuilder<'a> {
+    text: String,
+    seen: HashMap<&'a str, Span>,
+}
+
+impl<'a> TextBuilder<'a> {
+    fn span(&mut self, s: &'a str) -> Span {
+        *self.seen.entry(s).or_insert_with(|| {
+            // A session's text is bounded by its trace (the per-session
+            // buffer cap) and the judge's per-row output; 4 GiB is far
+            // beyond either.
+            let end = u32::try_from(self.text.len() + s.len()).expect("history text fits u32");
+            self.text.push_str(s);
+            let len = s.len() as u32;
+            Span { at: end - len, len }
+        })
+    }
+
+    fn opt(&mut self, s: Option<&'a str>) -> Option<Span> {
+        s.map(|s| self.span(s))
+    }
+}
+
+impl History {
+    /// Compacts a judge's rows; `first_rowid` is assigned later, under
+    /// the table lock.
+    fn new(
+        outcomes: &[OutcomeRec],
+        verdicts: &[VerdictRec],
+        events: &[EventSummary],
+        rollups: Vec<MachineRollup>,
+    ) -> History {
+        let bytes = outcomes.iter().map(approx_bytes_outcome).sum::<usize>()
+            + verdicts.iter().map(approx_bytes_verdict).sum::<usize>()
+            + events.iter().map(approx_bytes_event).sum::<usize>();
+        let mut b = TextBuilder {
+            text: String::new(),
+            seen: HashMap::new(),
+        };
+        let outcomes = outcomes
+            .iter()
+            .map(|o| OutcomeSlot {
+                session: o.session,
+                events_replayed: o.events_replayed,
+                divergences: o.divergences,
+                config: b.span(&o.config),
+                behavior: b.span(&o.behavior),
+                message: b.opt(o.message.as_deref()),
+            })
+            .collect();
+        let verdicts = verdicts
+            .iter()
+            .map(|v| VerdictSlot {
+                session: v.session,
+                tenant: b.span(&v.tenant),
+                config: b.span(&v.config),
+                machine: b.span(&v.machine),
+                error_state: b.span(&v.error_state),
+                function: b.span(&v.function),
+                message: b.span(&v.message),
+            })
+            .collect();
+        let events = events
+            .iter()
+            .map(|e| EventSlot {
+                session: e.session,
+                index: e.index,
+                thread: e.thread,
+                failed: e.failed,
+                label: b.span(&e.label),
+                function: b.opt(e.function.as_deref()),
+                machine: b.opt(e.machine.as_deref()),
+                entity: b.opt(e.entity.as_deref()),
+            })
+            .collect();
+        History {
+            bytes,
+            first_rowid: 0,
+            text: b.text.into_boxed_str(),
+            outcomes,
+            verdicts,
+            events,
+            rollups: rollups.into_boxed_slice(),
+        }
+    }
+
+    fn rows(&self) -> u64 {
+        (self.outcomes.len() + self.verdicts.len() + self.events.len()) as u64
+    }
+
+    fn str(&self, s: Span) -> &str {
+        &self.text[s.at as usize..(s.at + s.len) as usize]
+    }
+
+    fn opt(&self, s: Option<Span>) -> Option<&str> {
+        s.map(|s| self.str(s))
+    }
+
+    /// The first rowid and the number of rows of one family.
+    fn family(&self, kind: QueryKind) -> (u64, usize) {
+        let outcomes = self.outcomes.len() as u64;
+        match kind {
+            QueryKind::Outcomes => (self.first_rowid, self.outcomes.len()),
+            QueryKind::Verdicts => (self.first_rowid + outcomes, self.verdicts.len()),
+            QueryKind::Events => (
+                self.first_rowid + outcomes + self.verdicts.len() as u64,
+                self.events.len(),
+            ),
+        }
+    }
+
+    /// Pushes this session's rows that match `q` and lie past `after`,
+    /// in rowid order, until `hits` holds `want` rows.
+    fn scan<'a>(
+        &'a self,
+        q: &Query,
+        after: u64,
+        want: usize,
+        hits: &mut Vec<(&'a History, usize)>,
+    ) {
+        let (first, n) = self.family(q.kind);
+        let from = match after.checked_sub(first) {
+            None => 0,
+            Some(skip) => usize::try_from(skip.saturating_add(1)).map_or(n, |i| i.min(n)),
+        };
+        for i in from..n {
+            if hits.len() >= want {
+                return;
+            }
+            if self.matches(q, i) {
+                hits.push((self, i));
+            }
+        }
+    }
+
+    /// Whether row `i` of `q.kind` passes `q`'s row filters (the
+    /// session and tenant filters are the caller's).
+    fn matches(&self, q: &Query, i: usize) -> bool {
+        let is = |want: &Option<String>, got: &str| want.as_deref().is_none_or(|w| w == got);
+        let is_opt = |want: &Option<String>, got: Option<&str>| {
+            want.as_deref().is_none_or(|w| got == Some(w))
+        };
+        match q.kind {
+            QueryKind::Verdicts => {
+                let v = &self.verdicts[i];
+                is(&q.config, self.str(v.config))
+                    && is(&q.function, self.str(v.function))
+                    && is(&q.machine, self.str(v.machine))
+            }
+            QueryKind::Events => {
+                let e = &self.events[i];
+                is_opt(&q.function, self.opt(e.function))
+                    && is_opt(&q.machine, self.opt(e.machine))
+                    && is_opt(&q.entity, self.opt(e.entity))
+                    && q.thread.is_none_or(|th| th == e.thread)
+                    && q.min_index.is_none_or(|m| e.index >= m)
+                    && q.max_index.is_none_or(|m| e.index <= m)
+            }
+            QueryKind::Outcomes => is(&q.config, self.str(self.outcomes[i].config)),
+        }
+    }
+
+    /// Row `i` of `kind` as the public row type, with its rowid.
+    fn item(&self, kind: QueryKind, i: usize) -> (u64, QueryItem) {
+        let rowid = self.family(kind).0 + i as u64;
+        let item = match kind {
+            QueryKind::Verdicts => {
+                let v = &self.verdicts[i];
+                QueryItem::Verdict(VerdictRec {
+                    session: v.session,
+                    tenant: self.str(v.tenant).to_string(),
+                    config: self.str(v.config).to_string(),
+                    machine: self.str(v.machine).to_string(),
+                    error_state: self.str(v.error_state).to_string(),
+                    function: self.str(v.function).to_string(),
+                    message: self.str(v.message).to_string(),
+                })
+            }
+            QueryKind::Events => {
+                let e = &self.events[i];
+                QueryItem::Event(EventSummary {
+                    session: e.session,
+                    index: e.index,
+                    thread: e.thread,
+                    label: self.str(e.label).to_string(),
+                    function: self.opt(e.function).map(str::to_string),
+                    machine: self.opt(e.machine).map(str::to_string),
+                    entity: self.opt(e.entity).map(str::to_string),
+                    failed: e.failed,
+                })
+            }
+            QueryKind::Outcomes => {
+                let o = &self.outcomes[i];
+                QueryItem::Outcome(OutcomeRec {
+                    session: o.session,
+                    config: self.str(o.config).to_string(),
+                    behavior: self.str(o.behavior).to_string(),
+                    message: self.opt(o.message).map(str::to_string),
+                    events_replayed: o.events_replayed,
+                    divergences: o.divergences,
+                })
+            }
+        };
+        (rowid, item)
+    }
+}
+
+/// [`DischargeStats`] as a record holds it: the inactive-machine set is
+/// shared with every other record naming the same set.
+struct Discharge {
+    called_functions: u64,
+    total_transitions: u64,
+    discharged: u64,
+    inactive_machines: Arc<[String]>,
 }
 
 struct Session {
     opened_seq: u64,
-    tenant: String,
-    configs: Vec<ReplayConfig>,
+    tenant: Box<str>,
+    configs: Box<[ReplayConfig]>,
     state: SessionState,
     buf: Vec<u8>,
     frames: u64,
-    program: Option<String>,
+    program: Option<Box<str>>,
     obs: ObsCounters,
-    discharge: Option<DischargeStats>,
+    discharge: Option<Discharge>,
     specialized: bool,
     discharge_fallback: bool,
-    reason: Option<String>,
-    history: Option<History>,
+    reason: Option<Box<str>>,
+    history: Option<Arc<History>>,
     history_purged: bool,
     sealed_at: Option<Instant>,
     first_frame_at: Option<Instant>,
@@ -219,6 +513,17 @@ struct Session {
 
 struct TableInner {
     sessions: HashMap<SessionId, Session>,
+    /// Terminal sessions by `(opened_seq, id)`: record-eviction order.
+    terminal: BTreeSet<(u64, SessionId)>,
+    /// Sessions holding history by `(opened_seq, id)`: purge order.
+    holding: BTreeSet<(u64, SessionId)>,
+    /// The histories holding at least one row, by first rowid (unique
+    /// among them), shared with their session records.
+    rows: BTreeMap<u64, Arc<History>>,
+    /// `rows`, split by the session's tenant.
+    tenant_rows: HashMap<String, BTreeMap<u64, Arc<History>>>,
+    /// One shared copy of each distinct inactive-machine set.
+    inactive_sets: HashSet<Arc<[String]>>,
     next_seq: u64,
     next_rowid: u64,
     history_bytes: usize,
@@ -226,6 +531,43 @@ struct TableInner {
     live: u64,     // sessions in any non-terminal state
     buffered: u64, // un-judged ingest bytes across all sessions
     fleet: FleetStats,
+}
+
+impl TableInner {
+    /// Drops a session's history from its record and the indexes,
+    /// releasing its retention charge.
+    fn drop_history(&mut self, id: SessionId) {
+        let Some(s) = self.sessions.get_mut(&id) else {
+            return;
+        };
+        let Some(hist) = s.history.take() else {
+            return;
+        };
+        self.holding.remove(&(s.opened_seq, id));
+        if hist.rows() > 0 {
+            let key = hist.first_rowid;
+            self.rows.remove(&key);
+            let tenant_rows = self
+                .tenant_rows
+                .get_mut(&*s.tenant)
+                .expect("a session with rows is indexed under its tenant");
+            tenant_rows.remove(&key);
+            if tenant_rows.is_empty() {
+                self.tenant_rows.remove(&*s.tenant);
+            }
+        }
+        self.history_bytes -= hist.bytes;
+    }
+
+    /// The shared copy of an inactive-machine set.
+    fn intern(&mut self, set: Vec<String>) -> Arc<[String]> {
+        if let Some(shared) = self.inactive_sets.get(set.as_slice()) {
+            return Arc::clone(shared);
+        }
+        let shared: Arc<[String]> = set.into();
+        self.inactive_sets.insert(Arc::clone(&shared));
+        shared
+    }
 }
 
 /// The daemon's shared session store. See the module docs.
@@ -241,6 +583,11 @@ impl SessionTable {
         SessionTable {
             inner: Mutex::new(TableInner {
                 sessions: HashMap::new(),
+                terminal: BTreeSet::new(),
+                holding: BTreeSet::new(),
+                rows: BTreeMap::new(),
+                tenant_rows: HashMap::new(),
+                inactive_sets: HashSet::new(),
                 next_seq: 0,
                 next_rowid: 1,
                 history_bytes: 0,
@@ -291,8 +638,8 @@ impl SessionTable {
             id,
             Session {
                 opened_seq,
-                tenant: tenant.to_string(),
-                configs,
+                tenant: tenant.into(),
+                configs: configs.into_boxed_slice(),
                 state: SessionState::Open,
                 buf: Vec::new(),
                 frames: 1,
@@ -331,7 +678,7 @@ impl SessionTable {
             SessionState::Open => Ok(()),
             SessionState::Quarantined => Err(ServeError::Quarantined {
                 session: id,
-                reason: s.reason.clone().unwrap_or_default(),
+                reason: s.reason.as_deref().unwrap_or_default().to_string(),
             }),
             other => Err(ServeError::SessionNotOpen {
                 session: id,
@@ -523,10 +870,12 @@ impl SessionTable {
         let s = Self::session_mut(&mut t, id)?;
         Self::require_open(s, id)?;
         s.state = SessionState::Aborted;
-        s.reason = Some(reason.to_string());
+        s.reason = Some(reason.into());
         let freed = s.buf.len() as u64 + std::mem::take(&mut s.stream_charged);
         s.buf = Vec::new();
         s.frames += 1;
+        let key = (s.opened_seq, id);
+        t.terminal.insert(key);
         t.buffered -= freed;
         t.live -= 1;
         t.fleet.aborted += 1;
@@ -546,9 +895,11 @@ impl SessionTable {
             t.active -= 1;
         }
         s.state = SessionState::Quarantined;
-        s.reason = Some(reason.to_string());
+        s.reason = Some(reason.into());
         let freed = s.buf.len() as u64 + std::mem::take(&mut s.stream_charged);
         s.buf = Vec::new();
+        let key = (s.opened_seq, id);
+        t.terminal.insert(key);
         t.buffered -= freed;
         t.live -= 1;
         t.fleet.quarantined += 1;
@@ -574,7 +925,7 @@ impl SessionTable {
         }
         s.state = SessionState::Judging;
         let bytes = std::mem::take(&mut s.buf);
-        let out = (bytes, s.tenant.clone(), s.configs.clone());
+        let out = (bytes, s.tenant.to_string(), s.configs.to_vec());
         t.buffered -= out.0.len() as u64;
         self.changed.notify_all();
         Some(out)
@@ -592,7 +943,7 @@ impl SessionTable {
         }
         s.state = SessionState::Judging;
         let charged = std::mem::take(&mut s.stream_charged);
-        let tenant = s.tenant.clone();
+        let tenant = s.tenant.to_string();
         t.buffered -= charged;
         self.changed.notify_all();
         Some(tenant)
@@ -600,84 +951,73 @@ impl SessionTable {
 
     /// Worker exit, success path: records the judge output, assigns
     /// rowids, charges the retention budget, and purges oldest-first if
-    /// over it.
+    /// over it. The rows are compacted before the lock is taken.
     ///
     /// A session can leave `Judging` while the worker runs: a
     /// stream-level quarantine poisons it in place (already releasing
     /// its `active` slot). Quarantine is terminal, so a late judge
     /// output is discarded — nothing is recorded and no counter moves.
     pub fn finish(&self, id: SessionId, out: JudgeOutput) {
-        let mut t = self.lock();
+        let mut hist = History::new(&out.outcomes, &out.verdicts, &out.events, out.rollups);
+        let mut guard = self.lock();
+        let t = &mut *guard;
         if t.sessions.get(&id).map(|s| s.state) != Some(SessionState::Judging) {
             return;
         }
-        let mut bytes = 0usize;
-        let outcomes: Vec<(u64, OutcomeRec)> = out
-            .outcomes
-            .into_iter()
-            .map(|o| {
-                bytes += approx_bytes_outcome(&o);
-                let rowid = t.next_rowid;
-                t.next_rowid += 1;
-                (rowid, o)
-            })
-            .collect();
-        let verdicts: Vec<(u64, VerdictRec)> = out
-            .verdicts
-            .into_iter()
-            .map(|v| {
-                bytes += approx_bytes_verdict(&v);
-                let rowid = t.next_rowid;
-                t.next_rowid += 1;
-                (rowid, v)
-            })
-            .collect();
-        let events: Vec<(u64, EventSummary)> = out
-            .events
-            .into_iter()
-            .map(|e| {
-                bytes += approx_bytes_event(&e);
-                let rowid = t.next_rowid;
-                t.next_rowid += 1;
-                (rowid, e)
-            })
-            .collect();
-        t.fleet.total_verdicts += verdicts.len() as u64;
+        hist.first_rowid = t.next_rowid;
+        let hist = Arc::new(hist);
+        t.next_rowid += hist.rows();
+        t.fleet.total_verdicts += hist.verdicts.len() as u64;
         t.fleet.total_events_replayed += out.events_replayed;
         t.fleet.judged += 1;
         t.fleet.specialized_sessions += u64::from(out.specialized);
         t.fleet.fallback_sessions += u64::from(out.discharge_fallback);
         t.fleet.streamed_sessions += u64::from(t.sessions.get(&id).is_some_and(|s| s.streamed));
-        t.history_bytes += bytes;
-        {
-            let s = t.sessions.get_mut(&id).expect("checked Judging above");
-            s.state = SessionState::Judged;
-            s.program = Some(out.program);
-            s.obs = out.obs;
-            s.discharge = Some(out.discharge);
-            s.specialized = out.specialized;
-            s.discharge_fallback = out.discharge_fallback;
-            s.events_replayed = out.events_replayed;
-            s.divergences = out.divergences;
-            s.summaries_dropped = out.events_dropped;
-            s.seal_to_verdict_micros = s
-                .sealed_at
-                .map(|at| at.elapsed().as_micros().min(u128::from(u64::MAX)) as u64);
-            s.first_frame_micros = s
-                .first_frame_at
-                .map(|at| at.elapsed().as_micros().min(u128::from(u64::MAX)) as u64);
-            s.history = Some(History {
-                bytes,
-                outcomes,
-                verdicts,
-                events,
-                rollups: out.rollups,
-            });
+        t.history_bytes += hist.bytes;
+        let inactive_machines = t.intern(out.discharge.inactive_machines);
+        let s = t.sessions.get_mut(&id).expect("checked Judging above");
+        s.state = SessionState::Judged;
+        s.program = Some(out.program.into());
+        s.obs = out.obs;
+        s.discharge = Some(Discharge {
+            called_functions: out.discharge.called_functions,
+            total_transitions: out.discharge.total_transitions,
+            discharged: out.discharge.discharged,
+            inactive_machines,
+        });
+        s.specialized = out.specialized;
+        s.discharge_fallback = out.discharge_fallback;
+        s.events_replayed = out.events_replayed;
+        s.divergences = out.divergences;
+        s.summaries_dropped = out.events_dropped;
+        s.seal_to_verdict_micros = s
+            .sealed_at
+            .map(|at| at.elapsed().as_micros().min(u128::from(u64::MAX)) as u64);
+        s.first_frame_micros = s
+            .first_frame_at
+            .map(|at| at.elapsed().as_micros().min(u128::from(u64::MAX)) as u64);
+        let seq_key = (s.opened_seq, id);
+        if hist.rows() > 0 {
+            let key = hist.first_rowid;
+            match t.tenant_rows.get_mut(&*s.tenant) {
+                Some(tenant_rows) => {
+                    tenant_rows.insert(key, Arc::clone(&hist));
+                }
+                None => {
+                    let tenant = s.tenant.to_string();
+                    t.tenant_rows
+                        .insert(tenant, BTreeMap::from([(key, Arc::clone(&hist))]));
+                }
+            }
+            t.rows.insert(key, Arc::clone(&hist));
         }
+        s.history = Some(hist);
+        t.terminal.insert(seq_key);
+        t.holding.insert(seq_key);
         t.active -= 1;
         t.live -= 1;
-        self.enforce_retention(&mut t);
-        self.evict_session_records(&mut t);
+        self.enforce_retention(t);
+        self.evict_session_records(t);
         t.fleet.history_bytes = t.history_bytes as u64;
         self.changed.notify_all();
     }
@@ -690,23 +1030,18 @@ impl SessionTable {
     }
 
     fn enforce_retention(&self, t: &mut TableInner) {
+        // Oldest-first by open order, among terminal sessions that still
+        // hold history. Deterministic: open order is a total order
+        // assigned under this same lock.
         while t.history_bytes > self.limits.retention_bytes {
-            // Oldest-first by open order, among terminal sessions that
-            // still hold history. Deterministic: open order is a total
-            // order assigned under this same lock.
-            let victim = t
-                .sessions
-                .iter()
-                .filter(|(_, s)| s.state.is_terminal() && s.history.is_some())
-                .min_by_key(|(_, s)| s.opened_seq)
-                .map(|(id, _)| *id);
-            let Some(victim) = victim else {
+            let Some(&(_, victim)) = t.holding.first() else {
                 break;
             };
-            let s = t.sessions.get_mut(&victim).expect("victim exists");
-            let hist = s.history.take().expect("victim holds history");
-            s.history_purged = true;
-            t.history_bytes -= hist.bytes;
+            t.drop_history(victim);
+            t.sessions
+                .get_mut(&victim)
+                .expect("victim exists")
+                .history_purged = true;
             t.fleet.purged_sessions += 1;
         }
     }
@@ -719,19 +1054,11 @@ impl SessionTable {
     /// id stops answering stats and may be reopened.
     fn evict_session_records(&self, t: &mut TableInner) {
         while t.sessions.len() > self.limits.max_session_records {
-            let victim = t
-                .sessions
-                .iter()
-                .filter(|(_, s)| s.state.is_terminal())
-                .min_by_key(|(_, s)| s.opened_seq)
-                .map(|(id, _)| *id);
-            let Some(victim) = victim else {
+            let Some((_, victim)) = t.terminal.pop_first() else {
                 break;
             };
-            let s = t.sessions.remove(&victim).expect("victim exists");
-            if let Some(hist) = s.history {
-                t.history_bytes -= hist.bytes;
-            }
+            t.drop_history(victim);
+            t.sessions.remove(&victim);
             t.fleet.evicted_sessions += 1;
         }
         t.fleet.history_bytes = t.history_bytes as u64;
@@ -751,10 +1078,10 @@ impl SessionTable {
         };
         SessionStats {
             session: id,
-            tenant: s.tenant.clone(),
+            tenant: s.tenant.to_string(),
             state: s.state,
             configs: s.configs.iter().map(ReplayConfig::label).collect(),
-            program: s.program.clone(),
+            program: s.program.as_deref().map(str::to_string),
             bytes: s.bytes_received,
             frames: s.frames,
             events_replayed: s.events_replayed,
@@ -763,10 +1090,15 @@ impl SessionTable {
             summaries,
             summaries_dropped: s.summaries_dropped,
             obs: s.obs,
-            discharge: s.discharge.clone(),
+            discharge: s.discharge.as_ref().map(|d| DischargeStats {
+                called_functions: d.called_functions,
+                total_transitions: d.total_transitions,
+                discharged: d.discharged,
+                inactive_machines: d.inactive_machines.to_vec(),
+            }),
             specialized: s.specialized,
             discharge_fallback: s.discharge_fallback,
-            reason: s.reason.clone(),
+            reason: s.reason.as_deref().map(str::to_string),
             history_purged: s.history_purged,
             streamed: s.streamed,
             seal_to_verdict_micros: s.seal_to_verdict_micros,
@@ -781,7 +1113,7 @@ impl SessionTable {
         t.sessions
             .get(&id)
             .and_then(|s| s.history.as_ref())
-            .map(|h| h.rollups.clone())
+            .map(|h| h.rollups.to_vec())
             .unwrap_or_default()
     }
 
@@ -794,112 +1126,58 @@ impl SessionTable {
         f
     }
 
-    /// Runs a query: scans matching history rows across sessions, in
-    /// rowid (insertion) order, resuming after `query.cursor`.
+    /// Runs a query: matching history rows in rowid (insertion) order,
+    /// resuming after `query.cursor`. Walks the histories holding rows
+    /// in rowid order — only the named session's, or only the named
+    /// tenant's, when those filters are given — from the one holding
+    /// `cursor + 1`, and stops once one row past the page has matched.
     pub fn query(&self, query: &Query) -> QueryPage {
         let limit = match query.limit {
             0 => 100,
             n => n.min(1000),
         };
         let after = query.cursor.unwrap_or(0);
+        let want = limit + 1;
         let t = self.lock();
-        let mut matched: Vec<(u64, QueryItem)> = Vec::new();
-        for (&id, s) in &t.sessions {
-            if let Some(want) = query.session {
-                if want != id {
-                    continue;
+        let mut hits: Vec<(&History, usize)> = Vec::new();
+        let rows = match (query.session, &query.tenant) {
+            (Some(id), tenant) => {
+                let hist = t.sessions.get(&id).and_then(|s| {
+                    let tenant_ok = tenant.as_deref().is_none_or(|want| &*s.tenant == want);
+                    s.history.as_deref().filter(|_| tenant_ok)
+                });
+                if let Some(hist) = hist {
+                    hist.scan(query, after, want, &mut hits);
                 }
+                None
             }
-            if let Some(tenant) = &query.tenant {
-                if &s.tenant != tenant {
-                    continue;
-                }
-            }
-            let Some(hist) = &s.history else {
-                continue;
-            };
-            match query.kind {
-                QueryKind::Verdicts => {
-                    for (rowid, v) in &hist.verdicts {
-                        if *rowid <= after {
-                            continue;
-                        }
-                        if query.config.as_deref().is_some_and(|c| c != v.config) {
-                            continue;
-                        }
-                        if query.function.as_deref().is_some_and(|f| f != v.function) {
-                            continue;
-                        }
-                        if query.machine.as_deref().is_some_and(|m| m != v.machine) {
-                            continue;
-                        }
-                        matched.push((*rowid, QueryItem::Verdict(v.clone())));
-                    }
-                }
-                QueryKind::Events => {
-                    for (rowid, e) in &hist.events {
-                        if *rowid <= after {
-                            continue;
-                        }
-                        if query
-                            .function
-                            .as_deref()
-                            .is_some_and(|f| e.function.as_deref() != Some(f))
-                        {
-                            continue;
-                        }
-                        if query
-                            .machine
-                            .as_deref()
-                            .is_some_and(|m| e.machine.as_deref() != Some(m))
-                        {
-                            continue;
-                        }
-                        if query
-                            .entity
-                            .as_deref()
-                            .is_some_and(|x| e.entity.as_deref() != Some(x))
-                        {
-                            continue;
-                        }
-                        if query.thread.is_some_and(|th| th != e.thread) {
-                            continue;
-                        }
-                        if query.min_index.is_some_and(|m| e.index < m) {
-                            continue;
-                        }
-                        if query.max_index.is_some_and(|m| e.index > m) {
-                            continue;
-                        }
-                        matched.push((*rowid, QueryItem::Event(e.clone())));
-                    }
-                }
-                QueryKind::Outcomes => {
-                    for (rowid, o) in &hist.outcomes {
-                        if *rowid <= after {
-                            continue;
-                        }
-                        if query.config.as_deref().is_some_and(|c| c != o.config) {
-                            continue;
-                        }
-                        matched.push((*rowid, QueryItem::Outcome(o.clone())));
-                    }
-                }
-            }
-        }
-        drop(t);
-        matched.sort_by_key(|(rowid, _)| *rowid);
-        let more = matched.len() > limit;
-        matched.truncate(limit);
-        let next_cursor = if more {
-            matched.last().map(|(rowid, _)| *rowid)
-        } else {
-            None
+            (None, Some(tenant)) => t.tenant_rows.get(tenant.as_str()),
+            (None, None) => Some(&t.rows),
         };
-        QueryPage {
-            items: matched.into_iter().map(|(_, item)| item).collect(),
-            next_cursor,
+        if let Some(rows) = rows {
+            let from = rows
+                .range(..=after)
+                .next_back()
+                .map_or(0, |(&first, _)| first);
+            for (_, hist) in rows.range(from..) {
+                if hits.len() >= want {
+                    break;
+                }
+                hist.scan(query, after, want, &mut hits);
+            }
         }
+        let more = hits.len() > limit;
+        hits.truncate(limit);
+        let mut next_cursor = None;
+        let items = hits
+            .iter()
+            .map(|&(hist, i)| {
+                let (rowid, item) = hist.item(query.kind, i);
+                next_cursor = more.then_some(rowid);
+                item
+            })
+            .collect();
+        QueryPage { items, next_cursor }
     }
 
     /// Blocks until the session reaches a terminal state; returns its
@@ -933,5 +1211,20 @@ impl SessionTable {
             .collect();
         ids.sort_unstable();
         ids.into_iter().map(|(_, id)| id).collect()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::Session;
+
+    // At the record cap (16384 by default) the sessions map holds 32768
+    // inline buckets, so every 100 B of inline record costs about 3.2 MB
+    // of resident memory whether or not the records are live. Anything
+    // large or optional belongs behind a pointer.
+    #[test]
+    fn session_record_stays_small() {
+        let size = std::mem::size_of::<Session>();
+        assert!(size <= 320, "size_of::<Session>() = {size}");
     }
 }

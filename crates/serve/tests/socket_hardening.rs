@@ -5,6 +5,7 @@
 
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
+use std::time::{Duration, Instant};
 
 use jinn_replay::format::fnv1a;
 use jinn_replay::{
@@ -45,6 +46,18 @@ fn duplicate_open_does_not_transfer_session_ownership() {
     }))
     .expect("append");
     a.flush().expect("flush A");
+
+    // The two connections are served on separate threads, so B connects
+    // only once A's `Open` was admitted: otherwise B's could win the race
+    // and the test would pin nothing.
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while handle
+        .session_stats(1)
+        .is_none_or(|stats| stats.tenant != "owner")
+    {
+        assert!(Instant::now() < deadline, "A's Open was never admitted");
+        std::thread::sleep(Duration::from_millis(1));
+    }
 
     // Connection B claims the same id (rejected) and then corrupts.
     let mut b = TcpStream::connect(addr).expect("connect B");

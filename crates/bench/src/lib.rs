@@ -16,18 +16,15 @@
 //! | `python_checker` | Section 7 / Figure 11 — the Python/C checker |
 //! | `obs_trace` | Observability — Chrome trace + metrics exports |
 //! | `obs_overhead` | Observability — recorder-off vs recorder-on cost |
-//! | `parallel` | Sharded checking — events/sec at 1/2/4/8 worker threads |
-//! | `dispatch` | Compiled dispatch — reference vs compiled engine throughput |
+//! | `parallel` | Parallel checking — events/sec at 1/2/4/8 worker threads |
 //!
 //! This library crate holds the shared table-rendering helpers, the
-//! [`obs`] workload used by the observability binaries, the
-//! [`parallel`] multi-threaded workload driver, and the [`dispatch`]
-//! engine microbenchmark.
+//! [`obs`] workload used by the observability binaries, and the
+//! [`parallel`] multi-threaded workload driver.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod dispatch;
 pub mod obs;
 pub mod parallel;
 

@@ -2,12 +2,9 @@
 //! per-entity state in `AtomicU16` cells and applies transitions with a
 //! CAS loop against the compiled `states × transitions` matrix.
 //!
-//! This is the successor to the `Mutex<Engine>`-per-shard design of
-//! [`ShardedStateStore`](crate::ShardedStateStore): instead of locking a
-//! shard to mutate a `u16`, the store's dense path *is* the `u16` — a
-//! lazily allocated slab of atomic cells indexed by the key's
-//! [`DenseKey::dense_index`], exactly [`CompactStore`]'s layout with the
-//! `VACANT` sentinel preserved. A transition is:
+//! The dense path is a lazily allocated slab of atomic cells indexed by
+//! the key's [`DenseKey::dense_index`], with the `VACANT` sentinel
+//! marking untracked entities. A transition is:
 //!
 //! 1. load the cell (Acquire); `VACANT` reads as the initial state,
 //! 2. one matrix read answers "does it apply, and where does it go"
@@ -17,11 +14,24 @@
 //!    state, so every apply is linearizable per entity.
 //!
 //! Threads therefore never block each other on the hot path — there is
-//! no lock to convoy on and no poisoning to recover from. Entity
-//! ownership (the paper's thread-locality constraint, surfaced as
-//! [`CrossThreadUse`]) is tracked the same way: an `AtomicU16` owner
-//! cell per entity, claimed by CAS at first touch, so a foreign-thread
-//! touch still reports the violation without rehoming the entity.
+//! no lock to convoy on and no poisoning to recover from.
+//!
+//! # Ownership
+//!
+//! The paper encodes JNIEnv thread-locality as a JVM-state constraint:
+//! an entity belongs to the thread that created it, and touching it
+//! from another thread is itself a bug (`Error:EnvMismatch`). The store
+//! tracks ownership with an `AtomicU16` owner cell per entity:
+//!
+//! * **First touch owns.** The first thread to apply a transition to an
+//!   entity (or to read it with [`AtomicStore::state_of`]) claims it by
+//!   CAS.
+//! * **A foreign touch reports, and does not rehome.** A transition
+//!   from any other thread still applies, and the outcome carries a
+//!   [`CrossThreadUse`] naming the owner and the user; the owner stays
+//!   the same.
+//! * **Evict, then re-touch, rehomes.** [`AtomicStore::evict`] releases
+//!   the owner cell, so the next thread to touch the entity owns it.
 //!
 //! Keys at or past [`DENSE_LIMIT`] (or with no dense index) spill to a
 //! small sharded `RwLock<HashMap>` of reference-counted atomic slots:
@@ -31,10 +41,11 @@
 //! racing evict cannot orphan an in-flight transition.
 //!
 //! Sweeps ([`AtomicStore::entities_in`] / `entities_not_in`) collect
-//! dense and spilled keys and sort them, identical to the serialized
-//! stores — callers that need a *stable* sweep against concurrent
-//! writers quiesce first (see `minijvm::EpochParticipants`), which keeps
-//! replayed `.jtrace` output byte-identical.
+//! dense and spilled keys and sort them, identical to the reference
+//! [`StateStore`](crate::StateStore) — callers that need a *stable*
+//! sweep against concurrent writers quiesce first (see
+//! `minijvm::EpochParticipants`), which keeps replayed `.jtrace` output
+//! byte-identical.
 
 use std::collections::HashMap;
 use std::fmt;
@@ -47,7 +58,37 @@ use jinn_obs::{FsmOutcome, LabelId, Recorder};
 use crate::compiled::{CompiledMachine, DenseKey, DENSE_LIMIT, NOT_APPLICABLE, VACANT};
 use crate::machine::{MachineSpec, StateId, TransitionId};
 use crate::runtime::{EntityState, TransitionOutcome, UnknownTransition};
-use crate::sharded::{CrossThreadUse, ShardedOutcome};
+
+/// A foreign-thread touch of an entity: the paper's thread-locality
+/// (`EnvMismatch`) situation, observed at the state-store layer.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct CrossThreadUse {
+    /// The thread that first touched (and therefore owns) the entity.
+    pub owner: u16,
+    /// The thread performing this transition.
+    pub user: u16,
+}
+
+impl fmt::Display for CrossThreadUse {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(
+            f,
+            "entity owned by thread-{} transitioned from thread-{}",
+            self.owner, self.user
+        )
+    }
+}
+
+/// Outcome of a concurrent transition: the machine outcome plus, when
+/// the calling thread is not the entity's owner, the thread-locality
+/// violation that the foreign access constitutes.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct ShardedOutcome {
+    /// What the machine did (identical to the serialized semantics).
+    pub outcome: TransitionOutcome,
+    /// `Some` exactly when a foreign thread touched the entity.
+    pub cross_thread: Option<CrossThreadUse>,
+}
 
 /// Owner-cell sentinel: no thread has touched the entity yet. Thread id
 /// `u16::MAX` is reserved (it is also `jinn_obs`'s `NO_THREAD`).
@@ -103,19 +144,18 @@ type SpillShard<K> = RwLock<HashMap<K, Arc<SpillSlot>>>;
 /// A lock-free concurrent entity-state store dispatching through a
 /// [`CompiledMachine`].
 ///
-/// Semantics match [`ShardedStateStore`](crate::ShardedStateStore)
-/// operation-for-operation — same first-touch ownership, same
-/// [`CrossThreadUse`] reporting, same sorted sweeps — with the shard
-/// mutexes replaced by per-entity CAS (see the module docs). The store
-/// also implements [`Engine`](crate::Engine) (single-thread view, owner
-/// thread 0), so it can be pooled by
-/// [`EnginePool`](crate::EnginePool) and driven by the equivalence
-/// proptests.
+/// Transition outcomes and sorted sweeps match the reference
+/// [`StateStore`](crate::StateStore); ownership follows the module-level
+/// rules (first touch owns, a foreign touch reports [`CrossThreadUse`],
+/// evict then re-touch rehomes). The store also implements
+/// [`Engine`](crate::Engine) (single-thread view, owner thread 0), so it
+/// can be pooled by [`EnginePool`](crate::EnginePool) and driven by the
+/// equivalence proptests.
 ///
 /// Concurrent `evict` against `apply` on the *same* entity linearizes
 /// in either order (an apply that loses the race re-attaches the entity
 /// as a fresh first touch); ownership after such a race is best-effort,
-/// matching the sharded store's rehome-on-next-touch behavior.
+/// as evict always releases it.
 pub struct AtomicStore<K> {
     machine: Arc<CompiledMachine>,
     /// Store-local copy of the next-state matrix (tiny), one pointer
@@ -314,9 +354,10 @@ impl<K: DenseKey> AtomicStore<K> {
         }
     }
 
-    /// Applies `transition` to `entity` on behalf of `thread` — the
-    /// lock-free counterpart of
-    /// [`ShardedStateStore::apply`](crate::ShardedStateStore::apply).
+    /// Applies `transition` to `entity` on behalf of `thread`. The
+    /// transition applies whichever thread calls; a call from a thread
+    /// other than the entity's owner also yields
+    /// [`ShardedOutcome::cross_thread`].
     ///
     /// # Panics
     ///
@@ -355,7 +396,8 @@ impl<K: DenseKey> AtomicStore<K> {
     }
 
     /// Applies the transition named `name`; unknown names degrade to
-    /// `NotApplicable` exactly as the other stores.
+    /// `NotApplicable` exactly as
+    /// [`StateStore::apply_named`](crate::StateStore::apply_named).
     pub fn apply_named(&self, thread: u16, entity: &K, name: &str) -> ShardedOutcome {
         match self.try_apply_named(thread, entity, name) {
             Ok(out) => out,
@@ -375,8 +417,7 @@ impl<K: DenseKey> AtomicStore<K> {
                     );
                 }
                 // An unknown name is still a touch: ownership is claimed
-                // (and cross-thread use reported) exactly as the sharded
-                // store's placement-then-apply does.
+                // and cross-thread use reported, as for a known one.
                 let owner = self.touch(thread, entity);
                 let current = self.state_of(thread, entity);
                 ShardedOutcome {
@@ -412,8 +453,7 @@ impl<K: DenseKey> AtomicStore<K> {
         Ok(self.apply(thread, entity, id))
     }
 
-    /// Claims (or reads) the entity's owner: the first-touch homing of
-    /// the sharded store's directory, one CAS instead of a lock.
+    /// Claims (or reads) the entity's owner: first touch owns, one CAS.
     fn touch(&self, thread: u16, entity: &K) -> u16 {
         match Self::slab_index(entity) {
             Some(i) => claim_owner(&self.segment(i).owners[i & (SEGMENT_SIZE - 1)], thread),
@@ -422,8 +462,8 @@ impl<K: DenseKey> AtomicStore<K> {
     }
 
     /// Current state of `entity` as seen from `thread`, or the initial
-    /// state if never seen. Like the sharded store, a read is a touch:
-    /// it fixes the entity's owner if unowned.
+    /// state if never seen. A read is a touch: it fixes the entity's
+    /// owner if unowned.
     pub fn state_of(&self, thread: u16, entity: &K) -> StateId {
         match Self::slab_index(entity) {
             Some(i) => {
@@ -463,7 +503,7 @@ impl<K: DenseKey> AtomicStore<K> {
     }
 
     /// Removes an entity; its owner is released so the next toucher
-    /// rehomes it (matching the sharded store's evict).
+    /// rehomes it.
     pub fn evict(&self, entity: &K) -> Option<EntityState> {
         match Self::slab_index(entity) {
             Some(i) => {
@@ -625,7 +665,6 @@ mod tests {
     use super::*;
     use crate::machine::{ConstraintClass, Direction, EntityKind};
     use crate::runtime::StateStore;
-    use crate::sharded::ShardedStateStore;
 
     const _: fn() = || {
         fn assert_send_sync<T: Send + Sync>() {}
@@ -653,23 +692,41 @@ mod tests {
     }
 
     #[test]
-    fn same_thread_lifecycle_matches_sharded_store() {
+    fn lifecycle_matches_reference_and_first_touch_owners() {
         let atomic: AtomicStore<u32> = AtomicStore::new(machine());
-        let sharded: ShardedStateStore<u32> = ShardedStateStore::new(machine());
+        // The oracle: the reference store for outcomes, plus a map from
+        // entity to the thread that touched it first (nothing is
+        // evicted here, so the first toucher owns it throughout).
+        let mut reference: StateStore<u32> = StateStore::new(machine());
+        let mut owners: HashMap<u32, u16> = HashMap::new();
         for (thread, key) in [(0u16, 7u32), (1, 9), (0, 7), (3, 7)] {
             for name in ["Acquire", "Release", "UseAfterRelease", "Nope"] {
+                let owner = *owners.entry(key).or_insert(thread);
+                let expected = ShardedOutcome {
+                    outcome: reference.apply_named(&key, name),
+                    cross_thread: (owner != thread).then_some(CrossThreadUse {
+                        owner,
+                        user: thread,
+                    }),
+                };
                 assert_eq!(
                     atomic.apply_named(thread, &key, name),
-                    sharded.apply_named(thread, &key, name),
+                    expected,
                     "thread {thread}, key {key}, transition {name}"
                 );
             }
         }
-        assert_eq!(atomic.len(), sharded.len());
+        assert_eq!(atomic.len(), reference.len());
         let released = atomic.machine().state_id("Released").unwrap();
         assert_eq!(
             atomic.entities_not_in(released),
-            sharded.entities_not_in(released)
+            reference.entities_not_in(released)
+        );
+        let err = atomic.try_apply_named(0, &7, "Nope").unwrap_err();
+        assert_eq!(err, reference.try_apply_named(&7, "Nope").unwrap_err());
+        assert_eq!(
+            (err.machine.as_str(), err.name.as_str()),
+            ("local-ref", "Nope")
         );
     }
 

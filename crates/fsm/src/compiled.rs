@@ -4,35 +4,28 @@
 //!
 //! The paper's pitch is that synthesized checkers are cheap enough to
 //! leave on; this module moves everything that *can* be done once — at
-//! synthesis/build time — out of the per-event path:
+//! synthesis/build time — out of the per-event path.
+//! [`CompiledMachine`] lowers the spec into a dense `states ×
+//! transitions` next-state matrix ([`NOT_APPLICABLE`] sentinel for
+//! cells where the transition's source state does not match), plus a
+//! pre-resolved [`ErrorEntered`] prototype per error-entering
+//! transition and pre-interned `Arc<str>` labels, so applying a
+//! transition is one bounds-checked array read and one branch.
 //!
-//! * [`CompiledMachine`] lowers the spec into a dense `states ×
-//!   transitions` next-state matrix ([`NOT_APPLICABLE`] sentinel for
-//!   cells where the transition's source state does not match), plus a
-//!   pre-resolved [`ErrorEntered`] prototype per error-entering
-//!   transition and pre-interned `Arc<str>` labels, so applying a
-//!   transition is one bounds-checked array read and one branch, and an
-//!   enabled recorder costs zero label allocations per event.
-//! * [`CompactStore`] tracks entity state in a slab (`Vec` indexed by
-//!   the key's dense index) when the key is a small integer — the
-//!   dominant case for references and handles — and falls back to a
-//!   hash map for sparse or non-integer keys (see [`DenseKey`] and
-//!   [`DENSE_LIMIT`]).
-//!
-//! The original [`StateStore`](crate::StateStore) remains the reference
-//! encoding; [`DiffStore`](crate::DiffStore) cross-checks the two and
-//! the equivalence proptest in `tests/engine_equivalence.rs` proves
-//! outcome parity on arbitrary machines and event streams.
+//! The lock-free [`AtomicStore`](crate::AtomicStore) dispatches through
+//! these tables, keeping small integer keys in a slab (see [`DenseKey`]
+//! and [`DENSE_LIMIT`]). The reference [`StateStore`](crate::StateStore)
+//! remains the oracle: the equivalence proptest in
+//! `tests/engine_equivalence.rs` proves outcome parity between the two
+//! on arbitrary machines and event streams.
 
 use std::collections::HashMap;
 use std::fmt;
 use std::hash::Hash;
 use std::sync::Arc;
 
-use jinn_obs::{FsmOutcome, LabelId, Recorder};
-
 use crate::machine::{MachineSpec, StateId, TransitionId};
-use crate::runtime::{EntityState, ErrorEntered, TransitionOutcome, UnknownTransition};
+use crate::runtime::ErrorEntered;
 
 /// Sentinel cell value in the next-state matrix: the transition's source
 /// state does not match, so applying it is a no-op (`NotApplicable`).
@@ -41,16 +34,15 @@ use crate::runtime::{EntityState, ErrorEntered, TransitionOutcome, UnknownTransi
 /// builder's `u16` state ids already enforce that bound.
 pub const NOT_APPLICABLE: u16 = u16::MAX;
 
-/// Slab growth cap for [`CompactStore`]: keys whose
-/// [`DenseKey::dense_index`] is below this go to the `Vec`-indexed slab
-/// (2 bytes per possible key); keys at or above it — or keys with no
-/// dense index at all — spill to a hash map. This keeps a store with a
-/// few huge keys (e.g. pointer-valued handles) from allocating a
-/// multi-gigabyte slab.
+/// Slab cap for [`AtomicStore`](crate::AtomicStore): keys whose
+/// [`DenseKey::dense_index`] is below this go to the indexed slab of
+/// atomic cells; keys at or above it — or keys with no dense index at
+/// all — spill to a hash map. This keeps a store with a few huge keys
+/// (e.g. pointer-valued handles) from allocating a multi-gigabyte slab.
 pub const DENSE_LIMIT: usize = 1 << 20;
 
-/// Slot value for "entity not tracked" in the slab (shared with the
-/// lock-free [`AtomicStore`](crate::AtomicStore) cells).
+/// Slot value for "entity not tracked" in the lock-free
+/// [`AtomicStore`](crate::AtomicStore) cells.
 pub(crate) const VACANT: u16 = u16::MAX;
 
 /// A [`MachineSpec`] lowered into dense dispatch tables.
@@ -188,8 +180,7 @@ impl CompiledMachine {
     }
 
     /// The dense `states × transitions` next-state matrix (row-major by
-    /// state). Shared with the lock-free store so both encodings
-    /// dispatch off identical tables.
+    /// state), copied by the lock-free store at construction.
     #[inline]
     pub(crate) fn matrix(&self) -> &[u16] {
         &self.next
@@ -257,11 +248,11 @@ impl CompiledMachine {
 /// Keys that may have a *dense index*: a small non-negative integer
 /// image suitable for direct `Vec` indexing.
 ///
-/// [`CompactStore`] keeps entities whose dense index is below
-/// [`DENSE_LIMIT`] in a slab and spills the rest to a hash map, so the
-/// two methods must round-trip: `from_dense_index(k.dense_index()?)`
-/// must reconstruct `k` exactly (the leak sweep uses it to recover
-/// keys from slab slots).
+/// [`AtomicStore`](crate::AtomicStore) keeps entities whose dense index
+/// is below [`DENSE_LIMIT`] in a slab and spills the rest to a hash
+/// map, so the two methods must round-trip:
+/// `from_dense_index(k.dense_index()?)` must reconstruct `k` exactly
+/// (the leak sweep uses it to recover keys from slab slots).
 pub trait DenseKey: Eq + Hash + Clone + fmt::Debug {
     /// The key's dense index, or `None` if it has no small-integer image
     /// (always-`None` implementations simply route every key to the
@@ -290,361 +281,10 @@ macro_rules! impl_dense_key {
 }
 impl_dense_key!(u8, u16, u32, u64, usize);
 
-/// An entity map tuned for dense integer keys, dispatching through a
-/// [`CompiledMachine`].
-///
-/// Entity state lives in a slab — `slab[key.dense_index()]` holds the
-/// current state id, [`VACANT`] when untracked — so the steady-state
-/// `apply` is two array reads and one write, with no hashing and no key
-/// clone. Keys outside the dense range (index ≥ [`DENSE_LIMIT`], or no
-/// dense index at all) spill to a hash map with identical semantics.
-///
-/// Outcomes, leak-sweep order, and recorded observability events are
-/// bit-for-bit identical to the reference
-/// [`StateStore`](crate::StateStore); see
-/// [`DiffStore`](crate::DiffStore) and the equivalence proptest.
-#[derive(Debug, Clone)]
-pub struct CompactStore<K> {
-    machine: Arc<CompiledMachine>,
-    /// Per-store copy of the next-state matrix (it is tiny — `states ×
-    /// transitions × 2` bytes), so the per-event read is one pointer
-    /// chase from `self` instead of two through the shared `Arc`.
-    next: Box<[u16]>,
-    transitions: usize,
-    initial: StateId,
-    slab: Vec<u16>,
-    slab_len: usize,
-    spill: HashMap<K, StateId>,
-    recorder: Recorder,
-    /// Interned machine/transition label ids for the attached recorder
-    /// (empty until [`set_recorder`](Self::set_recorder)).
-    machine_label: LabelId,
-    transition_labels: Box<[LabelId]>,
-    /// Per-entity label ids: slab-parallel for dense keys
-    /// ([`NO_ENTITY_LABEL`] when not yet interned), hash map for spilled
-    /// keys.
-    slab_labels: Vec<u32>,
-    spill_labels: HashMap<K, LabelId>,
-}
-
-/// Sentinel in [`CompactStore::slab_labels`]: entity label not interned
-/// yet.
-const NO_ENTITY_LABEL: u32 = u32::MAX;
-
-impl<K: DenseKey> CompactStore<K> {
-    /// Compiles `machine` and creates an empty store.
-    pub fn new(machine: MachineSpec) -> Self {
-        Self::with_compiled(Arc::new(CompiledMachine::compile(machine)))
-    }
-
-    /// Creates an empty store over an already compiled machine (lets
-    /// shards share one set of tables).
-    pub fn with_compiled(machine: Arc<CompiledMachine>) -> Self {
-        CompactStore {
-            next: machine.next.clone(),
-            transitions: machine.transitions,
-            initial: machine.initial,
-            machine,
-            slab: Vec::new(),
-            slab_len: 0,
-            spill: HashMap::new(),
-            recorder: Recorder::disabled(),
-            machine_label: LabelId(0),
-            transition_labels: Box::new([]),
-            slab_labels: Vec::new(),
-            spill_labels: HashMap::new(),
-        }
-    }
-
-    /// The store-local copy of [`CompiledMachine::next_state`].
-    #[inline]
-    fn next_state(&self, from: StateId, t: TransitionId) -> Option<StateId> {
-        let cell = self.next[from.index() * self.transitions + t.index()];
-        (cell != NOT_APPLICABLE).then_some(StateId(cell))
-    }
-
-    /// Attaches an observability recorder; events are identical to the
-    /// reference store's. Machine and transition names are interned here,
-    /// once, so the per-event path records dense ids with zero
-    /// allocations.
-    pub fn set_recorder(&mut self, recorder: Recorder) {
-        self.machine_label = recorder.intern(self.machine.name());
-        self.transition_labels = self
-            .machine
-            .spec()
-            .transitions()
-            .iter()
-            .map(|t| recorder.intern(t.name()))
-            .collect();
-        self.slab_labels.clear();
-        self.spill_labels.clear();
-        self.recorder = recorder;
-    }
-
-    /// The interned label for `entity`, computed on first recorded use:
-    /// a slab-parallel slot for dense keys (no hashing on repeat events),
-    /// a hash probe for spilled keys. The label text is the entity's
-    /// `Debug` rendering, matching
-    /// [`EntityTag::of_debug`](jinn_obs::EntityTag::of_debug).
-    fn entity_label(&mut self, entity: &K) -> LabelId {
-        match Self::slab_index(entity) {
-            Some(i) => {
-                if i >= self.slab_labels.len() {
-                    self.slab_labels.resize(i + 1, NO_ENTITY_LABEL);
-                }
-                if self.slab_labels[i] == NO_ENTITY_LABEL {
-                    self.slab_labels[i] = self.recorder.intern(&format!("{entity:?}")).0;
-                }
-                LabelId(self.slab_labels[i])
-            }
-            None => {
-                if let Some(&label) = self.spill_labels.get(entity) {
-                    return label;
-                }
-                let label = self.recorder.intern(&format!("{entity:?}"));
-                self.spill_labels.insert(entity.clone(), label);
-                label
-            }
-        }
-    }
-
-    /// The compiled machine this store dispatches through.
-    pub fn compiled(&self) -> &CompiledMachine {
-        &self.machine
-    }
-
-    /// The machine spec this store tracks.
-    pub fn machine(&self) -> &MachineSpec {
-        self.machine.spec()
-    }
-
-    /// Number of tracked entities.
-    pub fn len(&self) -> usize {
-        self.slab_len + self.spill.len()
-    }
-
-    /// Returns `true` if no entities are tracked.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    #[inline]
-    fn slab_index(entity: &K) -> Option<usize> {
-        entity.dense_index().filter(|&i| i < DENSE_LIMIT)
-    }
-
-    /// Current state of `entity`, or the initial state if never seen.
-    #[inline]
-    pub fn state_of(&self, entity: &K) -> StateId {
-        match Self::slab_index(entity) {
-            Some(i) => match self.slab.get(i) {
-                Some(&slot) if slot != VACANT => StateId(slot),
-                _ => self.initial,
-            },
-            None => self.spill.get(entity).copied().unwrap_or(self.initial),
-        }
-    }
-
-    /// Returns `true` if the entity has been attached (transitioned at
-    /// least once).
-    pub fn contains(&self, entity: &K) -> bool {
-        match Self::slab_index(entity) {
-            Some(i) => matches!(self.slab.get(i), Some(&slot) if slot != VACANT),
-            None => self.spill.contains_key(entity),
-        }
-    }
-
-    /// Applies `transition` to `entity`; semantics identical to
-    /// [`StateStore::apply`](crate::StateStore::apply).
-    ///
-    /// The dense-key steady state is one slab read, one matrix read, and
-    /// one slab write — no hashing, no key clone, no allocation (error
-    /// hits clone the pre-formatted `Arc` prototype).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `transition` does not belong to the store's machine.
-    pub fn apply(&mut self, entity: &K, transition: TransitionId) -> TransitionOutcome {
-        let outcome = match Self::slab_index(entity) {
-            Some(i) => {
-                // Growing on a miss even when the transition ends up
-                // NotApplicable is deliberate: the slot stays VACANT, so
-                // semantics are unchanged, and the hot path below needs
-                // exactly one bounds check.
-                if i >= self.slab.len() {
-                    self.slab.resize(i + 1, VACANT);
-                }
-                let slot = &mut self.slab[i];
-                let current = if *slot == VACANT {
-                    self.initial
-                } else {
-                    StateId(*slot)
-                };
-                let cell = self.next[current.index() * self.transitions + transition.index()];
-                match (cell != NOT_APPLICABLE).then_some(StateId(cell)) {
-                    None => TransitionOutcome::NotApplicable { current },
-                    Some(to) => {
-                        if *slot == VACANT {
-                            self.slab_len += 1;
-                        }
-                        *slot = to.0;
-                        match self.machine.error_proto(transition) {
-                            Some(proto) => TransitionOutcome::Error(Arc::clone(proto)),
-                            None => TransitionOutcome::Moved { from: current, to },
-                        }
-                    }
-                }
-            }
-            None => {
-                let current = self.spill.get(entity).copied().unwrap_or(self.initial);
-                match self.next_state(current, transition) {
-                    None => TransitionOutcome::NotApplicable { current },
-                    Some(to) => {
-                        self.spill.insert(entity.clone(), to);
-                        match self.machine.error_proto(transition) {
-                            Some(proto) => TransitionOutcome::Error(Arc::clone(proto)),
-                            None => TransitionOutcome::Moved { from: current, to },
-                        }
-                    }
-                }
-            }
-        };
-        if self.recorder.is_enabled() {
-            let obs_outcome = match &outcome {
-                TransitionOutcome::Moved { .. } => FsmOutcome::Moved,
-                TransitionOutcome::Error(_) => FsmOutcome::Error,
-                TransitionOutcome::NotApplicable { .. } => FsmOutcome::NotApplicable,
-            };
-            let entity_label = self.entity_label(entity);
-            self.recorder.fsm_transition_id(
-                jinn_obs::event::NO_THREAD,
-                self.machine_label,
-                self.transition_labels[transition.index()],
-                obs_outcome,
-                Some(entity_label),
-            );
-        }
-        outcome
-    }
-
-    /// Applies the transition named `name`; unknown names degrade to
-    /// `NotApplicable` exactly as
-    /// [`StateStore::apply_named`](crate::StateStore::apply_named).
-    pub fn apply_named(&mut self, entity: &K, name: &str) -> TransitionOutcome {
-        match self.try_apply_named(entity, name) {
-            Ok(outcome) => outcome,
-            Err(_) => {
-                if self.recorder.is_enabled() {
-                    // Cold checker-misuse path, mirroring the reference
-                    // store exactly.
-                    let machine = self.recorder.intern("checker-internal");
-                    let transition = self.recorder.intern(name);
-                    let entity_label = self.entity_label(entity);
-                    self.recorder.fsm_transition_id(
-                        jinn_obs::event::NO_THREAD,
-                        machine,
-                        transition,
-                        FsmOutcome::NotApplicable,
-                        Some(entity_label),
-                    );
-                }
-                TransitionOutcome::NotApplicable {
-                    current: self.state_of(entity),
-                }
-            }
-        }
-    }
-
-    /// Applies the transition named `name`, reporting unknown names as
-    /// [`UnknownTransition`]. The name resolves through the compiled
-    /// hash index (the reference store scans the spec linearly).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`UnknownTransition`] when the machine has no transition
-    /// of that name; the entity's state is untouched.
-    pub fn try_apply_named(
-        &mut self,
-        entity: &K,
-        name: &str,
-    ) -> Result<TransitionOutcome, UnknownTransition> {
-        let id = self
-            .machine
-            .transition_id(name)
-            .ok_or_else(|| UnknownTransition {
-                machine: self.machine.name().to_string(),
-                name: name.to_string(),
-            })?;
-        Ok(self.apply(entity, id))
-    }
-
-    /// Removes an entity from the store (e.g. after its resource dies).
-    pub fn evict(&mut self, entity: &K) -> Option<EntityState> {
-        match Self::slab_index(entity) {
-            Some(i) => match self.slab.get_mut(i) {
-                Some(slot) if *slot != VACANT => {
-                    let state = StateId(*slot);
-                    *slot = VACANT;
-                    self.slab_len -= 1;
-                    Some(EntityState::of(state))
-                }
-                _ => None,
-            },
-            None => self.spill.remove(entity).map(EntityState::of),
-        }
-    }
-
-    fn sweep(&self, pred: impl Fn(StateId) -> bool) -> Vec<K>
-    where
-        K: Ord,
-    {
-        let mut out: Vec<K> = self
-            .slab
-            .iter()
-            .enumerate()
-            .filter(|&(_, &slot)| slot != VACANT && pred(StateId(slot)))
-            .map(|(i, _)| K::from_dense_index(i).expect("slab index came from dense_index"))
-            .collect();
-        out.extend(
-            self.spill
-                .iter()
-                .filter(|&(_, &state)| pred(state))
-                .map(|(k, _)| k.clone()),
-        );
-        out.sort_unstable();
-        out
-    }
-
-    /// Entities currently in the given state, sorted by entity key.
-    pub fn entities_in(&self, state: StateId) -> Vec<K>
-    where
-        K: Ord,
-    {
-        self.sweep(|s| s == state)
-    }
-
-    /// Entities whose current state is *not* the given state, sorted by
-    /// entity key: the deterministic program-termination leak sweep.
-    pub fn entities_not_in(&self, state: StateId) -> Vec<K>
-    where
-        K: Ord,
-    {
-        self.sweep(|s| s != state)
-    }
-
-    /// Clears all tracked entities (the slab's capacity is kept).
-    pub fn clear(&mut self) {
-        self.slab.clear();
-        self.slab_len = 0;
-        self.spill.clear();
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::machine::{ConstraintClass, Direction, EntityKind};
-    use crate::runtime::StateStore;
 
     fn machine() -> MachineSpec {
         MachineSpec::builder("local-ref", ConstraintClass::Resource)
@@ -690,66 +330,5 @@ mod tests {
         assert!(compiled
             .error_proto(compiled.transition_id("Acquire").unwrap())
             .is_none());
-    }
-
-    #[test]
-    fn lifecycle_matches_reference() {
-        let mut compact: CompactStore<u32> = CompactStore::new(machine());
-        let mut reference: StateStore<u32> = StateStore::new(machine());
-        for key in [7u32, 9, 7] {
-            for name in ["Acquire", "Release", "UseAfterRelease", "Release"] {
-                assert_eq!(
-                    compact.apply_named(&key, name),
-                    reference.apply_named(&key, name),
-                    "key {key}, transition {name}"
-                );
-            }
-        }
-        assert_eq!(compact.len(), reference.len());
-    }
-
-    #[test]
-    fn sparse_keys_spill_to_the_hash_map() {
-        let mut store: CompactStore<u64> = CompactStore::new(machine());
-        let dense = 42u64;
-        let sparse = (DENSE_LIMIT as u64) + 99; // beyond the slab cap
-        store.apply_named(&dense, "Acquire");
-        store.apply_named(&sparse, "Acquire");
-        assert_eq!(store.len(), 2);
-        assert!(store.contains(&dense));
-        assert!(store.contains(&sparse));
-        let acquired = store.machine().state_id("Acquired").unwrap();
-        assert_eq!(store.entities_in(acquired), vec![dense, sparse]);
-        assert!(store.evict(&sparse).is_some());
-        assert!(store.evict(&sparse).is_none());
-        assert_eq!(store.len(), 1);
-    }
-
-    #[test]
-    fn evict_and_clear_maintain_len() {
-        let mut store: CompactStore<u32> = CompactStore::new(machine());
-        store.apply_named(&1, "Acquire");
-        store.apply_named(&2, "Acquire");
-        assert_eq!(store.len(), 2);
-        let evicted = store.evict(&1).expect("tracked");
-        assert_eq!(
-            evicted.state(),
-            store.machine().state_id("Acquired").unwrap()
-        );
-        assert_eq!(store.len(), 1);
-        store.clear();
-        assert!(store.is_empty());
-        assert_eq!(store.state_of(&2), store.machine().initial());
-    }
-
-    #[test]
-    fn unknown_transition_is_reported_not_a_panic() {
-        let mut store: CompactStore<u32> = CompactStore::new(machine());
-        store.apply_named(&1, "Acquire");
-        let err = store.try_apply_named(&1, "NoSuchTransition").unwrap_err();
-        assert_eq!(err.machine, "local-ref");
-        assert_eq!(err.name, "NoSuchTransition");
-        let out = store.apply_named(&1, "NoSuchTransition");
-        assert!(!out.applied());
     }
 }

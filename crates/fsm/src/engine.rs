@@ -1,24 +1,19 @@
-//! The [`Engine`] abstraction: one interface over the two entity-state
-//! encodings — the reference [`StateStore`] and the compiled
-//! [`CompactStore`] — plus [`DiffStore`], the differential-equivalence
-//! adapter that runs both and asserts they agree.
-//!
-//! [`ShardedStateStore`](crate::ShardedStateStore) is generic over an
-//! engine, so the concurrent store can host either encoding (or the
-//! differential pair) without duplicating the sharding logic.
+//! The [`Engine`] abstraction: one single-threaded interface over the
+//! reference [`StateStore`] and the production
+//! [`AtomicStore`](crate::AtomicStore), so the session pool and the
+//! equivalence proptests drive either store through the same calls.
 
 use std::fmt;
 use std::hash::Hash;
 
 use jinn_obs::Recorder;
 
-use crate::compiled::{CompactStore, DenseKey};
 use crate::machine::{MachineSpec, StateId, TransitionId};
 use crate::runtime::{EntityState, StateStore, TransitionOutcome, UnknownTransition};
 
 /// A dispatch engine: an entity-state map plus transition application
 /// for one machine. Implementations must agree outcome-for-outcome —
-/// [`DiffStore`] and the equivalence proptest enforce it.
+/// the equivalence proptests in `tests/engine_equivalence.rs` enforce it.
 pub trait Engine<K> {
     /// Creates an empty engine tracking instances of `machine`.
     fn for_machine(machine: MachineSpec) -> Self
@@ -146,203 +141,10 @@ impl<K: Eq + Hash + Clone + fmt::Debug> Engine<K> for StateStore<K> {
     }
 }
 
-impl<K: DenseKey> Engine<K> for CompactStore<K> {
-    fn for_machine(machine: MachineSpec) -> Self {
-        CompactStore::new(machine)
-    }
-
-    fn set_recorder(&mut self, recorder: Recorder) {
-        CompactStore::set_recorder(self, recorder);
-    }
-
-    fn spec(&self) -> &MachineSpec {
-        self.machine()
-    }
-
-    fn len(&self) -> usize {
-        CompactStore::len(self)
-    }
-
-    fn state_of(&self, entity: &K) -> StateId {
-        CompactStore::state_of(self, entity)
-    }
-
-    fn contains(&self, entity: &K) -> bool {
-        CompactStore::contains(self, entity)
-    }
-
-    fn apply(&mut self, entity: &K, transition: TransitionId) -> TransitionOutcome {
-        CompactStore::apply(self, entity, transition)
-    }
-
-    fn apply_named(&mut self, entity: &K, name: &str) -> TransitionOutcome {
-        CompactStore::apply_named(self, entity, name)
-    }
-
-    fn try_apply_named(
-        &mut self,
-        entity: &K,
-        name: &str,
-    ) -> Result<TransitionOutcome, UnknownTransition> {
-        CompactStore::try_apply_named(self, entity, name)
-    }
-
-    fn evict(&mut self, entity: &K) -> Option<EntityState> {
-        CompactStore::evict(self, entity)
-    }
-
-    fn entities_in(&self, state: StateId) -> Vec<K>
-    where
-        K: Ord,
-    {
-        CompactStore::entities_in(self, state)
-    }
-
-    fn entities_not_in(&self, state: StateId) -> Vec<K>
-    where
-        K: Ord,
-    {
-        CompactStore::entities_not_in(self, state)
-    }
-
-    fn clear(&mut self) {
-        CompactStore::clear(self);
-    }
-}
-
-/// The differential-equivalence adapter: every operation runs against
-/// both the reference [`StateStore`] and the compiled [`CompactStore`],
-/// and any divergence panics with both answers.
-///
-/// Use it as a drop-in engine when validating a new key type or machine
-/// shape; the cost is roughly the sum of both encodings. Only the
-/// reference side records observability events (attaching the recorder
-/// to both would double every trace event).
-#[derive(Debug, Clone)]
-pub struct DiffStore<K> {
-    reference: StateStore<K>,
-    compiled: CompactStore<K>,
-}
-
-impl<K: DenseKey> DiffStore<K> {
-    /// Creates a differential pair tracking instances of `machine`.
-    pub fn new(machine: MachineSpec) -> Self {
-        DiffStore {
-            reference: StateStore::new(machine.clone()),
-            compiled: CompactStore::new(machine),
-        }
-    }
-
-    /// The reference side.
-    pub fn reference(&self) -> &StateStore<K> {
-        &self.reference
-    }
-
-    /// The compiled side.
-    pub fn compiled(&self) -> &CompactStore<K> {
-        &self.compiled
-    }
-
-    fn check<T: PartialEq + fmt::Debug>(&self, what: &str, reference: T, compiled: T) -> T {
-        assert_eq!(
-            reference,
-            compiled,
-            "engine divergence in {what} (machine `{}`): reference vs compiled",
-            self.reference.machine().name()
-        );
-        reference
-    }
-}
-
-impl<K: DenseKey> Engine<K> for DiffStore<K> {
-    fn for_machine(machine: MachineSpec) -> Self {
-        DiffStore::new(machine)
-    }
-
-    fn set_recorder(&mut self, recorder: Recorder) {
-        // Reference side only: one event stream, not two.
-        self.reference.set_recorder(recorder);
-    }
-
-    fn spec(&self) -> &MachineSpec {
-        self.reference.machine()
-    }
-
-    fn len(&self) -> usize {
-        self.check("len", self.reference.len(), self.compiled.len())
-    }
-
-    fn state_of(&self, entity: &K) -> StateId {
-        self.check(
-            "state_of",
-            self.reference.state_of(entity),
-            self.compiled.state_of(entity),
-        )
-    }
-
-    fn contains(&self, entity: &K) -> bool {
-        self.check(
-            "contains",
-            self.reference.contains(entity),
-            self.compiled.contains(entity),
-        )
-    }
-
-    fn apply(&mut self, entity: &K, transition: TransitionId) -> TransitionOutcome {
-        let a = self.reference.apply(entity, transition);
-        let b = self.compiled.apply(entity, transition);
-        self.check("apply", a, b)
-    }
-
-    fn apply_named(&mut self, entity: &K, name: &str) -> TransitionOutcome {
-        let a = self.reference.apply_named(entity, name);
-        let b = self.compiled.apply_named(entity, name);
-        self.check("apply_named", a, b)
-    }
-
-    fn try_apply_named(
-        &mut self,
-        entity: &K,
-        name: &str,
-    ) -> Result<TransitionOutcome, UnknownTransition> {
-        let a = self.reference.try_apply_named(entity, name);
-        let b = self.compiled.try_apply_named(entity, name);
-        self.check("try_apply_named", a, b)
-    }
-
-    fn evict(&mut self, entity: &K) -> Option<EntityState> {
-        let a = self.reference.evict(entity);
-        let b = self.compiled.evict(entity);
-        self.check("evict", a, b)
-    }
-
-    fn entities_in(&self, state: StateId) -> Vec<K>
-    where
-        K: Ord,
-    {
-        let a = self.reference.entities_in(state);
-        let b = self.compiled.entities_in(state);
-        self.check("entities_in", a, b)
-    }
-
-    fn entities_not_in(&self, state: StateId) -> Vec<K>
-    where
-        K: Ord,
-    {
-        let a = self.reference.entities_not_in(state);
-        let b = self.compiled.entities_not_in(state);
-        self.check("entities_not_in", a, b)
-    }
-
-    fn clear(&mut self) {
-        self.reference.clear();
-        self.compiled.clear();
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::atomic::AtomicStore;
     use crate::machine::{ConstraintClass, Direction, EntityKind};
 
     fn machine() -> MachineSpec {
@@ -382,20 +184,9 @@ mod tests {
     }
 
     #[test]
-    fn all_engines_agree_on_a_scripted_run() {
+    fn both_engines_agree_on_a_scripted_run() {
         let reference = drive::<StateStore<u64>>();
-        let compiled = drive::<CompactStore<u64>>();
-        let differential = drive::<DiffStore<u64>>();
-        assert_eq!(reference, compiled);
-        assert_eq!(reference, differential);
-    }
-
-    #[test]
-    #[should_panic(expected = "index out of bounds")]
-    fn diff_store_propagates_reference_panics() {
-        let mut store: DiffStore<u64> = DiffStore::new(machine());
-        // An out-of-range id panics in both engines; the reference one
-        // fires first.
-        store.apply(&1, TransitionId(99));
+        let atomic = drive::<AtomicStore<u64>>();
+        assert_eq!(reference, atomic);
     }
 }

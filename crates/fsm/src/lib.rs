@@ -61,18 +61,14 @@ mod engine;
 mod machine;
 mod pool;
 mod runtime;
-mod sharded;
 
-pub use atomic::{AtomicStore, NO_OWNER};
-pub use compiled::{CompactStore, CompiledMachine, DenseKey, DENSE_LIMIT, NOT_APPLICABLE};
+pub use atomic::{AtomicStore, CrossThreadUse, ShardedOutcome, NO_OWNER};
+pub use compiled::{CompiledMachine, DenseKey, DENSE_LIMIT, NOT_APPLICABLE};
 pub use diagram::{ascii_table, dot};
-pub use engine::{DiffStore, Engine};
+pub use engine::Engine;
 pub use machine::{
     ConstraintClass, Direction, EntityKind, MachineBuilder, MachineError, MachineSpec, StateId,
     StateSpec, TransitionBuilder, TransitionId, TransitionSpec, TriggerSpec,
 };
-pub use pool::{AtomicEnginePool, CompactEnginePool, EngineLease, EnginePool, PoolStats};
+pub use pool::{AtomicEnginePool, EngineLease, EnginePool, PoolStats};
 pub use runtime::{EntityState, ErrorEntered, StateStore, TransitionOutcome, UnknownTransition};
-pub use sharded::{
-    CrossThreadUse, ShardedCompactStore, ShardedOutcome, ShardedStateStore, DEFAULT_SHARDS,
-};

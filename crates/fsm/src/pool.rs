@@ -7,10 +7,10 @@
 //! engine sets, clears them, and hands them to the next session.
 //! [`Engine::clear`] is what makes this sound: a cleared engine is
 //! observationally identical to a freshly built one (the equivalence
-//! proptests in this crate cover both encodings).
+//! proptests in this crate cover both stores).
 //!
-//! The pool is sharded-agnostic and encoding-agnostic: anything
-//! implementing [`Engine`] can be pooled, and
+//! The pool is encoding-agnostic: anything implementing [`Engine`] can
+//! be pooled, and
 //! [`EnginePool::with_builder`] lets a caller construct the engines
 //! itself — the serving daemon uses that to build *specialized* pools
 //! whose engines share pre-compiled discharged transition tables
@@ -207,12 +207,8 @@ fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
-/// The daemon's pool: compiled dense-table engines.
-pub type CompactEnginePool<K> = EnginePool<K, crate::compiled::CompactStore<K>>;
-
-/// A pool of lock-free [`AtomicStore`](crate::AtomicStore) engines —
-/// same compiled dispatch tables as [`CompactEnginePool`], shareable
-/// across worker threads without per-shard mutexes.
+/// The daemon's pool: lock-free [`AtomicStore`](crate::AtomicStore)
+/// engines dispatching through compiled dense tables.
 pub type AtomicEnginePool<K> = EnginePool<K, crate::atomic::AtomicStore<K>>;
 
 #[cfg(test)]
@@ -239,14 +235,14 @@ mod tests {
 
     #[test]
     fn leases_reuse_cleared_engines() {
-        let pool: Arc<CompactEnginePool<u64>> =
+        let pool: Arc<AtomicEnginePool<u64>> =
             EnginePool::new(vec![toy_machine("a"), toy_machine("b")]);
         {
             let mut lease = pool.lease();
             assert_eq!(lease.len(), 2);
             let a = lease.by_machine("a").expect("machine a");
             assert!(matches!(
-                a.apply_named(&7, "Acquire"),
+                Engine::apply_named(a, &7, "Acquire"),
                 TransitionOutcome::Moved { .. }
             ));
             assert_eq!(Engine::<u64>::len(a), 1);
@@ -265,7 +261,7 @@ mod tests {
 
     #[test]
     fn concurrent_leases_build_independent_sets() {
-        let pool: Arc<CompactEnginePool<u64>> = EnginePool::new(vec![toy_machine("a")]);
+        let pool: Arc<AtomicEnginePool<u64>> = EnginePool::new(vec![toy_machine("a")]);
         let l1 = pool.lease();
         let l2 = pool.lease();
         assert_eq!(pool.stats().built, 2);
@@ -282,7 +278,7 @@ mod tests {
     fn idle_high_water_sheds_a_burst() {
         // Satellite regression: a burst of 8 concurrent leases must not
         // park 8 engine sets forever once the burst subsides.
-        let pool: Arc<CompactEnginePool<u64>> = EnginePool::new(vec![toy_machine("a")]);
+        let pool: Arc<AtomicEnginePool<u64>> = EnginePool::new(vec![toy_machine("a")]);
         let leases: Vec<_> = (0..8).map(|_| pool.lease()).collect();
         assert_eq!(pool.stats().built, 8);
         // Drop sequentially: the adaptive cap (in-flight + 1) parks
@@ -300,7 +296,7 @@ mod tests {
 
     #[test]
     fn lease_high_water_tracks_peak_concurrency() {
-        let pool: Arc<CompactEnginePool<u64>> = EnginePool::new(vec![toy_machine("a")]);
+        let pool: Arc<AtomicEnginePool<u64>> = EnginePool::new(vec![toy_machine("a")]);
         assert_eq!(pool.stats().lease_high_water, 0);
         let l1 = pool.lease();
         let l2 = pool.lease();
@@ -316,7 +312,7 @@ mod tests {
 
     #[test]
     fn fixed_max_idle_overrides_the_adaptive_cap() {
-        let pool: Arc<CompactEnginePool<u64>> = EnginePool::new(vec![toy_machine("a")]);
+        let pool: Arc<AtomicEnginePool<u64>> = EnginePool::new(vec![toy_machine("a")]);
         pool.set_max_idle(2);
         let leases: Vec<_> = (0..8).map(|_| pool.lease()).collect();
         for lease in leases {
@@ -331,12 +327,12 @@ mod tests {
     fn single_lease_cycle_always_reuses() {
         // The adaptive cap must keep at least one parked set when the
         // pool is quiet, or sequential sessions would rebuild per lease.
-        let pool: Arc<CompactEnginePool<u64>> = EnginePool::new(vec![toy_machine("a")]);
+        let pool: Arc<AtomicEnginePool<u64>> = EnginePool::new(vec![toy_machine("a")]);
         for i in 0..10u64 {
             let mut lease = pool.lease();
             let e = lease.by_machine("a").unwrap();
             assert!(matches!(
-                e.apply_named(&i, "Acquire"),
+                Engine::apply_named(e, &i, "Acquire"),
                 TransitionOutcome::Moved { .. }
             ));
         }
@@ -348,9 +344,9 @@ mod tests {
 
     #[test]
     fn custom_builder_constructs_the_engines() {
-        let pool: Arc<CompactEnginePool<u64>> =
+        let pool: Arc<AtomicEnginePool<u64>> =
             EnginePool::with_builder(vec![toy_machine("a"), toy_machine("b")], |_, spec| {
-                crate::compiled::CompactStore::for_machine(spec.clone())
+                crate::atomic::AtomicStore::for_machine(spec.clone())
             });
         let mut lease = pool.lease();
         assert_eq!(lease.len(), 2);
@@ -360,7 +356,7 @@ mod tests {
 
     #[test]
     fn pool_is_shareable_across_threads() {
-        let pool: Arc<CompactEnginePool<u64>> = EnginePool::new(vec![toy_machine("a")]);
+        let pool: Arc<AtomicEnginePool<u64>> = EnginePool::new(vec![toy_machine("a")]);
         let mut handles = Vec::new();
         for t in 0..4u64 {
             let pool = Arc::clone(&pool);
@@ -369,7 +365,7 @@ mod tests {
                     let mut lease = pool.lease();
                     let e = lease.by_machine("a").unwrap();
                     assert!(matches!(
-                        e.apply_named(&(t * 1000 + i), "Acquire"),
+                        Engine::apply_named(e, &(t * 1000 + i), "Acquire"),
                         TransitionOutcome::Moved { .. }
                     ));
                 }

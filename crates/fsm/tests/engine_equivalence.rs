@@ -1,19 +1,16 @@
-//! Differential property tests: the compiled engine ([`CompactStore`])
-//! and the lock-free engine ([`AtomicStore`]) must agree with the
-//! reference [`StateStore`] outcome-for-outcome on arbitrary machines
-//! and arbitrary event scripts — including `NotApplicable` non-matches,
-//! error entries, unknown transition names, evictions, and the sorted
-//! leak-sweep order. [`DiffStore`] runs both classic engines in
-//! lockstep and panics on any divergence, so simply driving it over
-//! the same scripts is itself an assertion. A separate concurrent
-//! property pins the [`AtomicStore`] under real thread interleavings
-//! against a serialized reference replay.
+//! Differential property tests: the lock-free production engine
+//! ([`AtomicStore`]) must agree with the reference [`StateStore`]
+//! outcome-for-outcome on arbitrary machines and arbitrary event
+//! scripts — including `NotApplicable` non-matches, error entries,
+//! unknown transition names, evictions, and the sorted leak-sweep
+//! order. A separate concurrent property pins the [`AtomicStore`] under
+//! real thread interleavings against a serialized reference replay.
 
 use std::sync::Arc;
 
 use jinn_fsm::{
-    AtomicStore, CompactStore, ConstraintClass, DiffStore, Direction, Engine, EntityKind,
-    MachineSpec, StateStore, TransitionOutcome, DENSE_LIMIT,
+    AtomicStore, ConstraintClass, Direction, Engine, EntityKind, MachineSpec, StateStore,
+    TransitionOutcome, DENSE_LIMIT,
 };
 use proptest::prelude::*;
 
@@ -67,7 +64,7 @@ enum Op {
 
 /// Decodes raw proptest words into keys and operations. Keys mix the
 /// dense slab range with values past [`DENSE_LIMIT`], so the script
-/// exercises the compiled store's hash-spill path alongside the slab.
+/// exercises the atomic store's hash-spill path alongside the slab.
 fn decode(words: &[u64], transitions: usize) -> Vec<Op> {
     words
         .iter()
@@ -144,23 +141,15 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     #[test]
-    fn compiled_engine_matches_reference(
+    fn atomic_engine_matches_reference(
         shape in any::<u64>(),
         words in proptest::collection::vec(any::<u64>(), 0..120),
     ) {
         let machine = machine_from(shape);
         let ops = decode(&words, machine.transitions().len());
         let reference = drive::<StateStore<u64>>(machine.clone(), &ops);
-        let compiled = drive::<CompactStore<u64>>(machine.clone(), &ops);
-        prop_assert_eq!(&reference, &compiled);
-        // The lock-free store must match through its Engine face too —
-        // same slab/spill split, CAS instead of locks.
-        let atomic = drive::<AtomicStore<u64>>(machine.clone(), &ops);
+        let atomic = drive::<AtomicStore<u64>>(machine, &ops);
         prop_assert_eq!(&reference, &atomic);
-        // The differential adapter re-checks every step internally (it
-        // panics on divergence) and must land on the same transcript.
-        let differential = drive::<DiffStore<u64>>(machine, &ops);
-        prop_assert_eq!(&reference, &differential);
     }
 
     /// Concurrency equivalence: N threads drive one shared
@@ -321,11 +310,16 @@ proptest! {
         key in any::<u64>(),
     ) {
         let machine = machine_from(shape);
-        let mut diff: DiffStore<u64> = DiffStore::new(machine.clone());
+        let mut reference: StateStore<u64> = StateStore::new(machine.clone());
+        let atomic: AtomicStore<u64> = AtomicStore::new(machine.clone());
         // t2 from the initial state never applies (its source is S1).
-        let out = diff.apply_named(&key, "t2");
-        prop_assert!(!out.applied());
-        prop_assert_eq!(diff.state_of(&key), machine.initial());
-        prop_assert!(!diff.contains(&key));
+        let want = reference.apply_named(&key, "t2");
+        let got = atomic.apply_named(0, &key, "t2");
+        prop_assert!(!want.applied());
+        prop_assert_eq!(&got.outcome, &want);
+        prop_assert_eq!(reference.state_of(&key), machine.initial());
+        prop_assert_eq!(atomic.state_of(0, &key), machine.initial());
+        prop_assert!(!reference.contains(&key));
+        prop_assert!(!atomic.contains(&key));
     }
 }

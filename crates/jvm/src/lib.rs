@@ -65,7 +65,7 @@ pub use error::{DeathKind, JvmDeath, JvmError};
 pub use handles::HandleSlab;
 pub use heap::{Body, GcStats, Heap, PrimArray, Slot};
 pub use pins::{PinData, PinError, PinId, PinKind};
-pub use safepoint::{EpochHandle, EpochParticipants, SafepointRendezvous};
+pub use safepoint::{EpochHandle, EpochParticipants};
 pub use thread::{EnvToken, RefFault, ThreadState, DEFAULT_LOCAL_CAPACITY};
 pub use value::{FieldId, JRef, JValue, MethodId, ObjectId, Oop, RefKind, ThreadId};
 pub use vm::{Jvm, MonitorError, TerminationReport};

@@ -1,153 +1,22 @@
-//! Stop-the-world rendezvous for multi-shard execution.
+//! Epoch-based quiescence for sweeps that need a consistent cut of
+//! concurrently mutated state, without stopping any thread.
 //!
 //! The single-threaded [`crate::Jvm`] reaches a safepoint by simply
 //! calling [`crate::Jvm::safepoint`] — there is nobody else to stop.
-//! When the workload is sharded across OS threads (one `Jvm`+session per
-//! shard), the moving collector must keep its stop-the-world semantics:
-//! no shard may mutate its heap while any shard is collecting.
-//!
-//! [`SafepointRendezvous`] provides that: every shard polls
-//! [`SafepointRendezvous::poll`] at its safepoints. When some shard
-//! requests a collection ([`SafepointRendezvous::request_gc`]), all
-//! shards park at the next poll; the last one to arrive runs its
-//! collection callback while the world is stopped, then releases
-//! everyone. Shards that finish their workload deregister so a stopped
-//! world never waits on an exited thread.
-//!
-//! [`EpochParticipants`] is the *non*-stopping alternative for sweeps
-//! that only need a consistent cut, not a frozen world — checker
-//! leak/death sweeps over a lock-free store. Each participant
-//! advertises the global epoch it has most recently observed
-//! ([`EpochHandle::pin`], one load + one store); a sweeper bumps the
-//! global epoch and waits — yielding, never parking anyone — until
-//! every online participant has advertised the new epoch
-//! ([`EpochHandle::quiesce`]). At that point every operation the other
-//! threads started *before* the bump has completed and is visible, so
-//! a sorted sweep of the store is a deterministic function of the
-//! pre-epoch operation set; no thread ever stops running.
+//! Checker leak/death sweeps over a lock-free store shared by several
+//! worker threads need less than a frozen world: a consistent cut.
+//! [`EpochParticipants`] provides it. Each participant advertises the
+//! global epoch it has most recently observed ([`EpochHandle::pin`],
+//! one load + one store); a sweeper bumps the global epoch and waits —
+//! yielding, never parking anyone — until every online participant has
+//! advertised the new epoch ([`EpochHandle::quiesce`]). At that point
+//! every operation the other threads started *before* the bump has
+//! completed and is visible, so a sorted sweep of the store is a
+//! deterministic function of the pre-epoch operation set; no thread
+//! ever stops running.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
-
-#[derive(Debug, Default)]
-struct RendezvousState {
-    /// Threads currently participating in safepoint polls.
-    registered: usize,
-    /// Threads parked at the current rendezvous.
-    waiting: usize,
-    /// Rendezvous generation; bumped when a stopped world resumes, so a
-    /// late poller never waits on an already-finished rendezvous.
-    generation: u64,
-}
-
-/// A stop-the-world barrier shared by all execution shards.
-///
-/// Lifecycle per shard thread: [`register`](SafepointRendezvous::register)
-/// once, [`poll`](SafepointRendezvous::poll) at every safepoint,
-/// [`deregister`](SafepointRendezvous::deregister) before exiting.
-#[derive(Debug, Default)]
-pub struct SafepointRendezvous {
-    state: Mutex<RendezvousState>,
-    cv: Condvar,
-    gc_requested: AtomicBool,
-    /// Number of stop-the-world rendezvous completed.
-    worlds_stopped: AtomicU64,
-}
-
-impl SafepointRendezvous {
-    /// Creates a rendezvous with no registered threads.
-    pub fn new() -> SafepointRendezvous {
-        SafepointRendezvous::default()
-    }
-
-    /// Registers the calling thread as a safepoint participant.
-    pub fn register(&self) {
-        lock(&self.state, &self.cv).registered += 1;
-    }
-
-    /// Removes the calling thread from the rendezvous. If a stop-the-world
-    /// is pending and this thread was the last straggler, the parked
-    /// threads are released.
-    pub fn deregister(&self) {
-        let mut st = lock(&self.state, &self.cv);
-        st.registered = st.registered.saturating_sub(1);
-        // Leaving may complete a pending rendezvous.
-        self.cv.notify_all();
-    }
-
-    /// Asks every shard to stop at its next safepoint poll.
-    pub fn request_gc(&self) {
-        self.gc_requested.store(true, Ordering::SeqCst);
-    }
-
-    /// Whether a stop-the-world has been requested and not yet served.
-    pub fn gc_pending(&self) -> bool {
-        self.gc_requested.load(Ordering::SeqCst)
-    }
-
-    /// Number of completed stop-the-world rendezvous.
-    pub fn worlds_stopped(&self) -> u64 {
-        self.worlds_stopped.load(Ordering::SeqCst)
-    }
-
-    /// Safepoint poll. Returns immediately (false) when no collection is
-    /// pending. Otherwise parks until every registered thread has arrived;
-    /// the *last* arrival runs `collect` while the world is stopped, then
-    /// the world resumes. Returns true if this call participated in a
-    /// stop-the-world.
-    ///
-    /// `collect` runs on exactly one thread per rendezvous, with all other
-    /// registered threads parked — the moving collector's stop-the-world
-    /// window.
-    pub fn poll(&self, collect: impl FnOnce()) -> bool {
-        if !self.gc_requested.load(Ordering::SeqCst) {
-            return false;
-        }
-        let mut st = lock(&self.state, &self.cv);
-        // Re-check under the lock: the rendezvous may have completed
-        // between the fast-path check and the lock acquisition.
-        if !self.gc_requested.load(Ordering::SeqCst) {
-            return false;
-        }
-        st.waiting += 1;
-        if st.waiting >= st.registered {
-            // Last to arrive: the world is stopped. Collect, then resume.
-            collect();
-            self.gc_requested.store(false, Ordering::SeqCst);
-            self.worlds_stopped.fetch_add(1, Ordering::SeqCst);
-            st.waiting = 0;
-            st.generation = st.generation.wrapping_add(1);
-            self.cv.notify_all();
-            return true;
-        }
-        let generation = st.generation;
-        while st.generation == generation {
-            // A deregistering straggler may have made us the effective
-            // last arrival.
-            if st.waiting >= st.registered && self.gc_requested.load(Ordering::SeqCst) {
-                collect();
-                self.gc_requested.store(false, Ordering::SeqCst);
-                self.worlds_stopped.fetch_add(1, Ordering::SeqCst);
-                st.waiting = 0;
-                st.generation = st.generation.wrapping_add(1);
-                self.cv.notify_all();
-                return true;
-            }
-            st = self
-                .cv
-                .wait(st)
-                .unwrap_or_else(std::sync::PoisonError::into_inner);
-        }
-        true
-    }
-}
-
-fn lock<'a>(
-    m: &'a Mutex<RendezvousState>,
-    _cv: &Condvar,
-) -> std::sync::MutexGuard<'a, RendezvousState> {
-    m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
-}
+use std::sync::{Arc, Mutex};
 
 /// One participant's epoch cell.
 #[derive(Debug)]
@@ -290,72 +159,11 @@ impl Drop for EpochHandle<'_> {
 mod tests {
     use super::*;
     use std::sync::atomic::AtomicUsize;
-    use std::sync::Arc;
 
     const _: fn() = || {
         fn assert_send_sync<T: Send + Sync>() {}
-        assert_send_sync::<SafepointRendezvous>();
+        assert_send_sync::<EpochParticipants>();
     };
-
-    #[test]
-    fn poll_without_request_is_free() {
-        let r = SafepointRendezvous::new();
-        r.register();
-        assert!(!r.poll(|| panic!("no collection requested")));
-        assert_eq!(r.worlds_stopped(), 0);
-        r.deregister();
-    }
-
-    #[test]
-    fn single_thread_rendezvous_collects_inline() {
-        let r = SafepointRendezvous::new();
-        r.register();
-        r.request_gc();
-        assert!(r.gc_pending());
-        let collected = AtomicBool::new(false);
-        assert!(r.poll(|| collected.store(true, Ordering::SeqCst)));
-        assert!(collected.load(Ordering::SeqCst));
-        assert!(!r.gc_pending());
-        assert_eq!(r.worlds_stopped(), 1);
-        r.deregister();
-    }
-
-    #[test]
-    fn world_stop_runs_exactly_one_collection() {
-        let r = Arc::new(SafepointRendezvous::new());
-        let collections = Arc::new(AtomicUsize::new(0));
-        std::thread::scope(|scope| {
-            for _ in 0..4 {
-                let r = Arc::clone(&r);
-                let collections = Arc::clone(&collections);
-                r.register();
-                scope.spawn(move || {
-                    // Each thread does some "work" with safepoint polls.
-                    for i in 0..100 {
-                        if i == 10 {
-                            r.request_gc();
-                        }
-                        r.poll(|| {
-                            collections.fetch_add(1, Ordering::SeqCst);
-                        });
-                        std::hint::spin_loop();
-                    }
-                    r.deregister();
-                });
-            }
-        });
-        // 4 threads each requested one GC at i==10, but requests coalesce:
-        // at least one world stop happened, and every stop ran exactly one
-        // collection callback.
-        let stops = r.worlds_stopped();
-        assert!(stops >= 1, "at least one stop-the-world");
-        assert_eq!(
-            collections.load(Ordering::SeqCst) as u64,
-            stops,
-            "one collection per stopped world"
-        );
-        assert!(!r.gc_pending());
-    }
 
     #[test]
     fn epoch_quiesce_single_participant_is_immediate() {
@@ -447,22 +255,5 @@ mod tests {
             assert!(at_cut > 0, "worker progressed before the cut");
             stop.store(true, Ordering::Release);
         });
-    }
-
-    #[test]
-    fn deregistering_straggler_releases_the_world() {
-        let r = Arc::new(SafepointRendezvous::new());
-        r.register(); // the parked thread
-        r.register(); // the straggler that exits instead of polling
-        r.request_gc();
-        std::thread::scope(|scope| {
-            let rr = Arc::clone(&r);
-            let parked = scope.spawn(move || rr.poll(|| {}));
-            // Give the parked thread time to park, then exit the straggler.
-            std::thread::sleep(std::time::Duration::from_millis(20));
-            r.deregister();
-            assert!(parked.join().unwrap(), "the parked thread participated");
-        });
-        assert_eq!(r.worlds_stopped(), 1);
     }
 }

@@ -2,9 +2,9 @@
 //!
 //! Instrumentation sites encode events directly into a fixed-width
 //! [`RawEvent`] — five `u64` words — instead of materialising an
-//! [`EventKind`](crate::EventKind) enum with `Arc<str>` labels. Strings
-//! appear only as [`LabelId`] indices into the recorder's intern table;
-//! the enum form is reconstructed lazily at export time.
+//! [`EventKind`] enum with `Arc<str>` labels. Strings appear only as
+//! [`LabelId`] indices into the recorder's intern table; the enum form
+//! is reconstructed lazily at export time.
 
 use std::sync::Arc;
 
@@ -63,7 +63,7 @@ pub struct RawEvent {
     pub micros: u64,
     /// Logical thread tag.
     pub thread: u16,
-    /// Operation discriminant (see [`op`]).
+    /// Operation discriminant (see the `op` constants).
     pub op: u8,
     /// Per-op flag bits (failure, outcome, verdict action, ...).
     pub flags: u8,

@@ -490,7 +490,7 @@ impl Recorder {
     /// policy turned latency timers off, so those paths never touch the
     /// clock.
     ///
-    /// Even with timers on, only one call in [`TIMER_SAMPLE`] (per
+    /// Even with timers on, only one call in `TIMER_SAMPLE` (per
     /// thread) gets a timer: a clock read costs more than an entire ring
     /// write, and the latency *histograms* only need a representative
     /// sample, not a census. Call counts are exact regardless — only

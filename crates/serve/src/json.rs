@@ -3,7 +3,7 @@
 //!
 //! The daemon's wire format is line-delimited JSON, but this repository
 //! builds offline — no `serde`. Responses are assembled with
-//! [`JsonObj`]/[`JsonList`]; requests are parsed with [`parse_object`],
+//! [`JsonObj`]/[`list`]; requests are parsed with [`parse_object`],
 //! which accepts exactly the shape the query front end sends: one
 //! non-nested object of string / integer / boolean / null fields.
 

@@ -15,9 +15,11 @@
 //! [`AtomicStore`]: jinn_fsm::AtomicStore
 
 use std::collections::{BTreeSet, HashMap};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
-use jinn_fsm::{AtomicEnginePool, AtomicStore, Engine, EngineLease, TransitionOutcome};
+use jinn_fsm::{
+    AtomicEnginePool, AtomicStore, Engine, EngineLease, MachineSpec, TransitionOutcome,
+};
 use jinn_obs::{EventKind, Recorder, TraceEvent};
 use jinn_replay::{replay_trace, replay_trace_observed, ReplayConfig, Trace};
 
@@ -86,6 +88,14 @@ fn transition_aliases(name: &str) -> &'static [&'static str] {
     }
 }
 
+/// The spec machines the discharge audit runs against, built once per
+/// process: they never change, and building them costs about as much
+/// as the audit itself.
+fn audit_machines() -> &'static [MachineSpec] {
+    static MACHINES: OnceLock<Vec<MachineSpec>> = OnceLock::new();
+    MACHINES.get_or_init(jinn_spec::machines)
+}
+
 /// The static-discharge audit row for one trace, shared by the
 /// buffered and streaming judges. Takes the trace's call-site set
 /// precomputed so callers that already hold one (the buffered judge
@@ -93,7 +103,7 @@ fn transition_aliases(name: &str) -> &'static [&'static str] {
 /// incrementally during ingest) never walk the events again at seal.
 pub(crate) fn discharge_stats(program: &str, called: &BTreeSet<String>) -> DischargeStats {
     let manifest = jinn_core::WorkloadManifest::new(program, called.iter().map(String::as_str));
-    let report = jinn_core::discharge(&jinn_spec::machines(), &manifest);
+    let report = jinn_core::discharge(audit_machines(), &manifest);
     DischargeStats {
         called_functions: report.manifest_functions as u64,
         total_transitions: report.total_transitions() as u64,

@@ -240,7 +240,7 @@ pub struct EventSummary {
     pub session: SessionId,
     /// The recorder sequence number — the query API's event index.
     pub index: u64,
-    /// The thread it happened on ([`jinn_obs::NO_THREAD`] for global
+    /// The thread it happened on ([`jinn_obs::event::NO_THREAD`] for global
     /// events).
     pub thread: u16,
     /// Event family (`jni-enter`, `fsm-transition`, `verdict`…).

@@ -11,7 +11,7 @@ use jinn_fsm::{ConstraintClass, Direction, EntityKind, MachineSpec};
 
 /// Every JNI function whose successful return pins a string or array
 /// buffer (machine 8's `Acquire`). Mirrors the `PinAcquire` resolution
-/// in [`crate::instrument`] — kept in sync by a test there.
+/// in the `instrument` module — kept in sync by a test there.
 pub const PIN_ACQUIRE_FUNCS: [&str; 12] = [
     "GetStringChars",
     "GetStringUTFChars",

@@ -1,5 +1,5 @@
-//! Concurrent checking semantics: sharding per entity-owning thread must
-//! not change verdicts. Disjoint-entity threads produce the same verdict
+//! Concurrent checking semantics: one lock-free store shared by several
+//! threads must not change verdicts. Disjoint-entity threads produce the same verdict
 //! multiset as a serialized run, and a cross-thread (foreign `JNIEnv`)
 //! touch — the paper's `EnvMismatch` pitfall — is reported exactly once,
 //! without deadlock and without silently rehoming the entity.
@@ -8,9 +8,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 use jinn_core::{install_prebuilt, Jinn};
-use jinn_fsm::{
-    ConstraintClass, Direction, EntityKind, MachineSpec, ShardedStateStore, StateStore,
-};
+use jinn_fsm::{AtomicStore, ConstraintClass, Direction, EntityKind, MachineSpec, StateStore};
 use jinn_vendors::Vendor;
 use minijni::{RunOutcome, Session};
 
@@ -44,7 +42,7 @@ fn script(entity: u64) -> &'static [&'static str] {
     }
 }
 
-/// Disjoint-entity threads against one sharded store must yield exactly
+/// Disjoint-entity threads against one shared store must yield exactly
 /// the verdict multiset of the same work applied serially to a plain
 /// `StateStore`.
 #[test]
@@ -66,9 +64,8 @@ fn disjoint_threads_match_serialized_verdict_multiset() {
         }
     }
 
-    // Concurrent sharded run.
-    let store: Arc<ShardedStateStore<u64>> =
-        Arc::new(ShardedStateStore::with_shards(machine(), THREADS as usize));
+    // Concurrent run.
+    let store: Arc<AtomicStore<u64>> = Arc::new(AtomicStore::new(machine()));
     let verdicts: Arc<Mutex<Vec<(u64, String)>>> = Arc::new(Mutex::new(Vec::new()));
     let cross = Arc::new(AtomicU64::new(0));
     std::thread::scope(|scope| {
@@ -112,13 +109,12 @@ fn disjoint_threads_match_serialized_verdict_multiset() {
 }
 
 /// A foreign-thread touch is the violation itself: the store flags it
-/// exactly once, still applies the transition on the entity's home shard
-/// (no rehoming), and does not deadlock.
+/// exactly once, still applies the transition (no rehoming), and does
+/// not deadlock.
 #[test]
 fn cross_thread_use_is_reported_exactly_once() {
     const THREADS: u16 = 4;
-    let store: Arc<ShardedStateStore<u64>> =
-        Arc::new(ShardedStateStore::with_shards(machine(), THREADS as usize));
+    let store: Arc<AtomicStore<u64>> = Arc::new(AtomicStore::new(machine()));
     const SHARED_KEY: u64 = 0xDEAD_BEEF;
     store.apply_named(0, &SHARED_KEY, "Acquire");
 

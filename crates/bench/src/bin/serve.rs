@@ -9,7 +9,6 @@
 //! serve smoke [--listen ADDR]                     3-trace socket round trip,
 //!                                                 verdicts vs local replay
 //! serve bench                                     BENCH_serve.json on stdout
-//! serve bench-discharge                           BENCH_serve_discharge.json
 //! serve bench-streaming                           BENCH_serve_streaming.json
 //! ```
 //!
@@ -25,13 +24,6 @@
 //! (recorded drip-workload size: native calls × string round-trips per
 //! call, defaults 8 × 200), `JINN_SERVE_STREAMING_MIN_SPEEDUP`
 //! (seal-to-verdict p50 ratio floor, release only, default 5).
-//!
-//! `bench-discharge` knobs: `JINN_SERVE_DISCHARGE_ITERS` (default 200),
-//! `JINN_SERVE_DISCHARGE_BALLAST` (ballast entities per machine, default
-//! 60000), `JINN_SERVE_DISCHARGE_ENTITIES` (per-session entities per
-//! machine, default 256), `JINN_SERVE_DISCHARGE_MIN_SPEEDUP` (percent
-//! floor on the specialized-pool rollup speedup, release only, default
-//! 25).
 //!
 //! Exit status: 0 clean, 1 on mismatch or gate failure, 2 on usage.
 
@@ -56,13 +48,9 @@ fn main() {
         Some("query") => cmd_query(&args[1..]),
         Some("smoke") => cmd_smoke(),
         Some("bench") => cmd_bench(),
-        Some("bench-discharge") => cmd_bench_discharge(),
         Some("bench-streaming") => cmd_bench_streaming(),
         _ => {
-            eprintln!(
-                "usage: serve <daemon|ingest|query|smoke|bench|bench-discharge|bench-streaming> \
-                 [args...]"
-            );
+            eprintln!("usage: serve <daemon|ingest|query|smoke|bench|bench-streaming> [args...]");
             2
         }
     };
@@ -786,159 +774,6 @@ fn cmd_bench_streaming() -> i32 {
          both for verdict-multiset equality; seal-to-verdict is the window the client blocks \
          on after Seal, peak buffered bytes is the fleet-wide high-water of resident \
          undecoded input\""
-    );
-    println!("}}");
-    i32::from(!pass)
-}
-
-// ---- bench-discharge ---------------------------------------------------
-
-/// One synthetic FSM transition for the rollup path.
-fn fsm_event(seq: u64, machine: &str, transition: &str, entity: String) -> jinn_obs::TraceEvent {
-    jinn_obs::TraceEvent {
-        seq,
-        micros: seq,
-        thread: 0,
-        kind: jinn_obs::EventKind::FsmTransition {
-            machine: std::sync::Arc::from(machine),
-            transition: std::sync::Arc::from(transition),
-            outcome: jinn_obs::FsmOutcome::Moved,
-            entity: Some(jinn_obs::EntityTag::new(&entity)),
-        },
-    }
-}
-
-/// Benchmarks the tentpole asymmetry of workload-adaptive discharge:
-/// every lease drop clears the pooled engines, and `AtomicStore::clear`
-/// walks every segment the store ever allocated. A fleet-shared full
-/// pool therefore carries the all-tenant high-water footprint into
-/// every later session's rollup, while a manifest-keyed specialized
-/// pool receives only manifest-compliant traffic — inactive machines
-/// have no engines and untouched machines never allocate a segment.
-///
-/// The harness plays one large "ballast" session (every resource
-/// machine, many entities) through the full pool, then measures the
-/// daemon's exact rollup path (`jinn_serve::rollup_events`) for a
-/// stream of small manifest-compliant sessions on both pools.
-fn cmd_bench_discharge() -> i32 {
-    use jinn_serve::{rollup_events, SpecializedPool};
-
-    let iters = env_u64("JINN_SERVE_DISCHARGE_ITERS", 200).max(1);
-    let ballast_entities = env_u64("JINN_SERVE_DISCHARGE_BALLAST", 60_000).max(1);
-    let mix_entities = env_u64("JINN_SERVE_DISCHARGE_ENTITIES", 256).max(1);
-    let min_speedup_percent = env_u64("JINN_SERVE_DISCHARGE_MIN_SPEEDUP", 25);
-
-    // The specialized pool for the Table 3 workload mix — the same
-    // manifest DISCHARGE_bench.json is built from.
-    let spec = SpecializedPool::for_functions(
-        "table3-mix",
-        jinn_workloads::TABLE3_CALLED_FUNCTIONS.iter().copied(),
-    );
-    let report = jinn_core::discharge(
-        &jinn_spec::machines(),
-        &jinn_core::WorkloadManifest::new(
-            "table3-mix",
-            jinn_workloads::TABLE3_CALLED_FUNCTIONS.iter().copied(),
-        ),
-    );
-    let full: std::sync::Arc<jinn_fsm::AtomicEnginePool<u64>> =
-        jinn_fsm::EnginePool::new(jinn_spec::machines());
-
-    // Ballast: one fleet neighbor's huge session across every resource
-    // machine — including the ones the Table 3 manifest discharges.
-    let ballast_machines = [
-        "pinned-buffer",
-        "monitor",
-        "global-reference",
-        "local-reference",
-        "critical-section",
-    ];
-    let mut ballast = Vec::new();
-    let mut seq = 0u64;
-    for m in ballast_machines {
-        for i in 0..ballast_entities {
-            ballast.push(fsm_event(seq, m, "Acquire", format!("ballast-{m}-{i}")));
-            seq += 1;
-        }
-    }
-
-    // The manifested tenant's session: small, resource machines only,
-    // entirely inside the Table 3 manifest.
-    let mut mix = Vec::new();
-    for m in ["global-reference", "local-reference"] {
-        for i in 0..mix_entities {
-            mix.push(fsm_event(seq, m, "Acquire", format!("mix-{m}-{i}")));
-            seq += 1;
-            mix.push(fsm_event(seq, m, "Release", format!("mix-{m}-{i}")));
-            seq += 1;
-        }
-    }
-
-    // Equivalence first: both pools must roll the mix up identically on
-    // the machines both carry (the specialized pool carries them all —
-    // the mix stays inside the manifest).
-    let from_full = rollup_events(&full, &mix);
-    let from_spec = rollup_events(spec.pool(), &mix);
-    let rollups_match = from_full == from_spec;
-
-    // Inflate the full pool's parked engine set with the ballast
-    // session, as a shared daemon pool would be after one big tenant.
-    drop(rollup_events(&full, &ballast));
-    // Warm both paths once after ballast.
-    drop(rollup_events(&full, &mix));
-    drop(rollup_events(spec.pool(), &mix));
-
-    let start = Instant::now();
-    for _ in 0..iters {
-        drop(rollup_events(&full, &mix));
-    }
-    let full_wall = start.elapsed();
-    let start = Instant::now();
-    for _ in 0..iters {
-        drop(rollup_events(spec.pool(), &mix));
-    }
-    let spec_wall = start.elapsed();
-
-    let full_us = full_wall.as_secs_f64() * 1e6 / iters as f64;
-    let spec_us = spec_wall.as_secs_f64() * 1e6 / iters as f64;
-    let speedup = full_us / spec_us.max(1e-9);
-    let speedup_percent = (speedup - 1.0) * 100.0;
-    let gate_on = cfg!(not(debug_assertions));
-    let pass = rollups_match && (!gate_on || speedup_percent >= min_speedup_percent as f64);
-
-    let inactive: Vec<String> = spec
-        .inactive_machines()
-        .iter()
-        .map(|m| format!("\"{m}\""))
-        .collect();
-    println!("{{");
-    println!(
-        "  \"benchmark\": \"jinn-serve specialized-pool rollup vs ballast-inflated full pool\","
-    );
-    println!("  \"iterations\": {iters},");
-    println!("  \"ballast_entities_per_machine\": {ballast_entities},");
-    println!("  \"mix_entities_per_machine\": {mix_entities},");
-    println!("  \"mix_transitions\": {},", mix.len());
-    println!("  \"manifest_functions\": {},", spec.functions().len());
-    println!("  \"total_transitions\": {},", report.total_transitions());
-    println!(
-        "  \"discharged_transitions\": {},",
-        report.total_discharged()
-    );
-    println!("  \"inactive_machines\": [{}],", inactive.join(","));
-    println!("  \"full_pool_micros_per_session\": {full_us:.2},");
-    println!("  \"specialized_micros_per_session\": {spec_us:.2},");
-    println!("  \"speedup\": {speedup:.2},");
-    println!("  \"speedup_percent\": {speedup_percent:.1},");
-    println!("  \"rollups_match\": {rollups_match},");
-    println!("  \"min_speedup_percent\": {min_speedup_percent},");
-    println!("  \"gate_enforced\": {gate_on},");
-    println!("  \"pass\": {pass},");
-    println!(
-        "  \"note\": \"identical small manifest-compliant sessions rolled up through the \
-         daemon's rollup_events path; the full pool's engines were inflated once by a \
-         fleet neighbor's ballast session, so every lease drop re-walks its high-water \
-         slabs, while the manifest-keyed pool never allocated them\""
     );
     println!("}}");
     i32::from(!pass)

@@ -10,49 +10,36 @@
 //! proptests in this crate cover both stores).
 //!
 //! The pool is encoding-agnostic: anything implementing [`Engine`] can
-//! be pooled, and
-//! [`EnginePool::with_builder`] lets a caller construct the engines
-//! itself — the serving daemon uses that to build *specialized* pools
-//! whose engines share pre-compiled discharged transition tables
-//! (`CompiledMachine::compile_discharged`) instead of recompiling per
-//! set.
+//! be pooled.
 //!
 //! ## Idle high-water
 //!
-//! Parked sets are capped. By default the cap adapts to observed
-//! concurrency: a lease dropped while `n` leases are still out parks
-//! only if fewer than `n + 1` sets are already idle, so a one-time
-//! burst of N concurrent sessions does not leave N engine sets parked
-//! forever — the surplus is freed as the burst subsides. A fixed cap
-//! can be set with [`EnginePool::set_max_idle`]. Dropped-instead-of-
+//! Parked sets are capped, and the cap adapts to observed concurrency:
+//! a lease dropped while `n` leases are still out parks only if fewer
+//! than `n + 1` sets are already idle, so a one-time burst of N
+//! concurrent sessions does not leave N engine sets parked forever —
+//! the surplus is freed as the burst subsides. Dropped-instead-of-
 //! parked sets are counted in [`PoolStats::dropped`].
 
 use std::marker::PhantomData;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 use crate::engine::Engine;
 use crate::machine::MachineSpec;
 
-type BuildFn<E> = Box<dyn Fn(usize, &MachineSpec) -> E + Send + Sync>;
-
 /// A pool of engine *sets*: each lease is one engine per machine, in
 /// the machine order the pool was built with.
 pub struct EnginePool<K, E: Engine<K>> {
     specs: Vec<MachineSpec>,
-    build: BuildFn<E>,
     idle: Mutex<Vec<Vec<E>>>,
     built: AtomicU64,
     leased: AtomicU64,
     in_flight: AtomicU64,
-    /// Most leases ever out at once. A streaming daemon holds one lease
-    /// per live session from `Open` to `Seal`, so this is its session
-    /// concurrency high-water — capacity planning reads it off
-    /// [`PoolStats::lease_high_water`].
+    /// Most leases ever out at once: the peak number of engine sets in
+    /// use, read off [`PoolStats::lease_high_water`].
     high_water: AtomicU64,
     dropped: AtomicU64,
-    /// Fixed idle cap; 0 means adaptive (observed concurrency + 1).
-    max_idle: AtomicUsize,
     _key: PhantomData<fn(K)>,
 }
 
@@ -67,7 +54,10 @@ pub struct PoolStats {
     pub built: u64,
     /// Leases ever handed out (hits = `leases - built`).
     pub leases: u64,
-    /// Most leases simultaneously out over the pool's lifetime.
+    /// Most leases simultaneously out over the pool's lifetime — the
+    /// peak number of engine sets in use at once. The serving daemon
+    /// leases only for the length of one rollup, so this counts
+    /// concurrent rollups, not live sessions.
     pub lease_high_water: u64,
     /// Engine sets freed at the idle high-water instead of parked.
     pub dropped: u64,
@@ -77,35 +67,16 @@ impl<K, E: Engine<K>> EnginePool<K, E> {
     /// A pool whose leases carry one engine per spec, in `specs` order,
     /// each built with [`Engine::for_machine`].
     pub fn new(specs: Vec<MachineSpec>) -> Arc<EnginePool<K, E>> {
-        Self::with_builder(specs, |_, spec| E::for_machine(spec.clone()))
-    }
-
-    /// A pool whose engines are constructed by `build` (called with the
-    /// machine's index and spec on every cache miss). This is how a
-    /// specialized pool shares one pre-compiled discharged table across
-    /// every set it builds, instead of recompiling per lease.
-    pub fn with_builder(
-        specs: Vec<MachineSpec>,
-        build: impl Fn(usize, &MachineSpec) -> E + Send + Sync + 'static,
-    ) -> Arc<EnginePool<K, E>> {
         Arc::new(EnginePool {
             specs,
-            build: Box::new(build),
             idle: Mutex::new(Vec::new()),
             built: AtomicU64::new(0),
             leased: AtomicU64::new(0),
             in_flight: AtomicU64::new(0),
             high_water: AtomicU64::new(0),
             dropped: AtomicU64::new(0),
-            max_idle: AtomicUsize::new(0),
             _key: PhantomData,
         })
-    }
-
-    /// Fixes the idle high-water at `cap` parked sets (instead of the
-    /// adaptive observed-concurrency default). `0` restores adaptive.
-    pub fn set_max_idle(&self, cap: usize) {
-        self.max_idle.store(cap, Ordering::Relaxed);
     }
 
     /// The machine specifications each lease tracks.
@@ -125,8 +96,7 @@ impl<K, E: Engine<K>> EnginePool<K, E> {
             self.built.fetch_add(1, Ordering::Relaxed);
             self.specs
                 .iter()
-                .enumerate()
-                .map(|(i, s)| (self.build)(i, s))
+                .map(|s| E::for_machine(s.clone()))
                 .collect()
         });
         EngineLease {
@@ -185,10 +155,7 @@ impl<K, E: Engine<K>> Drop for EngineLease<K, E> {
         // `fetch_sub` returns the pre-decrement value, so `still_out`
         // is the number of leases other holders still have.
         let still_out = self.pool.in_flight.fetch_sub(1, Ordering::Relaxed) - 1;
-        let cap = match self.pool.max_idle.load(Ordering::Relaxed) {
-            0 => (still_out as usize).saturating_add(1),
-            fixed => fixed,
-        };
+        let cap = (still_out as usize).saturating_add(1);
         let mut idle = lock(&self.pool.idle);
         if idle.len() < cap {
             idle.push(engines);
@@ -311,19 +278,6 @@ mod tests {
     }
 
     #[test]
-    fn fixed_max_idle_overrides_the_adaptive_cap() {
-        let pool: Arc<AtomicEnginePool<u64>> = EnginePool::new(vec![toy_machine("a")]);
-        pool.set_max_idle(2);
-        let leases: Vec<_> = (0..8).map(|_| pool.lease()).collect();
-        for lease in leases {
-            drop(lease);
-        }
-        let stats = pool.stats();
-        assert_eq!(stats.idle, 2);
-        assert_eq!(stats.dropped, 6);
-    }
-
-    #[test]
     fn single_lease_cycle_always_reuses() {
         // The adaptive cap must keep at least one parked set when the
         // pool is quiet, or sequential sessions would rebuild per lease.
@@ -340,18 +294,6 @@ mod tests {
         assert_eq!(stats.built, 1, "sequential leases reuse one set");
         assert_eq!(stats.idle, 1);
         assert_eq!(stats.dropped, 0);
-    }
-
-    #[test]
-    fn custom_builder_constructs_the_engines() {
-        let pool: Arc<AtomicEnginePool<u64>> =
-            EnginePool::with_builder(vec![toy_machine("a"), toy_machine("b")], |_, spec| {
-                crate::atomic::AtomicStore::for_machine(spec.clone())
-            });
-        let mut lease = pool.lease();
-        assert_eq!(lease.len(), 2);
-        assert!(lease.by_machine("b").is_some());
-        assert_eq!(pool.stats().built, 1);
     }
 
     #[test]

@@ -9,7 +9,7 @@
 //! full, `seal` blocks the *sealing* client (global backpressure), while
 //! oversized appends fail fast with a per-session backpressure error.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::{BTreeSet, HashMap, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
@@ -19,7 +19,7 @@ use jinn_replay::{Frame, ReplayConfig, MAX_MANIFEST_FUNCTIONS};
 
 use crate::error::ServeError;
 use crate::judge::judge;
-use crate::manifest::{ManifestRegistry, ManifestRegistryStats, ManifestSummary};
+use crate::manifest::ManifestSummary;
 use crate::session::{MachineRollup, SessionId, SessionStats};
 use crate::store::{FleetStats, Query, QueryPage, SessionTable, StoreLimits};
 use crate::streaming::StreamingSession;
@@ -51,13 +51,9 @@ pub struct ServeConfig {
     pub default_configs: String,
     /// Ring capacity of the per-session replay recorder.
     pub recorder_ring: usize,
-    /// Sessions after which a tenant with no declared manifest gets one
-    /// *learned* from the union of its traces' call-site sets. `0`
-    /// disables learning: only declared manifests specialize.
-    pub learn_after_sessions: u64,
     /// Sessions judged *incrementally* at once: each streaming session
-    /// holds an engine lease and an executor thread from `Open` to
-    /// `Seal`, so this caps that standing cost. Single-config sessions
+    /// holds a decoder and an executor thread from `Open` to `Seal`, so
+    /// this caps that standing cost. Single-config sessions
     /// opened while a slot is free stream; everything else (and `0`,
     /// which disables streaming) buffers exactly as before.
     pub streaming_sessions: usize,
@@ -76,7 +72,6 @@ impl Default for ServeConfig {
             max_events_per_session: 512,
             default_configs: "jinn".to_string(),
             recorder_ring: 1024,
-            learn_after_sessions: 0,
             streaming_sessions: 8,
         }
     }
@@ -149,7 +144,8 @@ pub(crate) struct Shared {
     pub(crate) table: SessionTable,
     queue: IngestQueue,
     pool: Arc<AtomicEnginePool<u64>>,
-    registry: ManifestRegistry,
+    /// Each tenant's declared call-site set (the manifest audit).
+    manifests: Mutex<HashMap<String, Arc<BTreeSet<String>>>>,
     streams: Mutex<HashMap<SessionId, Arc<StreamingSession>>>,
     next_auto: AtomicU64,
     shutting_down: AtomicBool,
@@ -169,6 +165,14 @@ impl Shared {
             .lock()
             .expect("stream registry poisoned")
             .remove(&id)
+    }
+
+    fn manifest(&self, tenant: &str) -> Option<Arc<BTreeSet<String>>> {
+        self.manifests
+            .lock()
+            .expect("manifest map poisoned")
+            .get(tenant)
+            .cloned()
     }
 }
 
@@ -196,7 +200,7 @@ impl Daemon {
             }),
             queue: IngestQueue::new(config.queue_capacity),
             pool: EnginePool::new(jinn_spec::machines()),
-            registry: ManifestRegistry::default(),
+            manifests: Mutex::new(HashMap::new()),
             streams: Mutex::new(HashMap::new()),
             next_auto: AtomicU64::new(AUTO_SESSION_BASE),
             shutting_down: AtomicBool::new(false),
@@ -262,44 +266,34 @@ fn worker_loop(shared: &Arc<Shared>) {
         // Held until after publishing, so tearing the session down stays
         // off the seal-to-verdict path.
         let stream = shared.remove_stream(id);
-        let (tenant, judged) = match &stream {
+        let judged = match &stream {
             Some(stream) => {
                 let Some(tenant) = shared.table.begin_judging_streamed(id) else {
                     stream.discard(); // quarantined while queued
                     continue;
                 };
-                let specialized = shared.registry.specialized_for(&tenant);
-                let judged = stream.collect(&tenant, specialized.as_deref(), max_events);
-                (tenant, judged)
+                let manifest = shared.manifest(&tenant);
+                stream.collect(&tenant, manifest.as_deref(), &shared.pool, max_events)
             }
             None => {
                 let Some((bytes, tenant, configs)) = shared.table.begin_judging(id) else {
                     continue; // quarantined while queued
                 };
-                let specialized = shared.registry.specialized_for(&tenant);
-                let judged = judge(
+                let manifest = shared.manifest(&tenant);
+                judge(
                     &bytes,
                     id,
                     &tenant,
                     &configs,
                     &shared.pool,
-                    specialized.as_deref(),
+                    manifest.as_deref(),
                     shared.config.recorder_ring,
                     max_events,
-                );
-                (tenant, judged)
+                )
             }
         };
         match judged {
-            Ok(out) => {
-                shared.registry.observe_judged(
-                    &tenant,
-                    &out.called_functions,
-                    out.discharge_fallback,
-                    shared.config.learn_after_sessions,
-                );
-                shared.table.finish(id, out);
-            }
+            Ok(out) => shared.table.finish(id, out),
             Err(reason) => shared.table.fail(id, &reason),
         }
     }
@@ -374,7 +368,6 @@ impl DaemonHandle {
                         Arc::new(StreamingSession::start(
                             session,
                             config,
-                            &self.shared.pool,
                             self.shared.config.recorder_ring,
                         )),
                     );
@@ -487,13 +480,14 @@ impl DaemonHandle {
         }
     }
 
-    /// Declares (or replaces) `tenant`'s workload manifest: runs the
-    /// static-discharge pass for the declared call-site set, compiles
-    /// (or finds, for an identical function set) a specialized engine
-    /// pool, and routes the tenant's future sessions through it.
-    /// Function names unknown to the JNI registry are kept callable and
-    /// reported in the summary — a misspelled manifest weakens
-    /// discharge, it does not fail.
+    /// Declares (or replaces) `tenant`'s workload manifest and acks it
+    /// with the static-discharge summary for the declared call-site
+    /// set. The manifest is an audit: the tenant's later sessions are
+    /// judged and rolled up exactly as before, and those whose trace
+    /// calls outside the declared set are flagged
+    /// ([`SessionStats::outside_manifest`]). Function names unknown to
+    /// the JNI registry are kept and reported in the summary — a
+    /// misspelled manifest weakens discharge, it does not fail.
     ///
     /// # Errors
     ///
@@ -511,12 +505,15 @@ impl DaemonHandle {
                 cap: MAX_MANIFEST_FUNCTIONS,
             });
         }
-        Ok(self.shared.registry.declare(tenant, functions))
-    }
-
-    /// Manifest-registry counters.
-    pub fn manifest_stats(&self) -> ManifestRegistryStats {
-        self.shared.registry.stats()
+        let declared: Arc<BTreeSet<String>> = Arc::new(functions.iter().cloned().collect());
+        let replaced = self
+            .shared
+            .manifests
+            .lock()
+            .expect("manifest map poisoned")
+            .insert(tenant.to_string(), Arc::clone(&declared))
+            .is_some();
+        Ok(ManifestSummary::audit(tenant, &declared, replaced))
     }
 
     /// Applies one decoded ingest frame.

@@ -10,20 +10,19 @@
 //! ([`jinn_fsm::AtomicEnginePool`]) to produce per-machine entity
 //! rollups without rebuilding compiled machines per session — and
 //! without any mutex on the rollup path, so concurrent ingest workers
-//! never convoy on a pool engine's interior lock.
+//! never convoy on a pool engine's interior lock. The streaming judge
+//! publishes through the same row helpers, so both paths build the same
+//! rows.
 //!
 //! [`AtomicStore`]: jinn_fsm::AtomicStore
 
 use std::collections::{BTreeSet, HashMap};
 use std::sync::{Arc, OnceLock};
 
-use jinn_fsm::{
-    AtomicEnginePool, AtomicStore, Engine, EngineLease, MachineSpec, TransitionOutcome,
-};
+use jinn_fsm::{AtomicEnginePool, Engine, MachineSpec, TransitionOutcome};
 use jinn_obs::{EventKind, Recorder, TraceEvent};
-use jinn_replay::{replay_trace, replay_trace_observed, ReplayConfig, Trace};
+use jinn_replay::{replay_trace, replay_trace_observed, ReplayConfig, ReplayOutcome, Trace};
 
-use crate::manifest::SpecializedPool;
 use crate::session::{
     DischargeStats, EventSummary, MachineRollup, ObsCounters, OutcomeRec, SessionId, VerdictRec,
 };
@@ -52,13 +51,9 @@ pub struct JudgeOutput {
     pub events_replayed: u64,
     /// Total replay divergences across configs.
     pub divergences: u64,
-    /// The trace's own call-site set (drives manifest learning).
-    pub called_functions: BTreeSet<String>,
-    /// Whether the rollups ran on a manifest-specialized pool.
-    pub specialized: bool,
-    /// Whether a manifested tenant's trace called outside its manifest
-    /// and was re-judged on the full pool instead.
-    pub discharge_fallback: bool,
+    /// Whether the trace called a function outside its tenant's
+    /// declared manifest (an audit flag; see the `manifest` module).
+    pub outside_manifest: bool,
 }
 
 /// Reads the recorded trace's `obs.*` metadata (written by
@@ -91,7 +86,7 @@ fn transition_aliases(name: &str) -> &'static [&'static str] {
 /// The spec machines the discharge audit runs against, built once per
 /// process: they never change, and building them costs about as much
 /// as the audit itself.
-fn audit_machines() -> &'static [MachineSpec] {
+pub(crate) fn audit_machines() -> &'static [MachineSpec] {
     static MACHINES: OnceLock<Vec<MachineSpec>> = OnceLock::new();
     MACHINES.get_or_init(jinn_spec::machines)
 }
@@ -99,8 +94,9 @@ fn audit_machines() -> &'static [MachineSpec] {
 /// The static-discharge audit row for one trace, shared by the
 /// buffered and streaming judges. Takes the trace's call-site set
 /// precomputed so callers that already hold one (the buffered judge
-/// computes it for pool selection; the streaming judge accumulates it
-/// incrementally during ingest) never walk the events again at seal.
+/// computes it for the manifest audit too; the streaming judge
+/// accumulates it incrementally during ingest) never walk the events
+/// again at seal.
 pub(crate) fn discharge_stats(program: &str, called: &BTreeSet<String>) -> DischargeStats {
     let manifest = jinn_core::WorkloadManifest::new(program, called.iter().map(String::as_str));
     let report = jinn_core::discharge(audit_machines(), &manifest);
@@ -116,7 +112,7 @@ pub(crate) fn discharge_stats(program: &str, called: &BTreeSet<String>) -> Disch
     }
 }
 
-pub(crate) fn summarize(session: SessionId, ev: &TraceEvent) -> EventSummary {
+fn summarize(session: SessionId, ev: &TraceEvent) -> EventSummary {
     let (label, function, machine, entity, failed) = match &ev.kind {
         EventKind::JniEnter { func } => ("jni-enter", Some(func.to_string()), None, None, false),
         EventKind::JniExit { func, failed, .. } => {
@@ -166,12 +162,21 @@ pub(crate) fn summarize(session: SessionId, ev: &TraceEvent) -> EventSummary {
     }
 }
 
-/// Re-applies the session's transition stream through pooled compiled
-/// engines, producing one rollup per machine that saw traffic.
+/// Whether a trace's call-site set `called` leaves the tenant's
+/// declared `manifest`. A tenant that declared nothing is never flagged.
+pub(crate) fn outside_manifest(
+    manifest: Option<&BTreeSet<String>>,
+    called: &BTreeSet<String>,
+) -> bool {
+    manifest.is_some_and(|declared| !called.is_subset(declared))
+}
+
+/// Re-applies the session's transition stream through a leased set of
+/// pooled compiled engines, producing one rollup per machine that saw
+/// traffic.
 ///
-/// Re-exported at the crate root as `rollup_events` so the discharge
-/// benchmark can drive the daemon's exact rollup path against an
-/// arbitrary pool.
+/// Re-exported at the crate root so benchmarks can drive the daemon's
+/// exact rollup path.
 ///
 /// Entity keys are dense *per machine*: each engine sees keys `0..n`
 /// for its own entities, so a store's slab growth tracks the machine's
@@ -183,18 +188,6 @@ pub fn rollup_events(
     events: &[TraceEvent],
 ) -> Vec<MachineRollup> {
     let mut lease = pool.lease();
-    rollup_events_on_lease(&mut lease, events)
-}
-
-/// [`rollup_events`] on an already-held lease. The streaming judge
-/// keeps one lease alive from session `Open` to `Seal` and rolls up
-/// the recorder's final ring on it at seal, so it must not re-lease
-/// (that would double-count pool concurrency and could build a second
-/// engine set mid-session).
-pub fn rollup_events_on_lease(
-    lease: &mut EngineLease<u64, AtomicStore<u64>>,
-    events: &[TraceEvent],
-) -> Vec<MachineRollup> {
     // Hoisted once per judge call: machine name -> engine index. The
     // per-event linear scan this replaces cost O(machines) per
     // transition.
@@ -265,13 +258,67 @@ pub fn rollup_events_on_lease(
     out
 }
 
+/// Adds one config's replay to `out`: its outcome row, its verdict
+/// rows, and its replay counters. Shared by the buffered and streaming
+/// judges, so both publish the same rows.
+pub(crate) fn push_replay_rows(
+    session: SessionId,
+    tenant: &str,
+    config: &ReplayConfig,
+    outcome: &ReplayOutcome,
+    out: &mut JudgeOutput,
+) {
+    let label = config.label();
+    out.events_replayed += outcome.events_replayed;
+    out.divergences += outcome.divergences;
+    out.verdicts
+        .extend(outcome.violations.iter().map(|v| VerdictRec {
+            session,
+            tenant: tenant.to_string(),
+            config: label.clone(),
+            machine: v.machine.to_string(),
+            error_state: v.error_state.to_string(),
+            function: v.function.clone(),
+            message: v.message.clone(),
+        }));
+    out.outcomes.push(OutcomeRec {
+        session,
+        config: label,
+        behavior: outcome.behavior.to_string(),
+        message: outcome.message.clone(),
+        events_replayed: outcome.events_replayed,
+        divergences: outcome.divergences,
+    });
+}
+
+/// The recorder's share of a judged session: the newest `max_events`
+/// event summaries, the count of events beyond them (ring drops
+/// included), and the per-machine rollups on a lease from `pool`.
+/// Shared by the buffered and streaming judges.
+pub(crate) fn recorder_rows(
+    session: SessionId,
+    recorder: &Recorder,
+    pool: &Arc<AtomicEnginePool<u64>>,
+    max_events: usize,
+) -> (Vec<EventSummary>, u64, Vec<MachineRollup>) {
+    let all = recorder.events();
+    let rollups = rollup_events(pool, &all);
+    let skip = all.len().saturating_sub(max_events);
+    let dropped = recorder.dropped_events() + skip as u64;
+    let events = all
+        .iter()
+        .skip(skip)
+        .map(|e| summarize(session, e))
+        .collect();
+    (events, dropped, rollups)
+}
+
 /// Parses and re-judges one sealed session.
 ///
-/// When the tenant has a manifest, `specialized` carries its pool: a
-/// trace whose own call-site set the manifest covers rolls up there;
-/// one that calls outside it falls back to the full `pool` and is
-/// flagged (`JudgeOutput::discharge_fallback`). Verdicts come from the
-/// replay either way — the pool choice never affects them.
+/// `manifest` is the tenant's declared call-site set, if it declared
+/// one: a trace that calls outside it is flagged
+/// (`JudgeOutput::outside_manifest`). Verdicts and rollups never depend
+/// on it.
 ///
 /// # Errors
 ///
@@ -284,7 +331,7 @@ pub fn judge(
     tenant: &str,
     configs: &[ReplayConfig],
     pool: &Arc<AtomicEnginePool<u64>>,
-    specialized: Option<&SpecializedPool>,
+    manifest: Option<&BTreeSet<String>>,
     recorder_ring: usize,
     max_events: usize,
 ) -> Result<JudgeOutput, String> {
@@ -295,7 +342,7 @@ pub fn judge(
         tenant,
         configs,
         pool,
-        specialized,
+        manifest,
         recorder_ring,
         max_events,
     )
@@ -309,28 +356,24 @@ pub fn judge_trace(
     tenant: &str,
     configs: &[ReplayConfig],
     pool: &Arc<AtomicEnginePool<u64>>,
-    specialized: Option<&SpecializedPool>,
+    manifest: Option<&BTreeSet<String>>,
     recorder_ring: usize,
     max_events: usize,
 ) -> Result<JudgeOutput, String> {
-    let obs = obs_counters(trace);
-    let program = trace.program().to_string();
-    let called_functions = trace.called_functions();
-    let (rollup_pool, specialized_hit, discharge_fallback) = match specialized {
-        Some(sp) if sp.covers(&called_functions) => (Arc::clone(sp.pool()), true, false),
-        Some(_) => (Arc::clone(pool), false, true),
-        None => (Arc::clone(pool), false, false),
+    let called = trace.called_functions();
+    let mut out = JudgeOutput {
+        program: trace.program().to_string(),
+        outcomes: Vec::with_capacity(configs.len()),
+        verdicts: Vec::new(),
+        events: Vec::new(),
+        events_dropped: 0,
+        rollups: Vec::new(),
+        obs: obs_counters(trace),
+        discharge: discharge_stats(trace.program(), &called),
+        events_replayed: 0,
+        divergences: 0,
+        outside_manifest: outside_manifest(manifest, &called),
     };
-    let discharge = discharge_stats(&program, &called_functions);
-
-    let mut outcomes = Vec::with_capacity(configs.len());
-    let mut verdicts = Vec::new();
-    let mut events = Vec::new();
-    let mut events_dropped = 0u64;
-    let mut rollups = Vec::new();
-    let mut events_replayed = 0u64;
-    let mut divergences = 0u64;
-
     for (i, config) in configs.iter().enumerate() {
         let recorder = (i == 0).then(|| Recorder::enabled(recorder_ring));
         let outcome = match &recorder {
@@ -338,56 +381,13 @@ pub fn judge_trace(
             None => replay_trace(trace, config),
         }
         .map_err(|e| format!("replay under {} failed: {e}", config.label()))?;
-
-        events_replayed += outcome.events_replayed;
-        divergences += outcome.divergences;
-        verdicts.extend(outcome.violations.iter().map(|v| VerdictRec {
-            session,
-            tenant: tenant.to_string(),
-            config: config.label(),
-            machine: v.machine.to_string(),
-            error_state: v.error_state.to_string(),
-            function: v.function.clone(),
-            message: v.message.clone(),
-        }));
-        outcomes.push(OutcomeRec {
-            session,
-            config: config.label(),
-            behavior: outcome.behavior.to_string(),
-            message: outcome.message.clone(),
-            events_replayed: outcome.events_replayed,
-            divergences: outcome.divergences,
-        });
-
+        push_replay_rows(session, tenant, config, &outcome, &mut out);
         if let Some(rec) = recorder {
-            let all = rec.events();
-            events_dropped = rec.dropped_events();
-            rollups = rollup_events(&rollup_pool, &all);
-            let skip = all.len().saturating_sub(max_events);
-            events_dropped += skip as u64;
-            events = all
-                .iter()
-                .skip(skip)
-                .map(|e| summarize(session, e))
-                .collect();
+            (out.events, out.events_dropped, out.rollups) =
+                recorder_rows(session, &rec, pool, max_events);
         }
     }
-
-    Ok(JudgeOutput {
-        program,
-        outcomes,
-        verdicts,
-        events,
-        events_dropped,
-        rollups,
-        obs,
-        discharge,
-        events_replayed,
-        divergences,
-        called_functions,
-        specialized: specialized_hit,
-        discharge_fallback,
-    })
+    Ok(out)
 }
 
 #[cfg(test)]
@@ -407,11 +407,8 @@ mod tests {
         let configs = vec![ReplayConfig::parse("jinn").unwrap()];
         let out = judge(&bytes, 9, "acme", &configs, &pool, None, 4096, 256).expect("judge");
         assert_eq!(out.program, "LocalRefDangling");
-        assert!(!out.specialized && !out.discharge_fallback);
-        assert!(
-            !out.called_functions.is_empty(),
-            "trace call-site set captured"
-        );
+        assert!(!out.outside_manifest, "no manifest, nothing to flag");
+        assert!(out.discharge.called_functions > 0, "call-site set audited");
         assert!(
             out.verdicts
                 .iter()
@@ -526,49 +523,34 @@ mod tests {
     }
 
     #[test]
-    fn covering_manifest_specializes_and_lying_manifest_falls_back() {
+    fn manifests_flag_without_changing_verdicts_or_rollups() {
         let bytes = corpus_trace("LocalRefDangling");
         let pool = EnginePool::new(jinn_spec::machines());
         let configs = vec![ReplayConfig::parse("jinn").unwrap()];
         let baseline = judge(&bytes, 1, "t", &configs, &pool, None, 4096, 256).expect("judge");
+        assert!(!baseline.outside_manifest);
 
-        let honest = SpecializedPool::for_functions(
-            "honest",
-            baseline.called_functions.iter().map(String::as_str),
+        let covering = Trace::parse(&bytes).unwrap().called_functions();
+        let honest =
+            judge(&bytes, 1, "t", &configs, &pool, Some(&covering), 4096, 256).expect("judge");
+        assert!(
+            !honest.outside_manifest,
+            "a covering manifest is not flagged"
         );
-        let fast = judge(&bytes, 2, "t", &configs, &pool, Some(&honest), 4096, 256).expect("judge");
-        assert!(fast.specialized && !fast.discharge_fallback);
 
-        let lying = SpecializedPool::for_functions("lying", ["GetVersion"]);
-        let slow = judge(&bytes, 3, "t", &configs, &pool, Some(&lying), 4096, 256).expect("judge");
-        assert!(!slow.specialized && slow.discharge_fallback);
+        let lying: BTreeSet<String> = ["GetVersion".to_string()].into();
+        let liar = judge(&bytes, 1, "t", &configs, &pool, Some(&lying), 4096, 256).expect("judge");
+        assert!(liar.outside_manifest, "a lying manifest is flagged");
 
-        // The pool choice never affects verdicts.
-        let key = |o: &JudgeOutput| {
-            let mut v: Vec<(String, String, String)> = o
-                .verdicts
-                .iter()
-                .map(|v| {
-                    (
-                        v.config.to_string(),
-                        v.machine.clone(),
-                        v.error_state.clone(),
-                    )
-                })
-                .collect();
-            v.sort();
-            v
+        // The manifest never changes a verdict, an outcome, an event
+        // summary or a rollup.
+        let rows = |o: &JudgeOutput| {
+            format!(
+                "{:?} {:?} {:?} {:?} {:?}",
+                o.verdicts, o.outcomes, o.events, o.rollups, o.discharge
+            )
         };
-        assert_eq!(key(&baseline), key(&fast));
-        assert_eq!(key(&baseline), key(&slow));
-        // And the specialized rollups agree with the full pool's on the
-        // machines both carry.
-        for r in &fast.rollups {
-            let base = baseline.rollups.iter().find(|b| b.machine == r.machine);
-            let base = base.expect("machine present in baseline");
-            assert_eq!((r.transitions, r.entities, r.errors), {
-                (base.transitions, base.entities, base.errors)
-            });
-        }
+        assert_eq!(rows(&honest), rows(&baseline));
+        assert_eq!(rows(&liar), rows(&baseline));
     }
 }

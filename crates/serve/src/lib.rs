@@ -32,24 +32,22 @@
 //!   each `Append`, releases the bytes it decodes (only the undecoded
 //!   tail stays resident), and pipes events to a per-session live
 //!   replay executor, so `Seal` only verifies the declared
-//!   length/checksum against running totals and publishes the
+//!   length/checksum against running totals, rolls the recorder up on
+//!   an engine lease taken then (as a buffered session does; no lease
+//!   is held while the session uploads), and publishes the
 //!   already-computed result. The executor runs the same replay fold
 //!   as buffered judging, so the verdicts are identical. The
 //!   speculative verdict is never observable before seal verification
 //!   passes; a seal mismatch or decode error quarantines the session
 //!   with the buffered path's reason (`streaming` module docs,
 //!   DESIGN.md §16).
-//! * **Workload-adaptive discharge** — a tenant can declare its
-//!   call-site manifest (the `Manifest` frame /
-//!   [`DaemonHandle::declare_manifest`]), or the daemon can learn one
-//!   from the tenant's first sessions
-//!   ([`ServeConfig::learn_after_sessions`]). Manifested tenants roll up
-//!   through manifest-keyed *specialized* engine pools with provably-dead
-//!   transitions compiled out and inactive machines carrying no engines
-//!   at all; a trace that calls outside its manifest soundly falls back
-//!   to the full pool and is flagged
-//!   ([`SessionStats`] `discharge_fallback`). See the [`manifest`
-//!   module](crate::SpecializedPool) docs.
+//! * **Manifest audit** — a tenant can declare its call-site manifest
+//!   (the `Manifest` frame / [`DaemonHandle::declare_manifest`]) and is
+//!   acked with the static-discharge summary for it. The manifest
+//!   changes no verdict and no rollup: a session whose trace calls
+//!   outside its tenant's declared set is only flagged
+//!   ([`SessionStats`] `outside_manifest`; module docs at
+//!   [`ManifestSummary`]).
 //! * **Query API** — [`DaemonHandle::query`] filters by session,
 //!   tenant, config, function, machine, entity, thread, and event-index
 //!   range, with cursor pagination; [`SocketServer`] exposes the same
@@ -99,7 +97,7 @@ mod streaming;
 pub use daemon::{Daemon, DaemonHandle, ServeConfig, AUTO_SESSION_BASE};
 pub use error::ServeError;
 pub use judge::{judge, judge_trace, obs_counters, rollup_events, JudgeOutput};
-pub use manifest::{ManifestRegistryStats, ManifestSource, ManifestSummary, SpecializedPool};
+pub use manifest::ManifestSummary;
 pub use session::{
     DischargeStats, EventSummary, MachineRollup, ObsCounters, OutcomeRec, SessionId, SessionState,
     SessionStats, VerdictRec,

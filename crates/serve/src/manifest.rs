@@ -1,147 +1,25 @@
-//! Workload-adaptive discharge: the tenant→manifest registry and the
-//! manifest-keyed cache of specialized engine pools.
+//! The manifest audit: a tenant's declared call-site set.
 //!
-//! The static discharge pass (`jinn_core::discharge`) proves which
-//! machine transitions a workload's call-site manifest can never
-//! trigger. This module closes the loop for the daemon: a tenant
-//! *declares* its manifest (the `Manifest` ingest frame /
-//! [`crate::DaemonHandle::declare_manifest`]) — or the daemon *learns*
-//! one from the union of the tenant's first K judged sessions — and
-//! subsequent sessions roll up through a [`SpecializedPool`] compiled
-//! with the provably-dead transitions discharged
-//! (`CompiledMachine::compile_discharged`) and no engines at all for
-//! fully-inactive machines.
+//! A tenant *declares* its workload manifest (the `Manifest` ingest
+//! frame / [`crate::DaemonHandle::declare_manifest`]): the JNI
+//! functions its native code can call. The daemon keeps the declared
+//! set and acks it with a [`ManifestSummary`] from the static discharge
+//! pass (`jinn_core::discharge`): what the declared workload could
+//! never trigger.
 //!
-//! ## Soundness and the fallback path
-//!
-//! Verdicts never depend on the pool: re-judging replays the trace
-//! under the full checker stack regardless. The specialized pool only
-//! carries the per-machine entity rollups — and a session is admitted
-//! to it **only after** its trace's own call-site set is checked
-//! against the manifest ([`SpecializedPool::covers`]). A trace that
-//! calls outside its tenant's manifest is rolled up on the full pool
-//! instead and flagged (`SessionStats::discharge_fallback`), so a
-//! lying manifest costs its tenant the specialization, never a
-//! verdict. Learned manifests widen on fallback (the union grows and
-//! the pool is rebuilt); declared manifests stay as declared and keep
-//! flagging.
-//!
-//! ## Why a specialized pool is cheaper
-//!
-//! Every lease drop clears the engines — for the lock-free
-//! `AtomicStore` that walks every allocated state segment. A
-//! fleet-shared full pool's engines accumulate the all-tenant
-//! high-water footprint (every machine, sized by the largest session
-//! they ever served); a manifest-keyed pool receives only
-//! manifest-compliant traffic, so inactive machines need no engine and
-//! untouched machines never allocate a segment. Pools are cached by
-//! the manifest's function set, so tenants with identical manifests
-//! share one pool.
+//! The manifest is an audit only. Verdicts come from replaying the
+//! trace under the full checker stack, and rollups from the daemon's
+//! one engine pool, whatever the tenant declared. A session whose trace
+//! calls a function outside its tenant's declared set is flagged
+//! (`SessionStats::outside_manifest`), so a lying manifest is visible,
+//! never trusted.
 
-use std::collections::{BTreeSet, HashMap};
-use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+use std::collections::BTreeSet;
 
 use jinn_core::{discharge, WorkloadManifest};
-use jinn_fsm::{AtomicEnginePool, AtomicStore, CompiledMachine, EnginePool};
 
 use crate::json::{self, JsonObj};
-
-/// How a tenant's manifest came to exist.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ManifestSource {
-    /// The tenant declared it (frame or API).
-    Declared,
-    /// The daemon learned it from the tenant's first sessions.
-    Learned,
-}
-
-impl ManifestSource {
-    /// Stable string form for JSON surfaces.
-    pub fn as_str(self) -> &'static str {
-        match self {
-            ManifestSource::Declared => "declared",
-            ManifestSource::Learned => "learned",
-        }
-    }
-}
-
-/// A specialized engine pool compiled for one call-site manifest:
-/// engines only for machines the manifest leaves active, each sharing
-/// a pre-compiled discharged transition table across every pooled set.
-pub struct SpecializedPool {
-    functions: BTreeSet<String>,
-    pool: Arc<AtomicEnginePool<u64>>,
-    unknown_functions: Vec<String>,
-    inactive_machines: Vec<String>,
-    total_transitions: u64,
-    discharged: u64,
-    active_machines: u64,
-}
-
-impl SpecializedPool {
-    /// Runs the discharge pass for `functions` and compiles the pool.
-    /// Machines whose every transition is discharged get no engine;
-    /// the rest share one `compile_discharged` table per machine.
-    pub fn for_functions<I, S>(name: &str, functions: I) -> SpecializedPool
-    where
-        I: IntoIterator<Item = S>,
-        S: Into<String>,
-    {
-        let manifest = WorkloadManifest::new(name, functions);
-        let machines = jinn_spec::machines();
-        let report = discharge(&machines, &manifest);
-        let mut specs = Vec::new();
-        let mut compiled: Vec<Arc<CompiledMachine>> = Vec::new();
-        let mut inactive_machines = Vec::new();
-        for spec in machines {
-            let md = report.for_machine(spec.name());
-            if md.is_some_and(|m| m.inactive) {
-                inactive_machines.push(spec.name().to_string());
-                continue;
-            }
-            let elided = md.map_or_else(Vec::new, |m| m.elided());
-            compiled.push(Arc::new(CompiledMachine::compile_discharged(
-                spec.clone(),
-                &elided,
-            )));
-            specs.push(spec);
-        }
-        let active_machines = specs.len() as u64;
-        let pool: Arc<AtomicEnginePool<u64>> = EnginePool::with_builder(specs, move |i, _| {
-            AtomicStore::with_compiled(Arc::clone(&compiled[i]))
-        });
-        SpecializedPool {
-            functions: manifest.functions().map(str::to_string).collect(),
-            pool,
-            unknown_functions: manifest.unknown_functions().to_vec(),
-            inactive_machines,
-            total_transitions: report.total_transitions() as u64,
-            discharged: report.total_discharged() as u64,
-            active_machines,
-        }
-    }
-
-    /// Whether every function in `called` is inside the manifest — the
-    /// admission check a session must pass to roll up here.
-    pub fn covers(&self, called: &BTreeSet<String>) -> bool {
-        called.iter().all(|f| self.functions.contains(f))
-    }
-
-    /// The underlying engine pool.
-    pub fn pool(&self) -> &Arc<AtomicEnginePool<u64>> {
-        &self.pool
-    }
-
-    /// The manifest's function set (sorted).
-    pub fn functions(&self) -> &BTreeSet<String> {
-        &self.functions
-    }
-
-    /// Machines with no engine in this pool (fully discharged).
-    pub fn inactive_machines(&self) -> &[String] {
-        &self.inactive_machines
-    }
-}
+use crate::judge::audit_machines;
 
 /// What a manifest declaration did — the ack surfaced to the client.
 #[derive(Debug, Clone)]
@@ -156,18 +34,43 @@ pub struct ManifestSummary {
     pub unknown_functions: Vec<String>,
     /// Transitions across all machines.
     pub total_transitions: u64,
-    /// Transitions compiled out of the specialized pool.
+    /// Transitions the declared workload can never trigger.
     pub discharged: u64,
-    /// Machines the pool carries no engine for.
+    /// Machines the declared workload can never move.
     pub inactive_machines: Vec<String>,
-    /// Machines the pool carries engines for.
+    /// Machines the declared workload can move.
     pub active_machines: u64,
-    /// Whether this declaration replaced an earlier manifest (or a
-    /// learning window) for the tenant.
+    /// Whether this declaration replaced an earlier manifest for the
+    /// tenant.
     pub replaced: bool,
 }
 
 impl ManifestSummary {
+    /// Runs the discharge pass for `tenant`'s declared `functions`.
+    pub(crate) fn audit(
+        tenant: &str,
+        functions: &BTreeSet<String>,
+        replaced: bool,
+    ) -> ManifestSummary {
+        let manifest = WorkloadManifest::new(tenant, functions.iter().map(String::as_str));
+        let report = discharge(audit_machines(), &manifest);
+        let inactive_machines: Vec<String> = report
+            .inactive_machines()
+            .iter()
+            .map(|m| m.to_string())
+            .collect();
+        ManifestSummary {
+            tenant: tenant.to_string(),
+            functions: functions.len() as u64,
+            unknown_functions: manifest.unknown_functions().to_vec(),
+            total_transitions: report.total_transitions() as u64,
+            discharged: report.total_discharged() as u64,
+            active_machines: (report.machines.len() - inactive_machines.len()) as u64,
+            inactive_machines,
+            replaced,
+        }
+    }
+
     /// Renders the summary as a JSON object.
     pub fn to_json(&self) -> String {
         JsonObj::new()
@@ -189,310 +92,51 @@ impl ManifestSummary {
     }
 }
 
-/// Point-in-time registry counters.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ManifestRegistryStats {
-    /// Tenants currently holding a manifest (declared or learned).
-    pub manifested_tenants: u64,
-    /// Tenants currently inside a learning window.
-    pub learning_tenants: u64,
-    /// Distinct specialized pools in the cache.
-    pub specialized_pools: u64,
-    /// Manifests ever declared (including replacements).
-    pub declared: u64,
-    /// Manifests ever learned from session unions.
-    pub learned: u64,
-    /// Learned manifests widened after a fallback.
-    pub widened: u64,
-}
-
-enum TenantState {
-    /// Serving from a specialized pool.
-    Active {
-        source: ManifestSource,
-        spec: Arc<SpecializedPool>,
-    },
-    /// Accumulating the call-site union of the first sessions.
-    Learning {
-        sessions: u64,
-        union: BTreeSet<String>,
-    },
-}
-
-#[derive(Default)]
-struct RegistryInner {
-    tenants: HashMap<String, TenantState>,
-    /// Pool cache keyed by the manifest's sorted function set, so
-    /// tenants with identical manifests share one pool.
-    pools: HashMap<String, Arc<SpecializedPool>>,
-    declared: u64,
-    learned: u64,
-    widened: u64,
-}
-
-/// The daemon's tenant→manifest registry (see the module docs).
-#[derive(Default)]
-pub(crate) struct ManifestRegistry {
-    inner: Mutex<RegistryInner>,
-}
-
-fn cache_key(functions: &BTreeSet<String>) -> String {
-    let mut key = String::new();
-    for f in functions {
-        key.push_str(f);
-        key.push('\n');
-    }
-    key
-}
-
-/// Poison recovery mirrors the engine pool's: registry state is plain
-/// owned data, structurally sound even if a holder panicked.
-fn lock(m: &Mutex<RegistryInner>) -> MutexGuard<'_, RegistryInner> {
-    m.lock().unwrap_or_else(PoisonError::into_inner)
-}
-
-impl ManifestRegistry {
-    fn pool_for(
-        inner: &mut RegistryInner,
-        tenant: &str,
-        functions: &BTreeSet<String>,
-    ) -> Arc<SpecializedPool> {
-        let key = cache_key(functions);
-        if let Some(existing) = inner.pools.get(&key) {
-            return Arc::clone(existing);
-        }
-        let built = Arc::new(SpecializedPool::for_functions(
-            tenant,
-            functions.iter().cloned(),
-        ));
-        inner.pools.insert(key, Arc::clone(&built));
-        built
-    }
-
-    /// Declares (or replaces) a tenant's manifest and returns the ack.
-    pub(crate) fn declare(&self, tenant: &str, functions: &[String]) -> ManifestSummary {
-        let set: BTreeSet<String> = functions.iter().cloned().collect();
-        let mut inner = lock(&self.inner);
-        let spec = Self::pool_for(&mut inner, tenant, &set);
-        let replaced = inner
-            .tenants
-            .insert(
-                tenant.to_string(),
-                TenantState::Active {
-                    source: ManifestSource::Declared,
-                    spec: Arc::clone(&spec),
-                },
-            )
-            .is_some();
-        inner.declared += 1;
-        ManifestSummary {
-            tenant: tenant.to_string(),
-            functions: set.len() as u64,
-            unknown_functions: spec.unknown_functions.clone(),
-            total_transitions: spec.total_transitions,
-            discharged: spec.discharged,
-            inactive_machines: spec.inactive_machines.clone(),
-            active_machines: spec.active_machines,
-            replaced,
-        }
-    }
-
-    /// The specialized pool serving `tenant`, if it has a manifest.
-    pub(crate) fn specialized_for(&self, tenant: &str) -> Option<Arc<SpecializedPool>> {
-        match lock(&self.inner).tenants.get(tenant) {
-            Some(TenantState::Active { spec, .. }) => Some(Arc::clone(spec)),
-            _ => None,
-        }
-    }
-
-    /// Feeds one judged session back into the registry: advances the
-    /// tenant's learning window (when `learn_after > 0` and nothing is
-    /// declared) and widens a learned manifest whose session fell back.
-    /// Declared manifests never widen — a lying manifest keeps flagging.
-    pub(crate) fn observe_judged(
-        &self,
-        tenant: &str,
-        called: &BTreeSet<String>,
-        fell_back: bool,
-        learn_after: u64,
-    ) {
-        let mut inner = lock(&self.inner);
-        match inner.tenants.get_mut(tenant) {
-            Some(TenantState::Active {
-                source: ManifestSource::Learned,
-                spec,
-            }) => {
-                if !fell_back {
-                    return;
-                }
-                let mut union = spec.functions.clone();
-                union.extend(called.iter().cloned());
-                let spec = Self::pool_for(&mut inner, tenant, &union);
-                inner.tenants.insert(
-                    tenant.to_string(),
-                    TenantState::Active {
-                        source: ManifestSource::Learned,
-                        spec,
-                    },
-                );
-                inner.widened += 1;
-            }
-            Some(TenantState::Active { .. }) => {}
-            Some(TenantState::Learning { sessions, union }) => {
-                *sessions += 1;
-                union.extend(called.iter().cloned());
-                if *sessions >= learn_after {
-                    let union = union.clone();
-                    let spec = Self::pool_for(&mut inner, tenant, &union);
-                    inner.tenants.insert(
-                        tenant.to_string(),
-                        TenantState::Active {
-                            source: ManifestSource::Learned,
-                            spec,
-                        },
-                    );
-                    inner.learned += 1;
-                }
-            }
-            None => {
-                if learn_after == 0 {
-                    return;
-                }
-                let union = called.clone();
-                if learn_after == 1 {
-                    let spec = Self::pool_for(&mut inner, tenant, &union);
-                    inner.tenants.insert(
-                        tenant.to_string(),
-                        TenantState::Active {
-                            source: ManifestSource::Learned,
-                            spec,
-                        },
-                    );
-                    inner.learned += 1;
-                } else {
-                    inner.tenants.insert(
-                        tenant.to_string(),
-                        TenantState::Learning { sessions: 1, union },
-                    );
-                }
-            }
-        }
-    }
-
-    /// Current counters.
-    pub(crate) fn stats(&self) -> ManifestRegistryStats {
-        let inner = lock(&self.inner);
-        let mut manifested = 0u64;
-        let mut learning = 0u64;
-        for state in inner.tenants.values() {
-            match state {
-                TenantState::Active { .. } => manifested += 1,
-                TenantState::Learning { .. } => learning += 1,
-            }
-        }
-        ManifestRegistryStats {
-            manifested_tenants: manifested,
-            learning_tenants: learning,
-            specialized_pools: inner.pools.len() as u64,
-            declared: inner.declared,
-            learned: inner.learned,
-            widened: inner.widened,
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{Daemon, ServeConfig};
 
     #[test]
-    fn table3_manifest_compiles_a_smaller_pool() {
-        let spec = SpecializedPool::for_functions(
-            "table3-mix",
-            jinn_workloads::TABLE3_CALLED_FUNCTIONS.iter().copied(),
-        );
+    fn table3_manifest_audit_discharges_whole_machines() {
+        let functions: BTreeSet<String> = jinn_workloads::TABLE3_CALLED_FUNCTIONS
+            .iter()
+            .map(|f| f.to_string())
+            .collect();
+        let summary = ManifestSummary::audit("table3-mix", &functions, false);
         // Pinned by DISCHARGE_bench.json: monitor and critical-section
         // are fully inactive for this mix.
-        assert!(spec
-            .inactive_machines()
-            .iter()
-            .any(|m| m == "critical-section"));
-        assert!(spec.inactive_machines().iter().any(|m| m == "monitor"));
+        let inactive = &summary.inactive_machines;
+        assert!(inactive.iter().any(|m| m == "critical-section"));
+        assert!(inactive.iter().any(|m| m == "monitor"));
         assert_eq!(
-            spec.active_machines as usize + spec.inactive_machines().len(),
+            summary.active_machines as usize + inactive.len(),
             jinn_spec::machines().len()
         );
-        assert!(spec.discharged > 0);
-        assert!(spec.unknown_functions.is_empty());
-        // Admission: the manifest covers itself, not a superset.
-        let inside: BTreeSet<String> =
-            ["NewGlobalRef".to_string(), "DeleteGlobalRef".to_string()].into();
-        assert!(spec.covers(&inside));
-        let outside: BTreeSet<String> = ["MonitorEnter".to_string()].into();
-        assert!(!spec.covers(&outside));
-    }
-
-    #[test]
-    fn identical_manifests_share_one_pool() {
-        let registry = ManifestRegistry::default();
-        let a = registry.declare("a", &["NewGlobalRef".to_string()]);
-        let b = registry.declare("b", &["NewGlobalRef".to_string()]);
-        assert!(!a.replaced);
-        assert!(!b.replaced);
-        let stats = registry.stats();
-        assert_eq!(stats.manifested_tenants, 2);
-        assert_eq!(stats.specialized_pools, 1, "cache keyed by function set");
-        let pa = registry.specialized_for("a").unwrap();
-        let pb = registry.specialized_for("b").unwrap();
-        assert!(Arc::ptr_eq(&pa, &pb));
+        assert!(summary.discharged > 0);
+        assert!(summary.unknown_functions.is_empty());
     }
 
     #[test]
     fn redeclaration_replaces_and_unknown_functions_survive() {
-        let registry = ManifestRegistry::default();
-        let first = registry.declare("t", &["NewGlobalRef".to_string()]);
+        let daemon = Daemon::start(ServeConfig {
+            workers: 1,
+            ..ServeConfig::default()
+        });
+        let handle = daemon.handle();
+        let first = handle
+            .declare_manifest("t", &["NewGlobalRef".to_string()])
+            .expect("declare");
         assert!(!first.replaced);
-        let second = registry.declare(
-            "t",
-            &["NewGlobalRef".to_string(), "NotARealJniFn".to_string()],
-        );
+        let second = handle
+            .declare_manifest(
+                "t",
+                &["NewGlobalRef".to_string(), "NotARealJniFn".to_string()],
+            )
+            .expect("redeclare");
         assert!(second.replaced);
         assert_eq!(second.unknown_functions, vec!["NotARealJniFn".to_string()]);
-        assert_eq!(registry.stats().declared, 2);
-    }
-
-    #[test]
-    fn learning_window_promotes_after_k_sessions_and_widens_on_fallback() {
-        let registry = ManifestRegistry::default();
-        let s1: BTreeSet<String> = ["NewGlobalRef".to_string()].into();
-        let s2: BTreeSet<String> = ["DeleteGlobalRef".to_string()].into();
-        registry.observe_judged("t", &s1, false, 2);
-        assert!(registry.specialized_for("t").is_none(), "still learning");
-        registry.observe_judged("t", &s2, false, 2);
-        let learned = registry.specialized_for("t").expect("promoted");
-        assert!(learned.covers(&s1) && learned.covers(&s2));
-        assert_eq!(registry.stats().learned, 1);
-        // A fallback widens the learned manifest.
-        let s3: BTreeSet<String> = ["MonitorEnter".to_string()].into();
-        registry.observe_judged("t", &s3, true, 2);
-        let widened = registry.specialized_for("t").expect("still active");
-        assert!(widened.covers(&s3), "union grew");
-        assert_eq!(registry.stats().widened, 1);
-        // Declared manifests never widen.
-        registry.declare("d", &["NewGlobalRef".to_string()]);
-        registry.observe_judged("d", &s3, true, 2);
-        let declared = registry.specialized_for("d").expect("declared");
-        assert!(!declared.covers(&s3), "declared manifest stays as declared");
-    }
-
-    #[test]
-    fn learning_disabled_when_learn_after_is_zero() {
-        let registry = ManifestRegistry::default();
-        let s: BTreeSet<String> = ["NewGlobalRef".to_string()].into();
-        for _ in 0..5 {
-            registry.observe_judged("t", &s, false, 0);
-        }
-        assert!(registry.specialized_for("t").is_none());
-        assert_eq!(registry.stats().learning_tenants, 0);
+        assert_eq!(second.functions, 2);
+        daemon.shutdown();
     }
 }

@@ -142,12 +142,9 @@ pub struct SessionStats {
     pub obs: ObsCounters,
     /// The static-discharge audit, once judged (see [`DischargeStats`]).
     pub discharge: Option<DischargeStats>,
-    /// Whether the session's rollups ran on its tenant's
-    /// manifest-specialized pool.
-    pub specialized: bool,
-    /// Whether the trace called outside its tenant's manifest and was
-    /// re-judged on the full pool instead.
-    pub discharge_fallback: bool,
+    /// Whether the trace called a function outside its tenant's
+    /// declared manifest (the manifest audit's flag).
+    pub outside_manifest: bool,
     /// Why the session was quarantined or aborted, if it was.
     pub reason: Option<String>,
     /// Whether retention purged the session's history rows.
@@ -187,8 +184,7 @@ impl SessionStats {
                     .as_ref()
                     .map_or_else(|| "null".to_string(), DischargeStats::to_json),
             )
-            .bool("specialized", self.specialized)
-            .bool("discharge_fallback", self.discharge_fallback)
+            .bool("outside_manifest", self.outside_manifest)
             .opt_str("reason", self.reason.as_deref())
             .bool("history_purged", self.history_purged)
             .bool("streamed", self.streamed)

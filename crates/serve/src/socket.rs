@@ -231,7 +231,6 @@ fn handle_request(line: &str, handle: &DaemonHandle) -> String {
         "fleet" => {
             let f = handle.fleet();
             let p = handle.pool_stats();
-            let m = handle.manifest_stats();
             JsonObj::new()
                 .bool("ok", true)
                 .num("opened", f.opened)
@@ -244,16 +243,12 @@ fn handle_request(line: &str, handle: &DaemonHandle) -> String {
                 .num("purged_sessions", f.purged_sessions)
                 .num("total_verdicts", f.total_verdicts)
                 .num("total_events_replayed", f.total_events_replayed)
-                .num("specialized_sessions", f.specialized_sessions)
-                .num("fallback_sessions", f.fallback_sessions)
+                .num("outside_manifest_sessions", f.outside_manifest_sessions)
                 .num("streamed_sessions", f.streamed_sessions)
                 .num("buffered_bytes_high_water", f.buffered_bytes_high_water)
                 .num("pool_built", p.built)
                 .num("pool_leases", p.leases)
                 .num("pool_lease_high_water", p.lease_high_water)
-                .num("manifested_tenants", m.manifested_tenants)
-                .num("learning_tenants", m.learning_tenants)
-                .num("specialized_pools", m.specialized_pools)
                 .build()
         }
         "stats" => match get_u64(&req, "session").and_then(|id| handle.session_stats(id)) {

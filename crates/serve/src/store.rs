@@ -195,11 +195,9 @@ pub struct FleetStats {
     pub total_verdicts: u64,
     /// JNI calls re-issued across all judged sessions.
     pub total_events_replayed: u64,
-    /// Sessions whose rollups ran on a manifest-specialized pool.
-    pub specialized_sessions: u64,
-    /// Sessions of manifested tenants that called outside the manifest
-    /// and fell back to the full pool.
-    pub fallback_sessions: u64,
+    /// Judged sessions whose trace called outside their tenant's
+    /// declared manifest.
+    pub outside_manifest_sessions: u64,
     /// Sessions judged incrementally by a streaming judge.
     pub streamed_sessions: u64,
     /// Most un-judged ingest bytes simultaneously buffered across the
@@ -490,8 +488,7 @@ struct Session {
     program: Option<Box<str>>,
     obs: ObsCounters,
     discharge: Option<Discharge>,
-    specialized: bool,
-    discharge_fallback: bool,
+    outside_manifest: bool,
     reason: Option<Box<str>>,
     history: Option<Arc<History>>,
     history_purged: bool,
@@ -646,8 +643,7 @@ impl SessionTable {
                 program: None,
                 obs: ObsCounters::default(),
                 discharge: None,
-                specialized: false,
-                discharge_fallback: false,
+                outside_manifest: false,
                 reason: None,
                 history: None,
                 history_purged: false,
@@ -970,8 +966,7 @@ impl SessionTable {
         t.fleet.total_verdicts += hist.verdicts.len() as u64;
         t.fleet.total_events_replayed += out.events_replayed;
         t.fleet.judged += 1;
-        t.fleet.specialized_sessions += u64::from(out.specialized);
-        t.fleet.fallback_sessions += u64::from(out.discharge_fallback);
+        t.fleet.outside_manifest_sessions += u64::from(out.outside_manifest);
         t.fleet.streamed_sessions += u64::from(t.sessions.get(&id).is_some_and(|s| s.streamed));
         t.history_bytes += hist.bytes;
         let inactive_machines = t.intern(out.discharge.inactive_machines);
@@ -985,8 +980,7 @@ impl SessionTable {
             discharged: out.discharge.discharged,
             inactive_machines,
         });
-        s.specialized = out.specialized;
-        s.discharge_fallback = out.discharge_fallback;
+        s.outside_manifest = out.outside_manifest;
         s.events_replayed = out.events_replayed;
         s.divergences = out.divergences;
         s.summaries_dropped = out.events_dropped;
@@ -1096,8 +1090,7 @@ impl SessionTable {
                 discharged: d.discharged,
                 inactive_machines: d.inactive_machines.to_vec(),
             }),
-            specialized: s.specialized,
-            discharge_fallback: s.discharge_fallback,
+            outside_manifest: s.outside_manifest,
             reason: s.reason.as_deref().map(str::to_string),
             history_purged: s.history_purged,
             streamed: s.streamed,

@@ -12,7 +12,8 @@
 //! arrives the replay has (usually) kept pace, so seal-to-verdict work
 //! collapses to: verify the declared length/checksum against the
 //! scanner's running totals, drain whatever tail is left, and roll up
-//! the recorder's final ring — O(1) in the trace length.
+//! the recorder's final ring on an engine lease taken at seal, as the
+//! buffered judge does — O(1) in the trace length.
 //!
 //! ## Soundness
 //!
@@ -37,27 +38,25 @@
 //! the feed and fails the session with the buffered judge's `replay
 //! under … failed: …` reason.
 //!
-//! The manifest interplay is decided at seal, like the buffered path:
-//! a tenant's specialized pool serves the rollup only if it covers the
-//! (now complete) call-site set; otherwise the full-pool lease held
-//! since `Open` serves it and the session is flagged
-//! `discharge_fallback` — preserving verdict-multiset equality because
-//! the pool choice never affects verdicts.
+//! The manifest audit is decided at seal, like the buffered path: the
+//! session is flagged `outside_manifest` when its (now complete)
+//! call-site set leaves the tenant's declared manifest.
 
 use std::collections::BTreeSet;
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 
-use jinn_fsm::{AtomicEnginePool, AtomicStore, EngineLease};
+use jinn_fsm::AtomicEnginePool;
 use jinn_obs::Recorder;
 use jinn_replay::{
     run_live_replay, verify_seal_declaration, EventFeed, LiveFeeder, ReplayConfig, ReplayOutcome,
     StreamDecoder, Trace, TraceError, TraceRecord,
 };
 
-use crate::judge::{discharge_stats, obs_counters, rollup_events_on_lease, summarize, JudgeOutput};
-use crate::manifest::SpecializedPool;
-use crate::session::{OutcomeRec, SessionId, VerdictRec};
+use crate::judge::{
+    discharge_stats, obs_counters, outside_manifest, push_replay_rows, recorder_rows, JudgeOutput,
+};
+use crate::session::SessionId;
 
 /// One live-judged session: the scanner fed by the ingest connection
 /// and the executor thread replaying what it decodes.
@@ -77,28 +76,21 @@ struct StreamInner {
     setup: Trace,
     saw_event: bool,
     /// The call-site set, accumulated record-by-record during ingest for
-    /// seal-time pool selection and the discharge audit.
+    /// the seal-time manifest and discharge audits.
     called: BTreeSet<String>,
     executor: Option<JoinHandle<Result<ReplayOutcome, TraceError>>>,
     decode_error: Option<TraceError>,
     /// A structurally invalid event; feeding stopped at it.
     replay_error: Option<TraceError>,
-    /// Full-pool engine lease held `Open`→`Seal`. Reserves rollup
-    /// capacity for the live session (the pool's `lease_high_water`
-    /// tracks streaming concurrency) and serves the seal-time rollup
-    /// unless a covering specialized pool takes over.
-    lease: Option<EngineLease<u64, AtomicStore<u64>>>,
 }
 
 impl StreamingSession {
-    /// Starts the scanner and takes the session's engine lease. The
-    /// executor thread is spawned lazily at the first *event* record —
-    /// only then is the setup section known complete (a later setup
-    /// record is a decode error).
+    /// Starts the scanner. The executor thread is spawned lazily at the
+    /// first *event* record — only then is the setup section known
+    /// complete (a later setup record is a decode error).
     pub(crate) fn start(
         session: SessionId,
         config: ReplayConfig,
-        pool: &Arc<AtomicEnginePool<u64>>,
         recorder_ring: usize,
     ) -> StreamingSession {
         let feed = Arc::new(EventFeed::new());
@@ -116,7 +108,6 @@ impl StreamingSession {
                 executor: None,
                 decode_error: None,
                 replay_error: None,
-                lease: Some(pool.lease()),
             }),
         }
     }
@@ -231,8 +222,9 @@ impl StreamingSession {
     }
 
     /// Worker entry after `Seal`: joins the executor and publishes its
-    /// (no-longer-speculative) outcome. A trace that streamed no events
-    /// has no executor; its replay runs here, on the finished feed.
+    /// (no-longer-speculative) outcome through the buffered judge's row
+    /// helpers. A trace that streamed no events has no executor; its
+    /// replay runs here, on the finished feed.
     ///
     /// # Errors
     ///
@@ -240,7 +232,8 @@ impl StreamingSession {
     pub(crate) fn collect(
         &self,
         tenant: &str,
-        specialized: Option<&SpecializedPool>,
+        manifest: Option<&BTreeSet<String>>,
+        pool: &Arc<AtomicEnginePool<u64>>,
         max_events: usize,
     ) -> Result<JudgeOutput, String> {
         let mut g = self.lock();
@@ -257,85 +250,24 @@ impl StreamingSession {
                 run_live_replay(&g.setup, &self.config, Some(&self.recorder), &self.feed)
             }
         };
-        let out = replayed.map_err(|e| format!("replay under {label} failed: {e}"))?;
-        Ok(self.assemble(&mut g, out, tenant, specialized, max_events))
-    }
-
-    /// Publishes the live outcome: per-config rows from the executor,
-    /// summaries and rollups from the recorder's final ring (on the
-    /// held lease, or a covering specialized pool's), audit rows from
-    /// the call-site set and the setup section — field-for-field what
-    /// the buffered judge produces.
-    fn assemble(
-        &self,
-        g: &mut StreamInner,
-        out: ReplayOutcome,
-        tenant: &str,
-        specialized: Option<&SpecializedPool>,
-        max_events: usize,
-    ) -> JudgeOutput {
-        let session = self.session;
-        let called_functions = std::mem::take(&mut g.called);
-        let setup = &g.setup;
-        let (specialized_hit, discharge_fallback) = match specialized {
-            Some(sp) if sp.covers(&called_functions) => (true, false),
-            Some(_) => (false, true),
-            None => (false, false),
-        };
-        let all = self.recorder.events();
-        let rollups = if specialized_hit {
-            let sp = specialized.expect("specialized_hit implies a pool");
-            let mut lease = sp.pool().lease();
-            rollup_events_on_lease(&mut lease, &all)
-        } else {
-            let mut lease = g.lease.take().expect("lease held until collection");
-            rollup_events_on_lease(&mut lease, &all)
-        };
-        let mut events_dropped = self.recorder.dropped_events();
-        let skip = all.len().saturating_sub(max_events);
-        events_dropped += skip as u64;
-        let events = all
-            .iter()
-            .skip(skip)
-            .map(|e| summarize(session, e))
-            .collect();
-        let config_label = self.config.label();
-        let verdicts = out
-            .violations
-            .iter()
-            .map(|v| VerdictRec {
-                session,
-                tenant: tenant.to_string(),
-                config: config_label.clone(),
-                machine: v.machine.to_string(),
-                error_state: v.error_state.to_string(),
-                function: v.function.clone(),
-                message: v.message.clone(),
-            })
-            .collect();
-        let outcomes = vec![OutcomeRec {
-            session,
-            config: config_label,
-            behavior: out.behavior.to_string(),
-            message: out.message.clone(),
-            events_replayed: out.events_replayed,
-            divergences: out.divergences,
-        }];
-        JudgeOutput {
-            program: setup.program().to_string(),
-            outcomes,
-            verdicts,
+        let outcome = replayed.map_err(|e| format!("replay under {label} failed: {e}"))?;
+        let (events, events_dropped, rollups) =
+            recorder_rows(self.session, &self.recorder, pool, max_events);
+        let mut out = JudgeOutput {
+            program: g.setup.program().to_string(),
+            outcomes: Vec::with_capacity(1),
+            verdicts: Vec::new(),
             events,
             events_dropped,
             rollups,
-            obs: obs_counters(setup),
-            discharge: discharge_stats(setup.program(), &called_functions),
-            events_replayed: out.events_replayed,
-            divergences: out.divergences,
-            called_functions,
-            specialized: specialized_hit,
-            discharge_fallback,
-        }
+            obs: obs_counters(&g.setup),
+            discharge: discharge_stats(g.setup.program(), &g.called),
+            events_replayed: 0,
+            divergences: 0,
+            outside_manifest: outside_manifest(manifest, &g.called),
+        };
+        push_replay_rows(self.session, tenant, &self.config, &outcome, &mut out);
+        Ok(out)
     }
 
     /// Tears the session down without publishing anything: quarantine,
@@ -348,6 +280,5 @@ impl StreamingSession {
         if let Some(h) = g.executor.take() {
             let _ = h.join();
         }
-        g.lease = None;
     }
 }

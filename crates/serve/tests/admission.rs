@@ -31,9 +31,7 @@ fn dummy_output() -> JudgeOutput {
         discharge: DischargeStats::default(),
         events_replayed: 1,
         divergences: 0,
-        called_functions: Default::default(),
-        specialized: false,
-        discharge_fallback: false,
+        outside_manifest: false,
     }
 }
 

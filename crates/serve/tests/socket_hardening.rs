@@ -126,7 +126,8 @@ fn query_thread_filter_rejects_out_of_range_values() {
 /// The full manifest round trip over one ingest connection: a
 /// declaration with a misspelled function is acked (not failed) with
 /// the unknown name surfaced, a re-declaration reports `replaced`, and
-/// a manifest-covered session's seal ack carries `specialized`.
+/// a session inside the manifest is judged unflagged while one outside
+/// it is flagged `outside_manifest`.
 #[test]
 fn manifest_frames_ack_with_discharge_summaries() {
     let daemon = Daemon::start(ServeConfig::default());
@@ -174,30 +175,43 @@ fn manifest_frames_ack_with_discharge_summaries() {
     );
     assert!(ack2.contains("\"unknown_functions\":[]"), "{ack2}");
 
-    // A covered session for the tenant is judged on the specialized
-    // pool — visible in the seal ack's stats.
-    c.write_all(&encode_frame(&Frame::Open {
-        session: 3,
-        tenant: "acme".to_string(),
-        config: "jinn".to_string(),
-    }))
-    .expect("open");
-    c.write_all(&encode_frame(&Frame::Append {
-        session: 3,
-        chunk: bytes.clone(),
-    }))
-    .expect("append");
-    c.write_all(&encode_frame(&Frame::Seal {
-        session: 3,
-        total_len: bytes.len() as u64,
-        checksum: fnv1a(&bytes),
-    }))
-    .expect("seal");
-    c.flush().expect("flush");
-    let sealed = read_line(&mut reader);
+    // A session inside the declared manifest is judged unflagged; once
+    // the manifest is narrowed below the trace's call sites, the same
+    // trace is judged again and flagged — visible in the seal acks.
+    let mut seal_session = |session: u64| {
+        for frame in [
+            Frame::Open {
+                session,
+                tenant: "acme".to_string(),
+                config: "jinn".to_string(),
+            },
+            Frame::Append {
+                session,
+                chunk: bytes.clone(),
+            },
+            Frame::Seal {
+                session,
+                total_len: bytes.len() as u64,
+                checksum: fnv1a(&bytes),
+            },
+        ] {
+            c.write_all(&encode_frame(&frame)).expect("frame");
+        }
+        c.flush().expect("flush");
+        read_line(&mut reader)
+    };
+    let sealed = seal_session(3);
     assert!(sealed.contains("\"state\":\"judged\""), "{sealed}");
-    assert!(sealed.contains("\"specialized\":true"), "{sealed}");
-    assert!(sealed.contains("\"discharge_fallback\":false"), "{sealed}");
+    assert!(sealed.contains("\"outside_manifest\":false"), "{sealed}");
+
+    let narrowed = daemon
+        .handle()
+        .declare_manifest("acme", &["GetVersion".to_string()])
+        .expect("narrow manifest");
+    assert!(narrowed.replaced);
+    let flagged = seal_session(4);
+    assert!(flagged.contains("\"state\":\"judged\""), "{flagged}");
+    assert!(flagged.contains("\"outside_manifest\":true"), "{flagged}");
 
     server.shutdown();
     daemon.shutdown();

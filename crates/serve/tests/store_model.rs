@@ -316,8 +316,7 @@ impl Model {
         self.fleet.total_verdicts += out.verdicts.len() as u64;
         self.fleet.total_events_replayed += out.events_replayed;
         self.fleet.judged += 1;
-        self.fleet.specialized_sessions += u64::from(out.specialized);
-        self.fleet.fallback_sessions += u64::from(out.discharge_fallback);
+        self.fleet.outside_manifest_sessions += u64::from(out.outside_manifest);
         self.history_bytes += bytes;
         let s = self.sessions.get_mut(&id).expect("judging");
         s.state = SessionState::Judged;
@@ -394,8 +393,7 @@ impl Model {
             summaries_dropped: out.map_or(0, |o| o.events_dropped),
             obs: out.map_or(ObsCounters::default(), |o| o.obs),
             discharge: out.map(|o| o.discharge.clone()),
-            specialized: out.is_some_and(|o| o.specialized),
-            discharge_fallback: out.is_some_and(|o| o.discharge_fallback),
+            outside_manifest: out.is_some_and(|o| o.outside_manifest),
             reason: s.reason.clone(),
             history_purged: s.history_purged,
             streamed: false,
@@ -559,9 +557,7 @@ fn judge_output(rng: &mut Rng, id: u64, tenant: &str) -> JudgeOutput {
         },
         events_replayed: rng.below(100),
         divergences: rng.below(2),
-        called_functions: Default::default(),
-        specialized: rng.below(3) == 0,
-        discharge_fallback: rng.below(5) == 0,
+        outside_manifest: rng.below(5) == 0,
     }
 }
 

@@ -257,28 +257,27 @@ fn fleet_of_64_sessions_matches_single_process_replay() {
     daemon.shutdown();
 }
 
-/// Tentpole equivalence pin: a daemon serving manifested tenants from
-/// specialized (discharged) pools must produce verdict multisets
-/// identical to a plain full-pool daemon, across the whole corpus —
-/// both for an honest manifest (every session specialized) and for a
-/// deliberately lying one (every session falls back, is flagged, and
-/// loses no verdicts).
+/// Manifest-audit pin: declaring a manifest changes no verdict and no
+/// rollup. One daemon judges the whole corpus for a tenant that
+/// declared nothing, one whose manifest covers every trace, and one
+/// whose manifest covers almost nothing. All three get the local
+/// replay's verdict multisets and identical rollups per trace, and only
+/// the lying tenant's sessions are flagged `outside_manifest`.
 #[test]
-fn specialized_pool_daemon_matches_full_pool_daemon_across_corpus() {
+fn declared_manifests_flag_without_changing_verdicts_across_corpus() {
+    const HONEST: u64 = 1000;
+    const LIAR: u64 = 2000;
     let names = corpus_names();
     assert!(names.len() >= 20, "corpus spans at least 20 traces");
     let traces: Vec<(String, Vec<u8>)> =
         names.iter().map(|n| (n.clone(), corpus_bytes(n))).collect();
 
-    let full = Daemon::start(ServeConfig::default());
-    let spec = Daemon::start(ServeConfig::default());
-    let full_handle = full.handle();
-    let spec_handle = spec.handle();
+    let daemon = Daemon::start(ServeConfig::default());
+    let handle = daemon.handle();
 
-    // The honest manifest: the union of every corpus trace's own
-    // call-site set, so every session is admitted to the specialized
-    // pool. The lying manifest claims a workload that calls almost
-    // nothing — every real trace must fall back.
+    // The honest manifest is the union of every corpus trace's own
+    // call-site set; the lying one claims a workload that calls almost
+    // nothing, so every real trace leaves it.
     let mut union = std::collections::BTreeSet::new();
     for (_, bytes) in &traces {
         union.extend(
@@ -288,110 +287,60 @@ fn specialized_pool_daemon_matches_full_pool_daemon_across_corpus() {
         );
     }
     let honest: Vec<String> = union.into_iter().collect();
-    let summary = spec_handle
+    let summary = handle
         .declare_manifest("honest", &honest)
         .expect("declare honest manifest");
     assert!(summary.discharged > 0, "discharge pass elides something");
-    spec_handle
+    handle
         .declare_manifest("liar", &["IsSameObject".to_string()])
         .expect("declare lying manifest");
 
-    let liar_base = 1000u64;
     for (i, (_, bytes)) in traces.iter().enumerate() {
         let i = i as u64;
-        for frame in decode_stream(&encode_ingest(i, "plain", "jinn", bytes, 4096)).unwrap() {
-            full_handle.apply_frame(&frame).expect("full ingest");
-        }
-        for frame in decode_stream(&encode_ingest(i, "honest", "jinn", bytes, 4096)).unwrap() {
-            spec_handle.apply_frame(&frame).expect("honest ingest");
-        }
-        let stream = encode_ingest(liar_base + i, "liar", "jinn", bytes, 4096);
-        for frame in decode_stream(&stream).unwrap() {
-            spec_handle.apply_frame(&frame).expect("liar ingest");
+        for (id, tenant) in [(i, "plain"), (HONEST + i, "honest"), (LIAR + i, "liar")] {
+            for frame in decode_stream(&encode_ingest(id, tenant, "jinn", bytes, 4096)).unwrap() {
+                handle.apply_frame(&frame).expect("ingest");
+            }
         }
     }
-    full_handle.wait_idle();
-    spec_handle.wait_idle();
+    handle.wait_idle();
 
-    for (i, (name, _)) in traces.iter().enumerate() {
+    let config = ReplayConfig::parse("jinn").unwrap();
+    let mut rolled_up = 0;
+    for (i, (name, bytes)) in traces.iter().enumerate() {
         let i = i as u64;
-        let baseline = served_multiset(&full_handle, i);
-        let honest_set = served_multiset(&spec_handle, i);
-        let liar_set = served_multiset(&spec_handle, liar_base + i);
-        assert_eq!(
-            honest_set, baseline,
-            "{name}: specialized-pool verdicts diverge from the full pool"
-        );
-        assert_eq!(
-            liar_set, baseline,
-            "{name}: fallback re-judging lost verdicts"
-        );
-
-        let hs = spec_handle.session_stats(i).expect("honest stats");
-        assert_eq!(hs.state, SessionState::Judged, "{name}: {:?}", hs.reason);
-        assert!(hs.specialized, "{name}: honest session not specialized");
-        assert!(!hs.discharge_fallback);
-        let ls = spec_handle
-            .session_stats(liar_base + i)
-            .expect("liar stats");
-        assert!(
-            !ls.specialized && ls.discharge_fallback,
-            "{name}: lying manifest must be flagged, not served specialized"
-        );
-    }
-
-    let fleet = spec_handle.fleet();
-    assert_eq!(fleet.specialized_sessions, traces.len() as u64);
-    assert_eq!(fleet.fallback_sessions, traces.len() as u64);
-    assert_eq!(full_handle.fleet().specialized_sessions, 0);
-
-    spec.shutdown();
-    full.shutdown();
-}
-
-/// With `learn_after_sessions` set, a tenant that never declares a
-/// manifest earns one from the union of its first K sessions — and a
-/// later out-of-manifest trace falls back once, widens the learned
-/// manifest, and is served specialized from then on.
-#[test]
-fn undeclared_tenants_learn_a_manifest_and_widen_on_fallback() {
-    let daemon = Daemon::start(ServeConfig {
-        learn_after_sessions: 2,
-        ..ServeConfig::default()
-    });
-    let handle = daemon.handle();
-    let narrow = corpus_bytes("LocalRefDangling");
-    let wider = corpus_bytes("MonitorLeak");
-    assert!(
-        !Trace::parse(&wider)
-            .unwrap()
-            .called_functions()
-            .is_subset(&Trace::parse(&narrow).unwrap().called_functions()),
-        "test needs a trace outside the learned set"
-    );
-
-    let ingest = |id: u64, bytes: &[u8]| {
-        for frame in decode_stream(&encode_ingest(id, "learner", "jinn", bytes, 4096)).unwrap() {
-            handle.apply_frame(&frame).expect("ingest");
+        let local = local_multiset(bytes, &config);
+        let rollups = handle.rollups(i);
+        rolled_up += usize::from(!rollups.is_empty());
+        for (id, flagged) in [(i, false), (HONEST + i, false), (LIAR + i, true)] {
+            let stats = handle.session_stats(id).expect("stats");
+            assert_eq!(
+                stats.state,
+                SessionState::Judged,
+                "{name}: {:?}",
+                stats.reason
+            );
+            assert_eq!(
+                served_multiset(&handle, id),
+                local,
+                "{name} session {id}: a manifest changed the verdicts"
+            );
+            assert_eq!(
+                handle.rollups(id),
+                rollups,
+                "{name} session {id}: a manifest changed the rollups"
+            );
+            assert_eq!(
+                stats.outside_manifest, flagged,
+                "{name} session {id}: only the lying tenant is flagged"
+            );
         }
-        handle.wait_session(id).expect("session exists")
-    };
-
-    // Sessions 1 and 2 fill the learning window: neither is specialized.
-    assert!(!ingest(1, &narrow).specialized);
-    assert!(!ingest(2, &narrow).specialized);
-    // Session 3 matches the learned union and is specialized.
-    let s3 = ingest(3, &narrow);
-    assert!(s3.specialized && !s3.discharge_fallback);
-    // Session 4 calls outside it: flagged fallback, verdicts intact...
-    let s4 = ingest(4, &wider);
-    assert!(!s4.specialized && s4.discharge_fallback);
-    let local = local_multiset(&wider, &ReplayConfig::parse("jinn").unwrap());
-    assert_eq!(served_multiset(&handle, 4), local, "fallback lost verdicts");
-    // ...and the learned manifest widened, so session 5 is specialized.
-    let s5 = ingest(5, &wider);
-    assert!(s5.specialized && !s5.discharge_fallback);
-    assert_eq!(served_multiset(&handle, 5), local);
+    }
+    assert!(rolled_up > traces.len() / 2, "most traces roll up");
+    assert_eq!(
+        handle.fleet().outside_manifest_sessions,
+        traces.len() as u64
+    );
 
     daemon.shutdown();
 }
@@ -401,7 +350,7 @@ fn undeclared_tenants_learn_a_manifest_and_widen_on_fallback() {
 /// observationally identical to a buffered daemon fed the *same frame
 /// sequences* — same verdict multisets across the full corpus, same
 /// quarantine reasons for seal-mismatch and unreadable-trace input, same
-/// abort handling, and same discharge-fallback flagging for a lying
+/// abort handling, and the same `outside_manifest` flag for a lying
 /// manifest — while actually streaming (`stats.streamed`,
 /// `fleet.streamed_sessions`) and holding far fewer bytes resident
 /// (`buffered_bytes_high_water`).
@@ -550,13 +499,11 @@ fn streaming_daemon_matches_buffered_daemon_across_corpus() {
                     assert!(!b.streamed);
                     assert!(s.seal_to_verdict_micros.is_some());
                     assert!(s.first_frame_micros.is_some());
-                    if base == LIAR {
-                        assert!(
-                            !s.specialized && s.discharge_fallback,
-                            "{name}: streamed lying-manifest session must fall back"
-                        );
-                        assert!(!b.specialized && b.discharge_fallback);
-                    }
+                    assert_eq!(
+                        (s.outside_manifest, b.outside_manifest),
+                        (base == LIAR, base == LIAR),
+                        "{name} session {id}: only LIAR sessions are flagged, on both paths"
+                    );
                 }
                 CORRUPT => {
                     assert_eq!(s.state, SessionState::Quarantined);
@@ -690,7 +637,7 @@ fn open_activation_at_end_of_trace_judges_identically_on_both_paths() {
         sh.session_stats(9).expect("stats").streamed,
         "the session took the streaming path"
     );
-    // The engine lease taken at `Open` served the rollup: no second
+    // One engine lease, taken at seal, served the rollup: no second
     // judge ran beside the live one.
     assert_eq!(sh.pool_stats().leases, 1, "{:?}", sh.pool_stats());
     streaming.shutdown();

@@ -1,6 +1,6 @@
 //! Measures the cost of the observability recorder on a JNI-heavy
 //! workload: recorder disabled (the production default) vs recorder
-//! enabled with the default ring and the full trace policy.
+//! enabled with the default ring.
 //!
 //! ```text
 //! cargo run --release -p jinn-bench --bin obs_overhead
@@ -79,7 +79,6 @@ fn main() {
     println!("  \"trials\": {trials},");
     println!("  \"warmup_trials_excluded\": {warmup},");
     println!("  \"ring_capacity\": {DEFAULT_RING_CAPACITY},");
-    println!("  \"trace_policy\": \"full (every label traced, latency timers on)\",");
     println!("  \"recorder_disabled_nanos\": [{}],", list(&disabled));
     println!("  \"recorder_enabled_nanos\": [{}],", list(&enabled));
     println!("  \"median_disabled_nanos\": {med_off},");

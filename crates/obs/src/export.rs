@@ -9,7 +9,7 @@
 use std::fmt::Write as _;
 
 use crate::event::{EventKind, TraceEvent, NO_THREAD};
-use crate::metrics::{Coverage, Snapshot};
+use crate::metrics::Snapshot;
 
 /// Escapes `s` as the body of a JSON string literal.
 fn escape_json(s: &str, out: &mut String) {
@@ -69,52 +69,17 @@ fn push_event(out: &mut String, event: &TraceEvent, name: &str, cat: &str, ph: c
     out.push_str("},");
 }
 
-/// Renders events as Chrome Trace Event Format JSON.
-pub fn chrome_trace(events: &[TraceEvent]) -> String {
-    chrome_trace_with_drops(events, 0)
-}
-
 /// Renders events as Chrome Trace Event Format JSON, prefixed with a
-/// `dropped-events` instant when the source ring evicted events — so a
-/// truncated trace is visibly truncated in the timeline.
-pub fn chrome_trace_with_drops(events: &[TraceEvent], dropped: u64) -> String {
-    chrome_trace_with_coverage(
-        events,
-        Coverage {
-            ring_dropped: dropped,
-            ..Coverage::default()
-        },
-    )
-}
-
-/// Renders events as Chrome Trace Event Format JSON with full coverage
-/// metadata: a `dropped-events` instant when the ring evicted events,
-/// and a `trace-sampling` instant whenever the trace policy suppressed
-/// events — a sampled timeline is never presented as complete. With
-/// default (complete) coverage the output is byte-identical to
-/// [`chrome_trace`].
-pub fn chrome_trace_with_coverage(events: &[TraceEvent], coverage: Coverage) -> String {
+/// `dropped-events` instant when the source ring evicted `dropped`
+/// events — so a truncated trace is visibly truncated in the timeline.
+pub fn chrome_trace(events: &[TraceEvent], dropped: u64) -> String {
     let mut out = String::with_capacity(events.len() * 96 + 64);
     out.push_str("{\"displayTimeUnit\":\"ms\",\"traceEvents\":[");
-    if coverage.ring_dropped > 0 {
+    if dropped > 0 {
         let _ = write!(
             out,
             "{{\"name\":\"dropped-events\",\"cat\":\"meta\",\"ph\":\"i\",\"ts\":0,\
-             \"pid\":1,\"tid\":9999,\"s\":\"t\",\"args\":{{\"dropped\":{}}}}},",
-            coverage.ring_dropped
-        );
-    }
-    if coverage.sampled() {
-        let _ = write!(
-            out,
-            "{{\"name\":\"trace-sampling\",\"cat\":\"meta\",\"ph\":\"i\",\"ts\":0,\
-             \"pid\":1,\"tid\":9999,\"s\":\"t\",\"args\":{{\"sampled\":true,\
-             \"suppressed_sampled\":{},\"auto_downsampled\":{},\"suppressed_disabled\":{},\
-             \"policy_epoch\":{}}}}},",
-            coverage.suppressed_sampled,
-            coverage.auto_downsampled,
-            coverage.suppressed_disabled,
-            coverage.policy_epoch
+             \"pid\":1,\"tid\":9999,\"s\":\"t\",\"args\":{{\"dropped\":{dropped}}}}},"
         );
     }
     for event in events {
@@ -190,45 +155,14 @@ pub fn chrome_trace_with_coverage(events: &[TraceEvent], coverage: Coverage) -> 
     out
 }
 
-/// Renders events and a metrics snapshot as plain text.
-pub fn text_dump(events: &[TraceEvent], snapshot: &Snapshot) -> String {
-    text_dump_with_drops(events, snapshot, 0)
-}
-
 /// Renders events and a metrics snapshot as plain text, annotating the
-/// header with the number of evicted (dropped) events when non-zero.
-pub fn text_dump_with_drops(events: &[TraceEvent], snapshot: &Snapshot, dropped: u64) -> String {
-    text_dump_with_coverage(
-        events,
-        snapshot,
-        Coverage {
-            ring_dropped: dropped,
-            ..Coverage::default()
-        },
-    )
-}
-
-/// Renders events and a metrics snapshot as plain text with full
-/// coverage accounting in the header: evicted events and, when the
-/// policy suppressed anything, an explicit `SAMPLED` marker. With
-/// default (complete) coverage the output is byte-identical to
-/// [`text_dump`].
-pub fn text_dump_with_coverage(
-    events: &[TraceEvent],
-    snapshot: &Snapshot,
-    coverage: Coverage,
-) -> String {
+/// header with the snapshot's evicted (dropped) event count when
+/// non-zero.
+pub fn text_dump(events: &[TraceEvent], snapshot: &Snapshot) -> String {
     let mut out = String::new();
     let _ = write!(out, "trace ({} events held", events.len());
-    if coverage.ring_dropped > 0 {
-        let _ = write!(out, ", {} dropped", coverage.ring_dropped);
-    }
-    if coverage.sampled() {
-        let _ = write!(
-            out,
-            ", {} suppressed by policy, SAMPLED",
-            coverage.suppressed_total()
-        );
+    if snapshot.coverage.ring_dropped > 0 {
+        let _ = write!(out, ", {} dropped", snapshot.coverage.ring_dropped);
     }
     let _ = writeln!(out, "):");
     for event in events {
@@ -243,7 +177,7 @@ pub fn text_dump_with_coverage(
 mod tests {
     use super::*;
     use crate::event::{EntityTag, FsmOutcome, VerdictAction};
-    use crate::metrics::MetricsRegistry;
+    use crate::metrics::{Coverage, MetricsRegistry};
     use std::sync::Arc;
 
     fn ev(seq: u64, thread: u16, kind: EventKind) -> TraceEvent {
@@ -265,7 +199,7 @@ mod tests {
     #[test]
     fn empty_trace_is_valid_json() {
         assert_eq!(
-            chrome_trace(&[]),
+            chrome_trace(&[], 0),
             "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[]}"
         );
     }
@@ -323,7 +257,7 @@ mod tests {
             "\"args\":{\"live\":7,\"freed\":3}}",
             "]}"
         );
-        assert_eq!(chrome_trace(&events), expected);
+        assert_eq!(chrome_trace(&events, 0), expected);
     }
 
     #[test]
@@ -357,73 +291,30 @@ mod tests {
                 func: "NewStringUTF".into(),
             },
         )];
-        let json = chrome_trace_with_drops(&events, 42);
-        assert!(json.starts_with(concat!(
-            "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[",
+        // The instant leads the timeline; the rest is the zero-drop
+        // rendering, unchanged.
+        let instant = concat!(
             "{\"name\":\"dropped-events\",\"cat\":\"meta\",\"ph\":\"i\",\"ts\":0,",
             "\"pid\":1,\"tid\":9999,\"s\":\"t\",\"args\":{\"dropped\":42}},"
-        )));
-        // Zero drops must render byte-identically to the plain exporter.
-        assert_eq!(chrome_trace_with_drops(&events, 0), chrome_trace(&events));
+        );
+        let plain = chrome_trace(&events, 0);
+        let (head, tail) = plain.split_at("{\"displayTimeUnit\":\"ms\",\"traceEvents\":[".len());
+        assert_eq!(chrome_trace(&events, 42), format!("{head}{instant}{tail}"));
 
-        let snapshot = Snapshot {
+        let snapshot = |ring_dropped| Snapshot {
             taken_at_micros: 5,
             metrics: MetricsRegistry::new(),
-            coverage: Coverage::default(),
-        };
-        let text = text_dump_with_drops(&events, &snapshot, 42);
-        assert!(text.contains("trace (1 events held, 42 dropped):"));
-        assert_eq!(
-            text_dump_with_drops(&events, &snapshot, 0),
-            text_dump(&events, &snapshot)
-        );
-    }
-
-    #[test]
-    fn sampling_is_flagged_in_both_exporters() {
-        let events = vec![ev(
-            3,
-            1,
-            EventKind::JniEnter {
-                func: "NewStringUTF".into(),
+            coverage: Coverage {
+                recorded: 43,
+                ring_dropped,
             },
-        )];
-        let coverage = Coverage {
-            recorded: 1,
-            suppressed_sampled: 7,
-            auto_downsampled: 2,
-            policy_epoch: 3,
-            ..Coverage::default()
         };
-        let json = chrome_trace_with_coverage(&events, coverage);
+        let text = text_dump(&events, &snapshot(42));
         assert!(
-            json.contains(concat!(
-                "{\"name\":\"trace-sampling\",\"cat\":\"meta\",\"ph\":\"i\",\"ts\":0,",
-                "\"pid\":1,\"tid\":9999,\"s\":\"t\",\"args\":{\"sampled\":true,",
-                "\"suppressed_sampled\":7,\"auto_downsampled\":2,\"suppressed_disabled\":0,",
-                "\"policy_epoch\":3}},"
-            )),
-            "{json}"
-        );
-        // Complete coverage renders byte-identically to the plain form.
-        assert_eq!(
-            chrome_trace_with_coverage(&events, Coverage::default()),
-            chrome_trace(&events)
-        );
-
-        let snapshot = Snapshot {
-            taken_at_micros: 5,
-            metrics: MetricsRegistry::new(),
-            coverage,
-        };
-        let text = text_dump_with_coverage(&events, &snapshot, coverage);
-        assert!(
-            text.contains("trace (1 events held, 9 suppressed by policy, SAMPLED):"),
+            text.contains("trace (1 events held, 42 dropped):"),
             "{text}"
         );
-        assert_eq!(
-            text_dump_with_coverage(&events, &snapshot, Coverage::default()),
-            text_dump(&events, &snapshot)
-        );
+        let text = text_dump(&events, &snapshot(0));
+        assert!(text.contains("trace (1 events held):"), "{text}");
     }
 }

@@ -10,9 +10,6 @@
 //!   paper's Figure 2 arrows), FSM transition, GC event, pin event, and
 //!   checker verdict — a wait-free record path cheap enough to leave on
 //!   in production;
-//! * [`policy`] — a runtime-swappable [`TracePolicy`]: per-function /
-//!   per-machine enable, disable, and 1-in-N sampling, with hot labels
-//!   auto-downsampled and all suppression flagged in exports;
 //! * [`metrics`] — monotonic counters and log₂-bucketed latency
 //!   histograms keyed per JNI function and per state machine, with a
 //!   cheap [`Snapshot`];
@@ -36,17 +33,13 @@ pub mod event;
 pub mod export;
 pub mod forensics;
 pub mod metrics;
-pub mod policy;
 pub mod raw;
 pub mod recorder;
-pub mod ring;
 pub mod spsc;
 
 pub use event::{EntityTag, EventKind, FsmOutcome, TraceEvent, VerdictAction};
 pub use forensics::{BugReport, ForensicsConfig};
 pub use metrics::{Coverage, Histogram, MetricsRegistry, Snapshot};
-pub use policy::TracePolicy;
 pub use raw::{LabelId, RawEvent};
 pub use recorder::{Recorder, DEFAULT_RING_CAPACITY, MAX_WRITERS};
-pub use ring::TraceRing;
 pub use spsc::SpscRing;

@@ -290,46 +290,16 @@ impl MetricsRegistry {
 
 /// How complete the trace ring's view of the workload is.
 ///
-/// `recorded` counts events that reached a ring; the `suppressed_*`
-/// fields count events the [`TracePolicy`](crate::TracePolicy) kept out
-/// of the ring (metrics and verdicts still saw them); `ring_dropped`
-/// counts recorded events later evicted by wraparound. Downstream
-/// consumers must treat a timeline with [`sampled`](Coverage::sampled)
-/// set as partial.
+/// `recorded` counts events that reached a ring; `ring_dropped` counts
+/// recorded events later evicted by wraparound. Every event is
+/// recorded, so a timeline is complete exactly when nothing was
+/// evicted.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct Coverage {
     /// Events written into the trace rings (including later-evicted).
     pub recorded: u64,
     /// Recorded events since evicted by ring wraparound.
     pub ring_dropped: u64,
-    /// Events suppressed because their label's rate was 0 (disabled).
-    pub suppressed_disabled: u64,
-    /// Events suppressed by 1-in-N sampling.
-    pub suppressed_sampled: u64,
-    /// Events suppressed by hot-label auto-downsampling.
-    pub auto_downsampled: u64,
-    /// The policy epoch at snapshot time (bumped by every
-    /// [`set_policy`](crate::Recorder::set_policy)).
-    pub policy_epoch: u64,
-}
-
-impl Coverage {
-    /// True when the policy suppressed at least one event: the timeline
-    /// is an explicit sample, not a complete record.
-    pub fn sampled(&self) -> bool {
-        self.suppressed_disabled > 0 || self.suppressed_sampled > 0 || self.auto_downsampled > 0
-    }
-
-    /// Total events the policy kept out of the ring.
-    pub fn suppressed_total(&self) -> u64 {
-        self.suppressed_disabled + self.suppressed_sampled + self.auto_downsampled
-    }
-
-    /// True when every observed event is still in the ring: nothing
-    /// sampled out, nothing evicted.
-    pub fn complete(&self) -> bool {
-        !self.sampled() && self.ring_dropped == 0
-    }
 }
 
 /// A point-in-time copy of the registry, taken by [`crate::Recorder::snapshot`].
@@ -339,7 +309,7 @@ pub struct Snapshot {
     pub taken_at_micros: u64,
     /// The copied registry.
     pub metrics: MetricsRegistry,
-    /// Trace-ring coverage accounting, including the sampling flag.
+    /// Trace-ring coverage accounting.
     pub coverage: Coverage,
 }
 
@@ -391,18 +361,10 @@ impl Snapshot {
         for (name, value) in self.metrics.counters() {
             let _ = writeln!(out, "  {name:<42} {value:>9}");
         }
-        let c = &self.coverage;
         let _ = writeln!(
             out,
-            "\ntrace coverage{}: {} recorded, {} ring-dropped, {} sampled-out, \
-             {} auto-downsampled, {} disabled-out (policy epoch {})",
-            if c.sampled() { " [SAMPLED]" } else { "" },
-            c.recorded,
-            c.ring_dropped,
-            c.suppressed_sampled,
-            c.auto_downsampled,
-            c.suppressed_disabled,
-            c.policy_epoch,
+            "\ntrace coverage: {} recorded, {} ring-dropped",
+            self.coverage.recorded, self.coverage.ring_dropped,
         );
         out
     }
@@ -514,22 +476,20 @@ mod tests {
         assert!(text.contains("checks.pre"));
         assert!(text.contains("+42us"));
         assert!(text.contains("trace coverage:"), "{text}");
-        assert!(!text.contains("[SAMPLED]"), "{text}");
     }
 
     #[test]
-    fn sampled_coverage_is_flagged_in_renders() {
+    fn ring_drops_are_counted_in_renders() {
         let snap = Snapshot {
             taken_at_micros: 1,
             metrics: MetricsRegistry::new(),
             coverage: Coverage {
                 recorded: 10,
-                suppressed_sampled: 5,
-                ..Coverage::default()
+                ring_dropped: 3,
             },
         };
-        assert!(snap.coverage.sampled());
-        assert!(!snap.coverage.complete());
-        assert!(snap.render().contains("trace coverage [SAMPLED]"));
+        assert!(snap
+            .render()
+            .contains("trace coverage: 10 recorded, 3 ring-dropped"));
     }
 }

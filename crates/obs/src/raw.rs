@@ -17,11 +17,11 @@ pub const RAW_WORDS: usize = 5;
 ///
 /// Ids are dense, starting at zero, and are only meaningful for the
 /// backend that produced them. They are cheap to copy and compare and
-/// index both the trace-policy rate table and the metrics store.
+/// index the metrics store.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct LabelId(pub u32);
 
-/// Sentinel label meaning "no label" in optional payload positions.
+/// The label word of events that carry no name (GC and pin events).
 pub(crate) const NO_LABEL: u32 = 0;
 
 /// High bit of the entity payload word: set when the entity is an

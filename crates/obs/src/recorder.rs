@@ -2,9 +2,9 @@
 //! carries.
 //!
 //! A recorder is either *enabled* — backed by per-thread SPSC rings, an
-//! intern table, a metrics store, and a trace policy — or *disabled*, in
-//! which case every recording call is a single `Option` discriminant
-//! check and an immediate return.
+//! intern table, and a metrics store — or *disabled*, in which case
+//! every recording call is a single `Option` discriminant check and an
+//! immediate return.
 //!
 //! ## The fast path
 //!
@@ -26,15 +26,6 @@
 //!
 //! Export ([`Recorder::events`]) is the merge point: it snapshots each
 //! ring without stopping writers and k-way merges by sequence number.
-//!
-//! ## Trace policy
-//!
-//! A [`TracePolicy`] can disable or 1-in-N-sample tracing per label
-//! (function or machine), swappable mid-workload via
-//! [`Recorder::set_policy`]. The policy governs the *ring only*:
-//! metrics and checker verdicts always see every operation, so verdict
-//! streams are identical across policy configurations. Suppression is
-//! accounted in [`Coverage`] and flagged in every export.
 
 use std::cell::RefCell;
 use std::collections::HashMap;
@@ -44,8 +35,7 @@ use std::time::Instant;
 
 use crate::event::{EventKind, FsmOutcome, TraceEvent, VerdictAction};
 use crate::metrics::{Coverage, FuncMetrics, MachineMetrics, MetricsRegistry, Snapshot};
-use crate::policy::{PolicyTable, TracePolicy, POLICY_LABEL_SLOTS};
-use crate::raw::{op, LabelId, RawEvent, ENTITY_KEY_BIT, RAW_WORDS};
+use crate::raw::{op, LabelId, RawEvent, ENTITY_KEY_BIT, NO_LABEL, RAW_WORDS};
 use crate::spsc::SpscRing;
 
 /// Default per-writer ring capacity for [`Recorder::enabled`].
@@ -58,11 +48,6 @@ pub const DEFAULT_RING_CAPACITY: usize = 4096;
 pub const MAX_WRITERS: usize = 64;
 
 const OVERFLOW_SLOT: usize = MAX_WRITERS - 1;
-
-/// Reserved intern ids, installed by [`Recorder::enabled`] before any
-/// caller-supplied label so their values are fixed.
-const GC_LABEL: u32 = 0;
-const PIN_LABEL: u32 = 1;
 
 /// One call in this many (per thread) gets a latency timer when timers
 /// are enabled; see [`Recorder::timer`].
@@ -89,26 +74,20 @@ fn lock<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
     m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
 }
 
-/// Label interning state plus the current policy spec. One mutex guards
-/// both so label registration can consult the spec for the new label's
-/// sampling rate without lock-ordering hazards.
-#[derive(Debug)]
+/// Label interning state: text → dense id, and id → shared text.
+#[derive(Debug, Default)]
 struct InternState {
     ids: HashMap<Box<str>, u32>,
     names: Vec<Arc<str>>,
-    spec: TracePolicy,
 }
 
-fn intern_locked(st: &mut InternState, table: &PolicyTable, label: &str) -> u32 {
+fn intern_locked(st: &mut InternState, label: &str) -> u32 {
     if let Some(&id) = st.ids.get(label) {
         return id;
     }
     let id = st.names.len() as u32;
     st.ids.insert(Box::from(label), id);
     st.names.push(Arc::from(label));
-    if (id as usize) < POLICY_LABEL_SLOTS {
-        table.rates[id as usize].store(st.spec.rate_for_name(label), Ordering::Relaxed);
-    }
     id
 }
 
@@ -167,21 +146,17 @@ struct Inner {
     /// Serialises producers that share the overflow slot.
     overflow_lock: Mutex<()>,
     intern: Mutex<InternState>,
-    policy: PolicyTable,
     /// Flushed metric aggregates, id-keyed; resolved to names at
     /// snapshot time.
     store: Mutex<IdMetrics>,
-    suppressed_disabled: AtomicU64,
-    suppressed_sampled: AtomicU64,
-    auto_downsampled: AtomicU64,
 }
 
 static NEXT_BACKEND_ID: AtomicU64 = AtomicU64::new(1);
 
 /// One thread's registration with one backend: its ring slot, its
-/// current sequence block and timestamp batch, its sampling counters,
-/// and its unflushed metric batch. Lives in thread-local storage; the
-/// `Drop` impl flushes at thread exit (before `join` returns).
+/// current sequence block and timestamp batch, and its unflushed metric
+/// batch. Lives in thread-local storage; the `Drop` impl flushes at
+/// thread exit (before `join` returns).
 #[derive(Debug)]
 struct Producer {
     backend: u64,
@@ -192,14 +167,7 @@ struct Producer {
     seq_end: u64,
     micros: u64,
     stamp_left: u32,
-    /// Policy epoch the sampling counters belong to.
-    epoch: u64,
-    /// Per-label events seen this epoch (sampling phase + auto knee).
-    seen: Vec<u32>,
     local: IdMetrics,
-    supp_disabled: u64,
-    supp_sampled: u64,
-    supp_auto: u64,
     ops: u32,
     /// Calls until the next latency timer is handed out.
     timer_left: u32,
@@ -227,62 +195,17 @@ impl Producer {
             seq_end: 0,
             micros: 0,
             stamp_left: 0,
-            epoch: inner.policy.epoch.load(Ordering::Acquire),
-            seen: Vec::new(),
             local: IdMetrics::default(),
-            supp_disabled: 0,
-            supp_sampled: 0,
-            supp_auto: 0,
             ops: 0,
             timer_left: 0,
         }
     }
 
-    /// Applies the trace policy and, if the event survives, encodes and
-    /// pushes it into this thread's ring. Metrics are the caller's
-    /// business — they are never sampled.
+    /// Encodes the event and pushes it into this thread's ring. Metrics
+    /// are the caller's business.
     #[inline]
     #[allow(clippy::too_many_arguments)] // the five record words plus routing
     fn trace(&mut self, inner: &Inner, thread: u16, op: u8, flags: u8, label: u32, x: u64, y: u64) {
-        let epoch = inner.policy.epoch.load(Ordering::Acquire);
-        if epoch != self.epoch {
-            self.epoch = epoch;
-            self.seen.iter_mut().for_each(|c| *c = 0);
-        }
-        let mut rate = inner.policy.rate_for(label);
-        let auto_threshold = inner.policy.auto_threshold.load(Ordering::Relaxed);
-        let mut auto_hit = false;
-        let seen = if rate != 1 || auto_threshold > 0 {
-            let c = at(&mut self.seen, label.min(POLICY_LABEL_SLOTS as u32));
-            *c = c.saturating_add(1);
-            *c
-        } else {
-            0
-        };
-        if auto_threshold > 0 && seen > auto_threshold && rate > 0 {
-            let auto_rate = inner.policy.auto_rate.load(Ordering::Relaxed);
-            if auto_rate > rate {
-                rate = auto_rate;
-                auto_hit = true;
-            }
-        }
-        match rate {
-            1 => {}
-            0 => {
-                self.supp_disabled += 1;
-                return;
-            }
-            n => {
-                if (seen - 1) % n != 0 {
-                    if auto_hit {
-                        self.supp_auto += 1;
-                    } else {
-                        self.supp_sampled += 1;
-                    }
-                    return;
-                }
-            }
-        }
         let seq = self.next_seq(inner);
         let micros = self.stamp(inner);
         let words = RawEvent {
@@ -343,24 +266,6 @@ impl Producer {
     fn flush_with(&mut self, inner: &Inner) {
         self.ops = 0;
         self.local.drain_into(&mut lock(&inner.store));
-        if self.supp_disabled > 0 {
-            inner
-                .suppressed_disabled
-                .fetch_add(self.supp_disabled, Ordering::Relaxed);
-            self.supp_disabled = 0;
-        }
-        if self.supp_sampled > 0 {
-            inner
-                .suppressed_sampled
-                .fetch_add(self.supp_sampled, Ordering::Relaxed);
-            self.supp_sampled = 0;
-        }
-        if self.supp_auto > 0 {
-            inner
-                .auto_downsampled
-                .fetch_add(self.supp_auto, Ordering::Relaxed);
-            self.supp_auto = 0;
-        }
     }
 }
 
@@ -393,37 +298,22 @@ impl Recorder {
 
     /// A recorder backed by per-writer-thread SPSC rings of
     /// `ring_capacity` events each (allocated lazily as threads start
-    /// recording), an empty metrics store, and the
-    /// [`TracePolicy::full`] policy.
+    /// recording) and an empty metrics store.
     pub fn enabled(ring_capacity: usize) -> Recorder {
         let slots: Vec<OnceLock<SpscRing>> = (0..MAX_WRITERS).map(|_| OnceLock::new()).collect();
-        let inner = Inner {
-            id: NEXT_BACKEND_ID.fetch_add(1, Ordering::Relaxed),
-            start: Instant::now(),
-            ring_capacity,
-            seq: AtomicU64::new(0),
-            next_slot: AtomicUsize::new(0),
-            slots: slots.into_boxed_slice(),
-            overflow_lock: Mutex::new(()),
-            intern: Mutex::new(InternState {
-                ids: HashMap::new(),
-                names: Vec::new(),
-                spec: TracePolicy::full(),
-            }),
-            policy: PolicyTable::new(),
-            store: Mutex::new(IdMetrics::default()),
-            suppressed_disabled: AtomicU64::new(0),
-            suppressed_sampled: AtomicU64::new(0),
-            auto_downsampled: AtomicU64::new(0),
-        };
-        let recorder = Recorder {
-            inner: Some(Arc::new(inner)),
-        };
-        // Reserve labels for events that have no caller-supplied name,
-        // so the policy can address them ("gc", "pin").
-        debug_assert_eq!(recorder.intern("gc").0, GC_LABEL);
-        debug_assert_eq!(recorder.intern("pin").0, PIN_LABEL);
-        recorder
+        Recorder {
+            inner: Some(Arc::new(Inner {
+                id: NEXT_BACKEND_ID.fetch_add(1, Ordering::Relaxed),
+                start: Instant::now(),
+                ring_capacity,
+                seq: AtomicU64::new(0),
+                next_slot: AtomicUsize::new(0),
+                slots: slots.into_boxed_slice(),
+                overflow_lock: Mutex::new(()),
+                intern: Mutex::new(InternState::default()),
+                store: Mutex::new(IdMetrics::default()),
+            })),
+        }
     }
 
     /// Whether this recorder is actually recording.
@@ -486,21 +376,16 @@ impl Recorder {
         }
     }
 
-    /// Starts a latency timer — `None` when disabled or when the current
-    /// policy turned latency timers off, so those paths never touch the
-    /// clock.
+    /// Starts a latency timer — `None` when disabled, so that path never
+    /// touches the clock.
     ///
-    /// Even with timers on, only one call in `TIMER_SAMPLE` (per
-    /// thread) gets a timer: a clock read costs more than an entire ring
-    /// write, and the latency *histograms* only need a representative
-    /// sample, not a census. Call counts are exact regardless — only
+    /// Only one call in `TIMER_SAMPLE` (per thread) gets a timer: a
+    /// clock read costs more than an entire ring write, and the latency
+    /// *histograms* only need a representative sample, not a census. Call counts are exact regardless — only
     /// the histogram population is thinned.
     #[inline]
     pub fn timer(&self) -> Option<Instant> {
         let inner = self.inner.as_ref()?;
-        if !inner.policy.latency_timers.load(Ordering::Relaxed) {
-            return None;
-        }
         let due = Self::with_producer(inner, |p, _| {
             if p.timer_left == 0 {
                 p.timer_left = TIMER_SAMPLE - 1;
@@ -529,15 +414,11 @@ impl Recorder {
 
     /// Interns a label, returning its dense id. Hot instrumentation
     /// sites intern once (at wiring time) and record by id; the id is
-    /// also the label's key in the policy rate table and metric store.
+    /// also the label's key in the metric store.
     /// Meaningless (always id 0) on a disabled recorder.
     pub fn intern(&self, label: &str) -> LabelId {
         match &self.inner {
-            Some(inner) => LabelId(intern_locked(
-                &mut lock(&inner.intern),
-                &inner.policy,
-                label,
-            )),
+            Some(inner) => LabelId(intern_locked(&mut lock(&inner.intern), label)),
             None => LabelId(0),
         }
     }
@@ -550,43 +431,10 @@ impl Recorder {
         match &self.inner {
             Some(inner) => {
                 let mut st = lock(&inner.intern);
-                let id = intern_locked(&mut st, &inner.policy, label);
+                let id = intern_locked(&mut st, label);
                 Arc::clone(&st.names[id as usize])
             }
             None => Arc::from(label),
-        }
-    }
-
-    /// Installs a new trace policy, effective for every producer from
-    /// its next event. In-flight events are never lost: producers
-    /// observe the epoch bump at the next record and merely reset their
-    /// sampling counters.
-    pub fn set_policy(&self, policy: TracePolicy) {
-        let Some(inner) = &self.inner else { return };
-        let mut st = lock(&inner.intern);
-        for (name, _) in policy.rules() {
-            intern_locked(&mut st, &inner.policy, name);
-        }
-        st.spec = policy;
-        let st = &*st;
-        inner.policy.install(&st.spec, |id| match st.names.get(id) {
-            Some(name) => st.spec.rate_for_name(name),
-            None => st.spec.default_rate(),
-        });
-    }
-
-    /// The currently installed policy spec (`None` when disabled).
-    pub fn policy(&self) -> Option<TracePolicy> {
-        self.inner
-            .as_ref()
-            .map(|inner| lock(&inner.intern).spec.clone())
-    }
-
-    /// The policy epoch: bumped by every [`set_policy`](Self::set_policy).
-    pub fn policy_epoch(&self) -> u64 {
-        match &self.inner {
-            Some(inner) => inner.policy.epoch.load(Ordering::Acquire),
-            None => 0,
         }
     }
 
@@ -792,7 +640,7 @@ impl Recorder {
         }
     }
 
-    /// A GC safepoint. Traced under the reserved `"gc"` policy label.
+    /// A GC safepoint.
     #[inline]
     pub fn gc_safepoint_id(&self, thread: u16, collected: bool) {
         if let Some(inner) = &self.inner {
@@ -802,7 +650,7 @@ impl Recorder {
                     thread,
                     op::GC_SAFEPOINT,
                     u8::from(collected),
-                    GC_LABEL,
+                    NO_LABEL,
                     0,
                     0,
                 );
@@ -811,20 +659,18 @@ impl Recorder {
         }
     }
 
-    /// A completed GC cycle. Traced under the reserved `"gc"` policy
-    /// label.
+    /// A completed GC cycle.
     #[inline]
     pub fn gc_id(&self, thread: u16, live: u64, freed: u64) {
         if let Some(inner) = &self.inner {
             Self::with_producer(inner, |p, inner| {
-                p.trace(inner, thread, op::GC, 0, GC_LABEL, live, freed);
+                p.trace(inner, thread, op::GC, 0, NO_LABEL, live, freed);
                 p.tick(inner);
             });
         }
     }
 
-    /// A pin acquisition. Traced under the reserved `"pin"` policy
-    /// label.
+    /// A pin acquisition.
     #[inline]
     pub fn pin_acquire_id(&self, thread: u16, pin: u32) {
         if let Some(inner) = &self.inner {
@@ -834,7 +680,7 @@ impl Recorder {
                     thread,
                     op::PIN_ACQUIRE,
                     0,
-                    PIN_LABEL,
+                    NO_LABEL,
                     u64::from(pin),
                     0,
                 );
@@ -843,7 +689,7 @@ impl Recorder {
         }
     }
 
-    /// A pin release. Traced under the reserved `"pin"` policy label.
+    /// A pin release.
     #[inline]
     pub fn pin_release_id(&self, thread: u16, pin: u32, ok: bool) {
         if let Some(inner) = &self.inner {
@@ -853,7 +699,7 @@ impl Recorder {
                     thread,
                     op::PIN_RELEASE,
                     u8::from(ok),
-                    PIN_LABEL,
+                    NO_LABEL,
                     u64::from(pin),
                     0,
                 );
@@ -871,19 +717,10 @@ impl Recorder {
         let Some(inner) = &self.inner else { return };
         let raw = {
             let mut st = lock(&inner.intern);
-            RawEvent::encode(0, 0, thread, &kind, |s| {
-                intern_locked(&mut st, &inner.policy, s)
-            })
-        };
-        // Events without a caller-supplied name borrow a reserved label
-        // so the policy can still address them.
-        let label = match raw.op {
-            op::GC_SAFEPOINT | op::GC => GC_LABEL,
-            op::PIN_ACQUIRE | op::PIN_RELEASE => PIN_LABEL,
-            _ => raw.label,
+            RawEvent::encode(0, 0, thread, &kind, |s| intern_locked(&mut st, s))
         };
         Self::with_producer(inner, |p, inner| {
-            p.trace(inner, thread, raw.op, raw.flags, label, raw.x, raw.y);
+            p.trace(inner, thread, raw.op, raw.flags, raw.label, raw.x, raw.y);
             p.tick(inner);
         });
     }
@@ -969,21 +806,12 @@ impl Recorder {
         })
     }
 
-    /// Trace-ring coverage accounting: events recorded, evicted, and
-    /// policy-suppressed (zeroed when disabled). The calling thread's
-    /// unflushed suppression counts are folded in first.
+    /// Trace-ring coverage accounting: events recorded and evicted
+    /// (zeroed when disabled).
     pub fn coverage(&self) -> Coverage {
-        let Some(inner) = &self.inner else {
-            return Coverage::default();
-        };
-        Self::flush_current(inner);
         Coverage {
             recorded: self.total_events(),
             ring_dropped: self.dropped_events(),
-            suppressed_disabled: inner.suppressed_disabled.load(Ordering::Relaxed),
-            suppressed_sampled: inner.suppressed_sampled.load(Ordering::Relaxed),
-            auto_downsampled: inner.auto_downsampled.load(Ordering::Relaxed),
-            policy_epoch: inner.policy.epoch.load(Ordering::Acquire),
         }
     }
 
@@ -1033,9 +861,7 @@ impl Recorder {
         out
     }
 
-    /// Total events ever recorded into the rings, including evicted ones
-    /// (policy-suppressed events are not recorded; see
-    /// [`coverage`](Self::coverage)).
+    /// Total events ever recorded into the rings, including evicted ones.
     pub fn total_events(&self) -> u64 {
         match &self.inner {
             Some(inner) => inner
@@ -1065,22 +891,18 @@ impl Recorder {
 
     /// The events as Chrome `chrome://tracing` JSON, or `None` when
     /// disabled. Evicted events surface as a `dropped-events` metadata
-    /// instant; policy suppression as a `trace-sampling` instant.
+    /// instant.
     pub fn chrome_trace(&self) -> Option<String> {
         self.inner
             .as_ref()
-            .map(|_| crate::export::chrome_trace_with_coverage(&self.events(), self.coverage()))
+            .map(|_| crate::export::chrome_trace(&self.events(), self.dropped_events()))
     }
 
     /// A plain-text dump of events + metrics, or `None` when disabled.
-    /// Evicted and suppressed events are counted in the header.
+    /// Evicted events are counted in the header.
     pub fn text_dump(&self) -> Option<String> {
         let snapshot = self.snapshot()?;
-        Some(crate::export::text_dump_with_coverage(
-            &self.events(),
-            &snapshot,
-            snapshot.coverage,
-        ))
+        Some(crate::export::text_dump(&self.events(), &snapshot))
     }
 }
 
@@ -1114,7 +936,6 @@ mod tests {
         assert!(r.chrome_trace().is_none());
         assert!(r.text_dump().is_none());
         assert_eq!(r.coverage(), Coverage::default());
-        assert!(r.policy().is_none());
     }
 
     #[test]
@@ -1314,113 +1135,9 @@ mod tests {
     }
 
     #[test]
-    fn policy_sampling_suppresses_and_flags() {
-        let r = Recorder::enabled(4096);
-        let func = r.intern("NewStringUTF");
-        r.set_policy(TracePolicy::sample_all(4));
-        for _ in 0..100 {
-            r.jni_enter_id(0, func);
-        }
-        assert_eq!(r.total_events(), 25, "1-in-4 sampling");
-        let cov = r.coverage();
-        assert_eq!(cov.suppressed_sampled, 75);
-        assert!(cov.sampled());
-        assert!(!cov.complete());
-        assert_eq!(cov.policy_epoch, 1);
-        // Metrics are never sampled: only the ring is.
-        for _ in 0..10 {
-            r.jni_exit_id(0, func, Some(5), false);
-        }
-        let snap = r.snapshot().unwrap();
-        assert_eq!(snap.metrics.total_jni_calls(), 10);
-        assert!(snap.coverage.sampled());
-        assert!(snap.render().contains("[SAMPLED]"));
-    }
-
-    #[test]
-    fn policy_disable_by_label_is_selective() {
-        let r = Recorder::enabled(256);
-        let hot = r.intern("HotFunc");
-        let cold = r.intern("ColdFunc");
-        r.set_policy(TracePolicy::full().disable("HotFunc"));
-        for _ in 0..10 {
-            r.jni_enter_id(0, hot);
-            r.jni_enter_id(0, cold);
-        }
-        assert_eq!(r.total_events(), 10, "only ColdFunc recorded");
-        let cov = r.coverage();
-        assert_eq!(cov.suppressed_disabled, 10);
-        let events = r.events();
-        assert!(events.iter().all(|e| matches!(
-            &e.kind,
-            EventKind::JniEnter { func } if &**func == "ColdFunc"
-        )));
-    }
-
-    #[test]
-    fn policy_swap_mid_workload_takes_effect_without_losing_events() {
-        let r = Recorder::enabled(4096);
-        let func = r.intern("F");
-        for _ in 0..50 {
-            r.jni_enter_id(0, func);
-        }
-        assert_eq!(r.total_events(), 50);
-        r.set_policy(TracePolicy::off());
-        for _ in 0..50 {
-            r.jni_enter_id(0, func);
-        }
-        assert_eq!(r.total_events(), 50, "second batch suppressed");
-        r.set_policy(TracePolicy::full());
-        for _ in 0..50 {
-            r.jni_enter_id(0, func);
-        }
-        // Everything recorded before and after the off-window is intact.
-        assert_eq!(r.total_events(), 100);
-        assert_eq!(r.events().len(), 100);
-        let cov = r.coverage();
-        assert_eq!(cov.suppressed_disabled, 50);
-        assert_eq!(cov.policy_epoch, 2);
-    }
-
-    #[test]
-    fn hot_labels_are_auto_downsampled() {
-        let r = Recorder::enabled(1 << 14);
-        let hot = r.intern("HotFunc");
-        r.set_policy(TracePolicy::full().auto_downsample(100, 10));
-        for _ in 0..1100 {
-            r.jni_enter_id(0, hot);
-        }
-        // First 100 recorded 1:1; the next 1000 at 1-in-10.
-        assert_eq!(r.total_events(), 200);
-        let cov = r.coverage();
-        assert_eq!(cov.auto_downsampled, 900);
-        assert!(cov.sampled());
-    }
-
-    #[test]
-    fn policy_rules_apply_to_labels_interned_later() {
-        let r = Recorder::enabled(256);
-        r.set_policy(TracePolicy::full().disable("LateFunc"));
-        // The rule's label was interned by set_policy itself; a site
-        // interning it afterwards gets the same id and rate.
-        let late = r.intern("LateFunc");
-        r.jni_enter_id(0, late);
-        assert_eq!(r.total_events(), 0);
-        // A brand-new label after the swap follows the default rate.
-        let fresh = r.intern("FreshFunc");
-        r.jni_enter_id(0, fresh);
-        assert_eq!(r.total_events(), 1);
-    }
-
-    #[test]
-    fn timers_can_be_policy_disabled() {
+    fn one_call_per_sample_window_gets_a_timer() {
         let r = Recorder::enabled(16);
-        assert!(r.timer().is_some(), "first call of a sample window times");
-        r.set_policy(TracePolicy::full().without_latency_timers());
         let timed = (0..TIMER_SAMPLE).filter(|_| r.timer().is_some()).count();
-        assert_eq!(timed, 0, "policy-disabled timers never touch the clock");
-        r.set_policy(TracePolicy::full());
-        let timed = (0..TIMER_SAMPLE).filter(|_| r.timer().is_some()).count();
-        assert_eq!(timed, 1, "one call per sample window gets a timer");
+        assert_eq!(timed, 1);
     }
 }

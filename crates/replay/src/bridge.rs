@@ -15,24 +15,13 @@ use minipy::{PyCall, PyInterpose, PyViolation, Python};
 use crate::writer::TraceWriter;
 
 /// Appends every event currently held in the recorder's trace ring to
-/// the writer as `ObsEvent` records, plus metadata accounting for what
-/// the ring does *not* hold: `obs.dropped` (ring overflow),
-/// `obs.suppressed` (events the trace policy disabled or sampled away)
-/// and `obs.sampled` (whether the trace is a policy-thinned subset —
-/// consumers must not treat a sampled trace as complete). The policy
-/// epoch rides along so differential runs can prove they saw the same
-/// configuration.
+/// the writer as `ObsEvent` records, plus an `obs.dropped` meta counting
+/// the events ring overflow evicted — what the trace does *not* hold.
 pub fn append_obs_events(writer: &mut TraceWriter, recorder: &Recorder) {
     if !recorder.is_enabled() {
         return;
     }
-    let coverage = recorder.coverage();
-    let suppressed =
-        coverage.suppressed_disabled + coverage.suppressed_sampled + coverage.auto_downsampled;
     writer.meta("obs.dropped", &recorder.dropped_events().to_string());
-    writer.meta("obs.suppressed", &suppressed.to_string());
-    writer.meta("obs.sampled", if suppressed > 0 { "true" } else { "false" });
-    writer.meta("obs.policy_epoch", &coverage.policy_epoch.to_string());
     for event in recorder.events() {
         writer.obs_event(event.thread, &event.to_string());
     }
@@ -91,39 +80,12 @@ mod tests {
         append_obs_events(&mut w, &recorder);
         let t = Trace::parse(&w.finish()).unwrap();
         assert_eq!(t.meta_value("obs.dropped"), Some("6"));
-        assert_eq!(t.meta_value("obs.sampled"), Some("false"));
-        assert_eq!(t.meta_value("obs.suppressed"), Some("0"));
         let obs = t
             .events
             .iter()
             .filter(|e| matches!(e, TraceRecord::ObsEvent { .. }))
             .count();
         assert_eq!(obs, 4, "ring holds the newest four events");
-    }
-
-    #[test]
-    fn sampling_flag_survives_a_trace_round_trip() {
-        let recorder = Recorder::enabled(64);
-        // Thin "GetVersion" to 1-in-4 mid-run: the trace is now an
-        // acknowledged subset and must say so after parsing back.
-        recorder.set_policy(jinn_obs::TracePolicy::full().rate("GetVersion", 4));
-        let func = recorder.intern("GetVersion");
-        for _ in 0..16 {
-            recorder.jni_enter_id(0, func);
-        }
-        let mut w = TraceWriter::new();
-        w.meta("program", "obs-bridge-sampled");
-        append_obs_events(&mut w, &recorder);
-        let t = Trace::parse(&w.finish()).unwrap();
-        assert_eq!(t.meta_value("obs.sampled"), Some("true"));
-        assert_eq!(t.meta_value("obs.suppressed"), Some("12"));
-        assert_eq!(t.meta_value("obs.policy_epoch"), Some("1"));
-        let obs = t
-            .events
-            .iter()
-            .filter(|e| matches!(e, TraceRecord::ObsEvent { .. }))
-            .count();
-        assert_eq!(obs, 4, "1-in-4 of sixteen enters survive");
     }
 
     #[test]

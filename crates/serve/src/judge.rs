@@ -67,9 +67,6 @@ pub fn obs_counters(trace: &Trace) -> ObsCounters {
     };
     ObsCounters {
         dropped: num("obs.dropped"),
-        suppressed: num("obs.suppressed"),
-        sampled: trace.meta_value("obs.sampled") == Some("true"),
-        policy_epoch: num("obs.policy_epoch"),
     }
 }
 

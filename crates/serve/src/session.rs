@@ -54,29 +54,17 @@ impl fmt::Display for SessionState {
 /// The recorder-coverage counters of the *recorded* trace, read from its
 /// `obs.*` metadata — how much of the original execution the trace
 /// actually holds. Surfaced per session so a tenant can see when its
-/// trace was downsampled at the recorder.
+/// recorder ring overflowed.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ObsCounters {
     /// Events evicted by recorder ring overflow (`obs.dropped`).
     pub dropped: u64,
-    /// Events the trace policy disabled or sampled away
-    /// (`obs.suppressed`).
-    pub suppressed: u64,
-    /// Whether the trace is a policy-thinned subset (`obs.sampled`).
-    pub sampled: bool,
-    /// The trace policy epoch in force (`obs.policy_epoch`).
-    pub policy_epoch: u64,
 }
 
 impl ObsCounters {
     /// Renders the counters as a JSON object.
     pub fn to_json(self) -> String {
-        JsonObj::new()
-            .num("dropped", self.dropped)
-            .num("suppressed", self.suppressed)
-            .bool("sampled", self.sampled)
-            .num("policy_epoch", self.policy_epoch)
-            .build()
+        JsonObj::new().num("dropped", self.dropped).build()
     }
 }
 

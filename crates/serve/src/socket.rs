@@ -127,9 +127,29 @@ fn serve_connection(stream: TcpStream, handle: &DaemonHandle) -> std::io::Result
     }
 }
 
-fn serve_ingest(mut stream: TcpStream, handle: &DaemonHandle) -> std::io::Result<()> {
+/// Serves one ingest connection. When it ends on EOF or a read or write
+/// error, the sessions it opened and never sealed are aborted, so a
+/// vanished client keeps no `live` slot, streaming slot or executor
+/// thread. (A corrupt frame stream quarantines them instead.)
+fn serve_ingest(stream: TcpStream, handle: &DaemonHandle) -> std::io::Result<()> {
+    let mut owned = HashSet::new();
+    let result = ingest_frames(stream, handle, &mut owned);
+    for id in owned {
+        // A session some frame already ended (an `Abort`, a rejected
+        // `Seal`) is terminal; abort refuses it and leaves it as it is.
+        let _ = handle.abort(id, "client disconnected before seal");
+    }
+    result
+}
+
+/// The frame loop of [`serve_ingest`]. `owned` holds the sessions this
+/// connection opened and has not yet seen reach a terminal state.
+fn ingest_frames(
+    mut stream: TcpStream,
+    handle: &DaemonHandle,
+    owned: &mut HashSet<u64>,
+) -> std::io::Result<()> {
     let mut decoder = FrameDecoder::new();
-    let mut owned: HashSet<u64> = HashSet::new();
     let mut buf = [0u8; 16 * 1024];
     loop {
         let n = match stream.read(&mut buf) {
@@ -173,6 +193,7 @@ fn serve_ingest(mut stream: TcpStream, handle: &DaemonHandle) -> std::io::Result
                         }
                         Ok(()) if is_seal => {
                             let stats = handle.wait_session(session);
+                            owned.remove(&session);
                             let line = match stats {
                                 Some(s) => {
                                     let mut l = JsonObj::new()
@@ -197,8 +218,8 @@ fn serve_ingest(mut stream: TcpStream, handle: &DaemonHandle) -> std::io::Result
                     // Stream-level corruption: poison this connection's
                     // still-open sessions and drop the connection.
                     let reason = format!("corrupt frame stream: {e}");
-                    for id in &owned {
-                        handle.quarantine(*id, &reason);
+                    for id in owned.drain() {
+                        handle.quarantine(id, &reason);
                     }
                     stream.write_all(error_line(&reason).as_bytes())?;
                     return Ok(());

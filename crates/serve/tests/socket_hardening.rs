@@ -1,7 +1,7 @@
 //! Socket-boundary hardening: duplicate-open ownership containment,
-//! query filter validation, the request-line length cap, and the
+//! query filter validation, the request-line length cap, the
 //! manifest-frame surface (acks, oversized declarations, unknown
-//! function names).
+//! function names), and sessions left open by a vanished client.
 
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
@@ -282,6 +282,93 @@ fn query_request_line_length_is_capped() {
         line.contains("request line too long"),
         "endless line rejected: {line}"
     );
+    server.shutdown();
+    daemon.shutdown();
+}
+
+/// A client that vanishes before sealing must not leak its session: the
+/// daemon aborts it, which frees its `live` slot and its streaming slot,
+/// so the next single-config session streams again.
+#[test]
+fn vanished_client_aborts_its_open_session() {
+    let daemon = Daemon::start(ServeConfig {
+        streaming_sessions: 1,
+        ..ServeConfig::default()
+    });
+    let server = SocketServer::bind(daemon.handle(), "127.0.0.1:0").expect("bind");
+    let handle = daemon.handle();
+    let bytes = record_program(&program_by_name("LocalRefDangling").expect("corpus program"));
+
+    // Open a streamed session, append half its trace, hang up.
+    let mut gone = TcpStream::connect(server.addr()).expect("connect");
+    gone.write_all(&stream_preamble()).expect("preamble");
+    gone.write_all(&encode_frame(&Frame::Open {
+        session: 21,
+        tenant: "gone".to_string(),
+        config: "jinn".to_string(),
+    }))
+    .expect("open");
+    gone.write_all(&encode_frame(&Frame::Append {
+        session: 21,
+        chunk: bytes[..bytes.len() / 2].to_vec(),
+    }))
+    .expect("append");
+    gone.flush().expect("flush");
+    drop(gone);
+
+    // `wait_session` would block forever on a leaked session: poll.
+    let deadline = Instant::now() + Duration::from_secs(10);
+    loop {
+        let state = handle.session_stats(21).map(|s| s.state);
+        if state == Some(SessionState::Aborted) && handle.fleet().live == 0 {
+            break;
+        }
+        assert!(
+            Instant::now() < deadline,
+            "vanished client's session leaked: {state:?}, live {}",
+            handle.fleet().live
+        );
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    let stats = handle.session_stats(21).expect("session 21");
+    assert!(stats.streamed, "the session held the one streaming slot");
+    assert_eq!(
+        stats.reason.as_deref(),
+        Some("client disconnected before seal")
+    );
+
+    // The streaming slot came back: the next sessions stream again.
+    // (`streamed_sessions` counts judged sessions, so the aborted one
+    // is not in it.)
+    let mut c = TcpStream::connect(server.addr()).expect("connect");
+    c.write_all(&stream_preamble()).expect("preamble");
+    let mut reader = BufReader::new(c.try_clone().expect("clone"));
+    for session in [22, 23] {
+        for frame in [
+            Frame::Open {
+                session,
+                tenant: "next".to_string(),
+                config: "jinn".to_string(),
+            },
+            Frame::Append {
+                session,
+                chunk: bytes.clone(),
+            },
+            Frame::Seal {
+                session,
+                total_len: bytes.len() as u64,
+                checksum: fnv1a(&bytes),
+            },
+        ] {
+            c.write_all(&encode_frame(&frame)).expect("frame");
+        }
+        c.flush().expect("flush");
+        let ack = read_line(&mut reader);
+        assert!(ack.contains("\"state\":\"judged\""), "{ack}");
+        assert!(ack.contains("\"streamed\":true"), "{ack}");
+    }
+    assert_eq!(handle.fleet().streamed_sessions, 2);
+
     server.shutdown();
     daemon.shutdown();
 }

@@ -545,9 +545,6 @@ fn judge_output(rng: &mut Rng, id: u64, tenant: &str) -> JudgeOutput {
             .collect(),
         obs: ObsCounters {
             dropped: rng.below(2),
-            suppressed: 0,
-            sampled: rng.below(2) == 0,
-            policy_epoch: 1,
         },
         discharge: DischargeStats {
             called_functions: rng.below(9),

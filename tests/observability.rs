@@ -1,13 +1,15 @@
 //! End-to-end observability tests: the trace ring, metrics, forensics,
-//! and hook panic containment, across the whole JVM/JNI/checker stack
-//! and the Python/C side.
+//! verdicts unchanged by observing, and hook panic containment, across
+//! the whole JVM/JNI/checker stack and the Python/C side.
 
 use std::rc::Rc;
 
 use jinn::jni::{typed, CallCx, Interpose, Report, RunOutcome, Session, Vm};
 use jinn::jvm::{JValue, Jvm};
-use jinn::obs::{EventKind, Recorder, TracePolicy};
+use jinn::obs::{EventKind, Recorder};
 use jinn::py::{dangle_bug, PyRunOutcome, PySession};
+use jinn::replay::{replay_trace, replay_trace_observed, standard_configs, Trace};
+use jinn::serve::ServeConfig;
 
 fn object_arg(vm: &mut Vm) -> JValue {
     let class = vm
@@ -185,127 +187,39 @@ fn python_use_after_release_produces_forensics_report() {
     assert!(snapshot.metrics.counter("checks.violations") > 0);
 }
 
-/// Runs the seeded use-after-release workload under the given trace
-/// policy and serialises everything verdict-related: the violation the
-/// checker raised and the metrics the recorder aggregated (which the
-/// policy must never thin).
-fn dangle_verdict_bytes(policy: Option<TracePolicy>) -> Vec<u8> {
-    let mut vm = Vm::permissive();
-    let (_c, entry) = vm.define_native_class(
-        "obs/PolicyDangle",
-        "m",
-        "(Ljava/lang/Object;)V",
-        true,
-        Rc::new(|env, args| {
-            let obj = args[0].as_ref().unwrap();
-            let r = typed::new_local_ref(env, obj)?;
-            typed::delete_local_ref(env, r)?;
-            let _ = typed::is_same_object(env, obj, r)?;
-            Ok(JValue::Void)
-        }),
-    );
-    let arg = object_arg(&mut vm);
-    let thread = vm.jvm().main_thread();
-    let mut session = Session::new(vm);
-    session.set_recorder(Recorder::enabled(512));
-    if let Some(p) = policy {
-        session.recorder().set_policy(p);
+/// Observing never changes a verdict: the daemon judges a session's
+/// first config through `replay_trace_observed`, so for every corpus
+/// trace and every standard config, replaying with the daemon's
+/// recorder attached must give exactly what plain replay gives.
+#[test]
+fn observed_replay_matches_plain_replay_across_corpus() {
+    let dir = format!("{}/tests/corpus", env!("CARGO_MANIFEST_DIR"));
+    let mut paths: Vec<_> = std::fs::read_dir(&dir)
+        .expect("corpus directory")
+        .map(|entry| entry.expect("corpus entry").path())
+        .filter(|path| path.extension().is_some_and(|ext| ext == "jtrace"))
+        .collect();
+    paths.sort();
+    assert!(!paths.is_empty(), "no traces under {dir}");
+    let ring = ServeConfig::default().recorder_ring;
+    for path in &paths {
+        let bytes = std::fs::read(path).expect("read trace");
+        let trace = Trace::parse(&bytes).unwrap_or_else(|e| panic!("{path:?}: {e}"));
+        for config in standard_configs() {
+            let plain = replay_trace(&trace, &config).expect("plain replay");
+            let recorder = Recorder::enabled(ring);
+            let observed =
+                replay_trace_observed(&trace, &config, &recorder).expect("observed replay");
+            let cell = format!("{} under {}", path.display(), plain.label);
+            assert_eq!(
+                observed.verdict_signature(),
+                plain.verdict_signature(),
+                "{cell}"
+            );
+            assert_eq!(observed.events_replayed, plain.events_replayed, "{cell}");
+            assert_eq!(observed.divergences, plain.divergences, "{cell}");
+        }
     }
-    jinn::core::install(&mut session);
-    let outcome = session.run_native(thread, entry, &[arg]);
-    let violation = match outcome {
-        RunOutcome::CheckerException(v) => v,
-        other => panic!("expected a checker exception, got {other:?}"),
-    };
-    let snapshot = session.recorder().snapshot().expect("enabled");
-    let mut bytes = format!("{violation:?}\n").into_bytes();
-    bytes.extend(
-        format!(
-            "violations={} checks-metric={}\n",
-            snapshot.metrics.counter("checks.violations"),
-            snapshot.metrics.total_fsm_transitions(),
-        )
-        .into_bytes(),
-    );
-    bytes
-}
-
-/// The trace policy governs the ring only: whatever it disables or
-/// samples away, the checker's verdicts — and the metrics backing them
-/// — are byte-identical across configurations (the ISSUE's acceptance
-/// evidence).
-#[test]
-fn verdicts_are_byte_identical_across_trace_policies() {
-    let full = dangle_verdict_bytes(None);
-    let off = dangle_verdict_bytes(Some(TracePolicy::off()));
-    let sampled = dangle_verdict_bytes(Some(
-        TracePolicy::full()
-            .rate("local-reference", 4)
-            .disable("IsSameObject"),
-    ));
-    assert_eq!(full, off, "tracing off must not change verdicts");
-    assert_eq!(full, sampled, "sampling must not change verdicts");
-}
-
-/// Swapping the trace policy while the workload runs takes effect for
-/// subsequent events without restarting the session, and both exporters
-/// flag the resulting partial coverage.
-#[test]
-fn policy_swaps_mid_workload_take_effect_and_are_flagged() {
-    let mut vm = Vm::permissive();
-    let (_c, entry) = vm.define_native_class(
-        "obs/Swap",
-        "m",
-        "()V",
-        true,
-        Rc::new(|env, _| {
-            typed::get_version(env)?;
-            Ok(JValue::Void)
-        }),
-    );
-    let thread = vm.jvm().main_thread();
-    let mut session = Session::new(vm);
-    session.set_recorder(Recorder::enabled(1024));
-    jinn::core::install(&mut session);
-
-    session.run_native(thread, entry, &[]);
-    let baseline = session.recorder().coverage();
-    assert!(baseline.recorded > 0, "full policy records");
-    assert_eq!(baseline.suppressed_disabled, 0);
-
-    // Phase 2: tracing off. The swap must bite without re-wiring.
-    session.recorder().set_policy(TracePolicy::off());
-    session.run_native(thread, entry, &[]);
-    session.recorder().flush();
-    let off = session.recorder().coverage();
-    assert_eq!(
-        off.recorded, baseline.recorded,
-        "no new events while the policy is off"
-    );
-    assert!(off.suppressed_disabled > 0, "suppression is accounted");
-    assert_eq!(off.policy_epoch, baseline.policy_epoch + 1);
-
-    // Phase 3: back to full. Recording resumes on the same rings.
-    session.recorder().set_policy(TracePolicy::full());
-    session.run_native(thread, entry, &[]);
-    session.recorder().flush();
-    let restored = session.recorder().coverage();
-    assert!(restored.recorded > off.recorded, "recording resumed");
-
-    // Both exporters must say the timeline is partial.
-    let chrome = session.recorder().chrome_trace().expect("enabled");
-    assert!(chrome.contains("trace-sampling"), "{chrome}");
-    let dump = session.recorder().text_dump().expect("enabled");
-    assert!(dump.contains("SAMPLED"), "{dump}");
-
-    // Verdict-layer metrics were never thinned: every phase's JNI calls
-    // are in the metrics even though phase 2's events are not in the
-    // ring.
-    let snapshot = session.recorder().snapshot().expect("enabled");
-    assert!(
-        snapshot.metrics.total_jni_calls() > baseline.recorded / 2,
-        "metrics kept counting while tracing was off"
-    );
 }
 
 /// A checker whose hook panics.

@@ -11,11 +11,15 @@
 //! Prints a JSON document (the `BENCH_obs_overhead.json` artifact) on
 //! stdout. `JINN_WARMUP` full-scale warm-up trials of *each* treatment
 //! run first and are excluded from the medians (JIT-free Rust still
-//! needs its allocator, page tables, and branch predictors warm). If
+//! needs its allocator, page tables, and branch predictors warm). Each
+//! measured trial runs both treatments back to back, alternating which
+//! goes first, and yields one enabled/disabled ratio; the reported
+//! overhead is the median of those ratios, so one slow trial or a drift
+//! that favours whichever treatment runs second cannot decide it. If
 //! the measured trials spread by more than `JINN_MAX_NOISE` the run
 //! aborts without printing an artifact — a noisy artifact is worse
 //! than none. If `JINN_OBS_MAX_OVERHEAD` is set, the run fails when
-//! the enabled/disabled ratio exceeds it — the CI regression gate.
+//! the median ratio exceeds it — the CI regression gate.
 
 use jinn_bench::env_u64;
 use jinn_bench::obs::{median_nanos, time_churn};
@@ -42,14 +46,29 @@ fn main() {
 
     let mut disabled = Vec::with_capacity(trials);
     let mut enabled = Vec::with_capacity(trials);
-    for _ in 0..trials {
-        disabled.push(time_churn(Recorder::disabled(), calls, strings).as_nanos());
-        enabled
-            .push(time_churn(Recorder::enabled(DEFAULT_RING_CAPACITY), calls, strings).as_nanos());
+    for trial in 0..trials {
+        let off = || time_churn(Recorder::disabled(), calls, strings).as_nanos();
+        let on = || time_churn(Recorder::enabled(DEFAULT_RING_CAPACITY), calls, strings).as_nanos();
+        let (d, e) = if trial % 2 == 0 {
+            let d = off();
+            (d, on())
+        } else {
+            let e = on();
+            (off(), e)
+        };
+        disabled.push(d);
+        enabled.push(e);
     }
     let med_off = median_nanos(disabled.clone());
     let med_on = median_nanos(enabled.clone());
-    let ratio = med_on as f64 / med_off as f64;
+    let mut ratios: Vec<f64> = enabled
+        .iter()
+        .zip(&disabled)
+        .map(|(&e, &d)| e as f64 / d as f64)
+        .collect();
+    ratios.sort_by(f64::total_cmp);
+    // The upper middle for an even count, as `median_nanos` takes.
+    let ratio = ratios[ratios.len() / 2];
     let spread = |samples: &[u128]| {
         let min = *samples.iter().min().expect("non-empty");
         let max = *samples.iter().max().expect("non-empty");
@@ -83,6 +102,11 @@ fn main() {
     println!("  \"recorder_enabled_nanos\": [{}],", list(&enabled));
     println!("  \"median_disabled_nanos\": {med_off},");
     println!("  \"median_enabled_nanos\": {med_on},");
+    let ratio_list: Vec<String> = ratios.iter().map(|r| format!("{r:.4}")).collect();
+    println!(
+        "  \"per_trial_ratios_sorted\": [{}],",
+        ratio_list.join(", ")
+    );
     println!("  \"enabled_over_disabled\": {ratio:.4},");
     println!("  \"trial_noise_spread\": {noise:.4},");
     println!(
@@ -99,7 +123,8 @@ fn main() {
     if let Some(max) = gate {
         assert!(
             ratio <= max,
-            "enabled/disabled overhead {ratio:.4} exceeds the JINN_OBS_MAX_OVERHEAD={max} gate"
+            "median enabled/disabled overhead {ratio:.4} exceeds the \
+             JINN_OBS_MAX_OVERHEAD={max} gate"
         );
         eprintln!("overhead gate: {ratio:.4} <= {max} ok");
     }

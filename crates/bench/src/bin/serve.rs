@@ -604,8 +604,10 @@ fn stream_churn_trace(calls: u32, strings: u32) -> Vec<u8> {
 /// Benchmarks the streaming-incremental-judging tentpole in two phases
 /// per mode. Phase one (timed): identical paced ingest of the recorded
 /// churn workload — chunked appends with a client-side gap, as a live
-/// recorder would produce — against a streaming daemon and a buffered
-/// one. The streaming daemon decodes and replays each chunk as it
+/// recorder would produce — against a streaming daemon, which replays
+/// every session live, and a buffered one (`streaming_sessions = 0`),
+/// which retains every session until `Seal`. The streaming daemon
+/// decodes and replays each chunk as it
 /// arrives, so at `Seal` the verdict is one rollup away — seal-to-verdict
 /// collapses from O(trace) to O(1) — and the undecoded tail is all it
 /// ever holds resident. Phase two (unpaced): the whole golden corpus

@@ -1260,8 +1260,12 @@ impl<'a> Decoder<'a> {
 /// totals keep counting for seal verification) but no longer buffered.
 #[derive(Debug, Default)]
 pub struct StreamDecoder {
-    /// Undecoded tail: bytes fed but not yet consumed by a record.
+    /// Bytes fed; `buf[start..]` is the undecoded tail. The consumed
+    /// prefix is compacted away once per feed (and whenever decoding
+    /// stops for more bytes), so each record costs O(record), not
+    /// O(tail).
     buf: Vec<u8>,
+    start: usize,
     header_done: bool,
     version: u16,
     interns: Vec<String>,
@@ -1305,13 +1309,35 @@ impl StreamDecoder {
             self.trailing += chunk.len() as u64;
             return;
         }
+        self.compact();
         self.buf.extend_from_slice(chunk);
+    }
+
+    /// Drops the consumed prefix, moving the undecoded tail to the front.
+    fn compact(&mut self) {
+        if self.start > 0 {
+            self.buf.drain(..self.start);
+            self.start = 0;
+        }
+    }
+
+    /// Consumes `len` bytes of the tail into the running totals.
+    fn consume(&mut self, len: usize) {
+        let end = self.start + len;
+        self.consumed_fnv = fnv1a_with(self.consumed_fnv, &self.buf[self.start..end]);
+        self.consumed += len as u64;
+        self.start = end;
+    }
+
+    fn release(&mut self) {
+        self.buf = Vec::new();
+        self.start = 0;
     }
 
     fn fail(&mut self, e: TraceError) -> TraceError {
         self.failed = Some(e.clone());
         // Poisoned streams never decode again; release the tail now.
-        self.buf = Vec::new();
+        self.release();
         e
     }
 
@@ -1321,20 +1347,19 @@ impl StreamDecoder {
         if self.header_done {
             return Ok(true);
         }
-        if self.buf.len() < 6 {
+        let tail = &self.buf[self.start..];
+        if tail.len() < 6 {
             return Ok(false);
         }
-        if self.buf[..4] != MAGIC {
+        if tail[..4] != MAGIC {
             return Err(self.fail(TraceError::BadMagic));
         }
-        let version = u16::from_le_bytes([self.buf[4], self.buf[5]]);
+        let version = u16::from_le_bytes([tail[4], tail[5]]);
         if version != FORMAT_VERSION {
             return Err(self.fail(TraceError::UnsupportedVersion(version)));
         }
         self.version = version;
-        self.consumed_fnv = fnv1a_with(self.consumed_fnv, &self.buf[..6]);
-        self.consumed += 6;
-        self.buf.drain(..6);
+        self.consume(6);
         self.header_done = true;
         Ok(true)
     }
@@ -1364,7 +1389,7 @@ impl StreamDecoder {
         let snap_interns = self.interns.len();
         let snap_records = self.records;
         let mut dec = Decoder {
-            bytes: &self.buf,
+            bytes: &self.buf[self.start..],
             pos: 0,
             interns: std::mem::take(&mut self.interns),
             version: self.version,
@@ -1380,18 +1405,15 @@ impl StreamDecoder {
         self.records = dec.records;
         match outcome {
             Ok(Some(rec)) => {
-                self.consumed_fnv = fnv1a_with(self.consumed_fnv, &self.buf[..pos]);
-                self.consumed += pos as u64;
-                self.buf.drain(..pos);
+                self.consume(pos);
                 Ok(Some(rec))
             }
             Ok(None) => {
                 debug_assert!(dec_finished, "Ok(None) without End");
                 self.finished = true;
-                self.trailing += (self.buf.len() - pos) as u64;
-                self.consumed_fnv = fnv1a_with(self.consumed_fnv, &self.buf[..pos]);
-                self.consumed += pos as u64;
-                self.buf = Vec::new();
+                self.consume(pos);
+                self.trailing += (self.buf.len() - self.start) as u64;
+                self.release();
                 Ok(None)
             }
             Err(TraceError::Truncated) => {
@@ -1400,6 +1422,7 @@ impl StreamDecoder {
                 // time — correctness over elegance.
                 self.interns.truncate(snap_interns);
                 self.records = snap_records;
+                self.compact();
                 Ok(None)
             }
             Err(e) => Err(self.fail(e)),
@@ -1418,7 +1441,7 @@ impl StreamDecoder {
 
     /// Undecoded tail bytes currently buffered.
     pub fn pending(&self) -> u64 {
-        self.buf.len() as u64
+        (self.buf.len() - self.start) as u64
     }
 
     /// Total bytes ever fed.
@@ -1670,6 +1693,54 @@ mod tests {
                 let streamed = stream_decode(bytes, chunk);
                 assert_eq!(streamed, batch, "variant {i}, chunk {chunk}");
             }
+        }
+    }
+
+    /// A trace past 1 MiB: many small records, each meta value interned
+    /// fresh.
+    fn large_trace() -> Vec<u8> {
+        let mut enc = Encoder::new();
+        for i in 0..60_000u32 {
+            enc.istr("key");
+            enc.istr(&format!("value-{i}"));
+            enc.end_record(tag::META);
+            enc.varint(u64::from(i % 7));
+            enc.end_record(tag::SPAWN_THREAD);
+        }
+        enc.finish()
+    }
+
+    #[test]
+    fn one_large_chunk_decodes_like_small_chunks() {
+        let good = large_trace();
+        assert!(good.len() >= 1 << 20, "trace is {} bytes", good.len());
+        let mut flipped = good.clone();
+        flipped[good.len() / 2] ^= 0x40;
+        let truncated = good[..good.len() - 5].to_vec();
+        for bytes in [&good, &flipped, &truncated] {
+            let totals = |chunk: usize| {
+                let mut dec = StreamDecoder::new();
+                let mut records = Vec::new();
+                let mut error = None;
+                for piece in bytes.chunks(chunk) {
+                    dec.feed(piece);
+                    loop {
+                        match dec.next_record() {
+                            Ok(Some(rec)) => records.push(rec),
+                            Ok(None) => break,
+                            Err(e) => {
+                                error = Some(e);
+                                break;
+                            }
+                        }
+                    }
+                }
+                let finish = dec.finish();
+                (records, error, finish, dec.stream_len(), dec.stream_fnv())
+            };
+            let whole = totals(bytes.len());
+            assert_eq!(whole, totals(2048));
+            assert_eq!((whole.3, whole.4), (bytes.len() as u64, fnv1a(bytes)));
         }
     }
 

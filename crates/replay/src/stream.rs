@@ -346,9 +346,8 @@ impl std::error::Error for SealMismatch {}
 /// before checksum: a length mismatch means lost or duplicated chunks,
 /// which makes the checksum comparison meaningless noise.
 ///
-/// The single audited implementation shared by the buffered judge
-/// (hashing its reassembled buffer) and the streaming judge (carrying
-/// running totals) — the two paths must quarantine identically.
+/// `jinn-serve` checks every session's seal with it, against the
+/// running totals of the session's [`crate::StreamDecoder`].
 ///
 /// # Errors
 ///

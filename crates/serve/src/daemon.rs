@@ -1,9 +1,10 @@
 //! The daemon: N ingest workers around a bounded queue, fronted by a
 //! cloneable in-process handle.
 //!
-//! Lifecycle of one session: `open` → `append`* → `seal` (validates the
-//! reassembled bytes, enqueues) → a worker takes it (`Judging`), replays
-//! it under the session's checker stack, and stores the history
+//! Lifecycle of one session: `open` (creates its stream decoder) →
+//! `append`* (feeds it) → `seal` (checks the declaration against the
+//! decoder's running totals, enqueues) → a worker takes it (`Judging`),
+//! collects its verdicts (`streaming` module), and stores the history
 //! (`Judged`) — or poisons it (`Quarantined`). The queue is the
 //! admission-control point: when all workers are busy and the queue is
 //! full, `seal` blocks the *sealing* client (global backpressure), while
@@ -18,7 +19,6 @@ use jinn_fsm::{AtomicEnginePool, EnginePool, PoolStats};
 use jinn_replay::{Frame, ReplayConfig, MAX_MANIFEST_FUNCTIONS};
 
 use crate::error::ServeError;
-use crate::judge::judge;
 use crate::manifest::ManifestSummary;
 use crate::session::{MachineRollup, SessionId, SessionStats};
 use crate::store::{FleetStats, Query, QueryPage, SessionTable, StoreLimits};
@@ -51,11 +51,11 @@ pub struct ServeConfig {
     pub default_configs: String,
     /// Ring capacity of the per-session replay recorder.
     pub recorder_ring: usize,
-    /// Sessions judged *incrementally* at once: each streaming session
-    /// holds a decoder and an executor thread from `Open` to `Seal`, so
-    /// this caps that standing cost. Single-config sessions
-    /// opened while a slot is free stream; everything else (and `0`,
-    /// which disables streaming) buffers exactly as before.
+    /// Caps executor threads: sessions a live executor replays while
+    /// they upload. A single-config session opened while a slot is free
+    /// is replayed live; every other session (all of them at `0`) keeps
+    /// its bytes until a worker judges it. Every session decodes through
+    /// the same scanner either way.
     pub streaming_sessions: usize,
 }
 
@@ -139,6 +139,17 @@ impl IngestQueue {
     }
 }
 
+/// Every session's stream, by id, from `open` until a worker takes the
+/// session or it is quarantined or aborted. `open` registers a session
+/// under this lock together with its table record, and every path that
+/// unregisters one does so after the table left `Open`.
+#[derive(Default)]
+struct Streams {
+    sessions: HashMap<SessionId, Arc<StreamingSession>>,
+    /// Registered live sessions: the `streaming_sessions` slots taken.
+    live: usize,
+}
+
 pub(crate) struct Shared {
     config: ServeConfig,
     pub(crate) table: SessionTable,
@@ -146,25 +157,33 @@ pub(crate) struct Shared {
     pool: Arc<AtomicEnginePool<u64>>,
     /// Each tenant's declared call-site set (the manifest audit).
     manifests: Mutex<HashMap<String, Arc<BTreeSet<String>>>>,
-    streams: Mutex<HashMap<SessionId, Arc<StreamingSession>>>,
+    streams: Mutex<Streams>,
     next_auto: AtomicU64,
     shutting_down: AtomicBool,
 }
 
 impl Shared {
+    fn streams(&self) -> std::sync::MutexGuard<'_, Streams> {
+        self.streams.lock().expect("stream registry poisoned")
+    }
+
     fn stream(&self, id: SessionId) -> Option<Arc<StreamingSession>> {
-        self.streams
-            .lock()
-            .expect("stream registry poisoned")
-            .get(&id)
-            .cloned()
+        self.streams().sessions.get(&id).cloned()
     }
 
     fn remove_stream(&self, id: SessionId) -> Option<Arc<StreamingSession>> {
-        self.streams
-            .lock()
-            .expect("stream registry poisoned")
-            .remove(&id)
+        let mut streams = self.streams();
+        let stream = streams.sessions.remove(&id)?;
+        streams.live -= usize::from(stream.is_live());
+        Some(stream)
+    }
+
+    /// Unregisters a session that will not be judged and tears its
+    /// stream down.
+    fn discard_stream(&self, id: SessionId) {
+        if let Some(s) = self.remove_stream(id) {
+            s.discard();
+        }
     }
 
     fn manifest(&self, tenant: &str) -> Option<Arc<BTreeSet<String>>> {
@@ -201,7 +220,7 @@ impl Daemon {
             queue: IngestQueue::new(config.queue_capacity),
             pool: EnginePool::new(jinn_spec::machines()),
             manifests: Mutex::new(HashMap::new()),
-            streams: Mutex::new(HashMap::new()),
+            streams: Mutex::new(Streams::default()),
             next_auto: AtomicU64::new(AUTO_SESSION_BASE),
             shutting_down: AtomicBool::new(false),
             config,
@@ -236,19 +255,11 @@ impl Daemon {
         for w in self.workers.drain(..) {
             let _ = w.join();
         }
-        // Workers drained every sealed session (including streaming
-        // ones, which they removed from the registry); whatever is left
-        // never sealed — discard the speculation and join the executors
-        // so shutdown leaves no threads behind.
-        let leftover: Vec<Arc<StreamingSession>> = self
-            .shared
-            .streams
-            .lock()
-            .expect("stream registry poisoned")
-            .drain()
-            .map(|(_, s)| s)
-            .collect();
-        for s in leftover {
+        // Workers drained every sealed session (removing it from the
+        // registry); whatever is left never sealed — discard it and join
+        // the executors so shutdown leaves no threads behind.
+        let leftover = std::mem::take(&mut *self.shared.streams());
+        for s in leftover.sessions.into_values() {
             s.discard();
         }
     }
@@ -262,36 +273,19 @@ impl Drop for Daemon {
 
 fn worker_loop(shared: &Arc<Shared>) {
     while let Some(id) = shared.queue.pop() {
-        let max_events = shared.config.max_events_per_session;
         // Held until after publishing, so tearing the session down stays
-        // off the seal-to-verdict path.
-        let stream = shared.remove_stream(id);
-        let judged = match &stream {
-            Some(stream) => {
-                let Some(tenant) = shared.table.begin_judging_streamed(id) else {
-                    stream.discard(); // quarantined while queued
-                    continue;
-                };
-                let manifest = shared.manifest(&tenant);
-                stream.collect(&tenant, manifest.as_deref(), &shared.pool, max_events)
-            }
-            None => {
-                let Some((bytes, tenant, configs)) = shared.table.begin_judging(id) else {
-                    continue; // quarantined while queued
-                };
-                let manifest = shared.manifest(&tenant);
-                judge(
-                    &bytes,
-                    id,
-                    &tenant,
-                    &configs,
-                    &shared.pool,
-                    manifest.as_deref(),
-                    shared.config.recorder_ring,
-                    max_events,
-                )
-            }
+        // off the seal-to-verdict path. A session quarantined while
+        // queued is already unregistered.
+        let Some(stream) = shared.remove_stream(id) else {
+            continue;
         };
+        let Some(tenant) = shared.table.begin_judging(id) else {
+            stream.discard(); // quarantined while queued
+            continue;
+        };
+        let manifest = shared.manifest(&tenant);
+        let max_events = shared.config.max_events_per_session;
+        let judged = stream.collect(&tenant, manifest.as_deref(), &shared.pool, max_events);
         match judged {
             Ok(out) => shared.table.finish(id, out),
             Err(reason) => shared.table.fail(id, &reason),
@@ -346,36 +340,19 @@ impl DaemonHandle {
     pub fn open(&self, session: SessionId, tenant: &str, configs: &str) -> Result<(), ServeError> {
         self.guard()?;
         let configs = self.parse_configs(configs)?;
-        let single = match configs.as_slice() {
-            [only] => Some(only.clone()),
-            _ => None,
-        };
-        self.shared.table.open(session, tenant, configs)?;
-        // Streaming dispatch: single-config sessions stream while a
-        // slot is free; everything else buffers transparently. Decided
-        // once here — the first `Append` must already hit the scanner.
-        if let Some(config) = single {
-            let cap = self.shared.config.streaming_sessions;
-            if cap > 0 {
-                let mut streams = self
-                    .shared
-                    .streams
-                    .lock()
-                    .expect("stream registry poisoned");
-                if streams.len() < cap {
-                    streams.insert(
-                        session,
-                        Arc::new(StreamingSession::start(
-                            session,
-                            config,
-                            self.shared.config.recorder_ring,
-                        )),
-                    );
-                    drop(streams);
-                    self.shared.table.mark_streamed(session);
-                }
-            }
-        }
+        // The one dispatch decision, made once here: a single-config
+        // session is replayed live while a slot is free. The table
+        // record opens under the registry lock, so no one sees an open
+        // session without its stream.
+        let mut streams = self.shared.streams();
+        let live = configs.len() == 1 && streams.live < self.shared.config.streaming_sessions;
+        self.shared
+            .table
+            .open(session, tenant, configs.clone(), live)?;
+        let ring = self.shared.config.recorder_ring;
+        let stream = StreamingSession::start(session, configs, ring, live);
+        streams.sessions.insert(session, Arc::new(stream));
+        streams.live += usize::from(live);
         Ok(())
     }
 
@@ -391,28 +368,27 @@ impl DaemonHandle {
         Ok(id)
     }
 
-    /// Buffers trace bytes for an open session.
+    /// Feeds trace bytes to an open session's stream decoder.
     ///
     /// # Errors
     ///
-    /// [`ServeError::Backpressure`] past the per-session cap; lifecycle
+    /// [`ServeError::Backpressure`] past the per-session cap,
+    /// [`ServeError::FleetBackpressure`] past the fleet one; lifecycle
     /// errors otherwise.
     pub fn append(&self, session: SessionId, chunk: &[u8]) -> Result<(), ServeError> {
         self.guard()?;
-        match self.shared.stream(session) {
-            Some(stream) => {
-                // Admission (lifecycle + backpressure on the undecoded
-                // tail) happens before the scanner sees a byte, so a
-                // rejected chunk leaves the stream exactly as it was.
-                self.shared
-                    .table
-                    .stream_admit(session, chunk.len() as u64)?;
-                let pending = stream.ingest(chunk);
-                self.shared.table.stream_settle(session, pending);
-                Ok(())
-            }
-            None => self.shared.table.append(session, chunk),
+        // Admission (lifecycle + backpressure on the bytes the decoder
+        // holds) happens before the decoder sees a byte, so a rejected
+        // chunk leaves the stream exactly as it was.
+        self.shared.table.admit(session, chunk.len() as u64)?;
+        // An admitted session is open, so it is registered — unless a
+        // quarantine or abort unregistered it since, which also released
+        // this chunk's charge.
+        if let Some(stream) = self.shared.stream(session) {
+            let pending = stream.ingest(chunk);
+            self.shared.table.settle(session, pending);
         }
+        Ok(())
     }
 
     /// Seals a session and queues it for judging. Blocks while the
@@ -420,8 +396,8 @@ impl DaemonHandle {
     ///
     /// # Errors
     ///
-    /// [`ServeError::Quarantined`] when the reassembled bytes don't
-    /// match the declaration; lifecycle or shutdown errors otherwise.
+    /// [`ServeError::Quarantined`] when the uploaded bytes don't match
+    /// the declaration; lifecycle or shutdown errors otherwise.
     pub fn seal(
         &self,
         session: SessionId,
@@ -429,33 +405,28 @@ impl DaemonHandle {
         checksum: u64,
     ) -> Result<(), ServeError> {
         self.guard()?;
-        match self.shared.stream(session) {
-            Some(stream) => {
-                let declared = stream.verify_declaration(total_len, checksum);
-                if let Err(e) = self.shared.table.seal_streamed(session, declared) {
-                    if matches!(e, ServeError::Quarantined { .. }) {
-                        if let Some(s) = self.shared.remove_stream(session) {
-                            s.discard();
-                        }
-                    }
-                    return Err(e);
-                }
-                stream.finalize();
+        // Checked against the decoder's running totals, outside the
+        // table lock. An unregistered session is not open, and the
+        // table reports its lifecycle error.
+        let stream = self.shared.stream(session);
+        let declared = stream
+            .as_ref()
+            .map_or(Ok(()), |s| s.verify_declaration(total_len, checksum));
+        if let Err(e) = self.shared.table.seal(session, declared) {
+            if matches!(e, ServeError::Quarantined { .. }) {
+                self.shared.discard_stream(session);
             }
-            None => self.shared.table.seal(session, total_len, checksum)?,
+            return Err(e);
         }
-        match self.shared.queue.push(session) {
-            Ok(()) => Ok(()),
-            Err(e) => {
-                self.shared
-                    .table
-                    .quarantine(session, "daemon shut down before judging");
-                if let Some(s) = self.shared.remove_stream(session) {
-                    s.discard();
-                }
-                Err(e)
-            }
+        if let Some(stream) = stream {
+            stream.finalize();
         }
+        self.shared.queue.push(session).inspect_err(|_| {
+            self.shared
+                .table
+                .quarantine(session, "daemon shut down before judging");
+            self.shared.discard_stream(session);
+        })
     }
 
     /// Abandons an open session.
@@ -465,9 +436,7 @@ impl DaemonHandle {
     /// Lifecycle errors.
     pub fn abort(&self, session: SessionId, reason: &str) -> Result<(), ServeError> {
         self.shared.table.abort(session, reason)?;
-        if let Some(s) = self.shared.remove_stream(session) {
-            s.discard();
-        }
+        self.shared.discard_stream(session);
         Ok(())
     }
 
@@ -475,9 +444,7 @@ impl DaemonHandle {
     /// frame stream went bad). No-op on terminal sessions.
     pub fn quarantine(&self, session: SessionId, reason: &str) {
         self.shared.table.quarantine(session, reason);
-        if let Some(s) = self.shared.remove_stream(session) {
-            s.discard();
-        }
+        self.shared.discard_stream(session);
     }
 
     /// Declares (or replaces) `tenant`'s workload manifest and acks it

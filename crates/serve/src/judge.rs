@@ -1,6 +1,6 @@
-//! The worker side of ingest: parse a sealed session's trace bytes,
-//! re-judge them under the session's checker stack, and condense the
-//! results into history rows for the store.
+//! The worker side of ingest: re-judge a sealed session's decoded trace
+//! under the session's checker stack, and condense the results into
+//! history rows for the store.
 //!
 //! One replay per configuration; the first configuration runs with a
 //! live [`Recorder`] wired in ([`jinn_replay::replay_trace_observed`])
@@ -10,9 +10,8 @@
 //! ([`jinn_fsm::AtomicEnginePool`]) to produce per-machine entity
 //! rollups without rebuilding compiled machines per session — and
 //! without any mutex on the rollup path, so concurrent ingest workers
-//! never convoy on a pool engine's interior lock. The streaming judge
-//! publishes through the same row helpers, so both paths build the same
-//! rows.
+//! never convoy on a pool engine's interior lock. A live session's
+//! executor publishes through the same row helpers.
 //!
 //! [`AtomicStore`]: jinn_fsm::AtomicStore
 
@@ -88,12 +87,10 @@ pub(crate) fn audit_machines() -> &'static [MachineSpec] {
     MACHINES.get_or_init(jinn_spec::machines)
 }
 
-/// The static-discharge audit row for one trace, shared by the
-/// buffered and streaming judges. Takes the trace's call-site set
-/// precomputed so callers that already hold one (the buffered judge
-/// computes it for the manifest audit too; the streaming judge
-/// accumulates it incrementally during ingest) never walk the events
-/// again at seal.
+/// The static-discharge audit row for one trace. Takes the trace's
+/// call-site set precomputed so callers that already hold one
+/// ([`judge_trace`] computes it for the manifest audit too; a live
+/// session accumulates it during ingest) never walk the events again.
 pub(crate) fn discharge_stats(program: &str, called: &BTreeSet<String>) -> DischargeStats {
     let manifest = jinn_core::WorkloadManifest::new(program, called.iter().map(String::as_str));
     let report = jinn_core::discharge(audit_machines(), &manifest);
@@ -256,8 +253,8 @@ pub fn rollup_events(
 }
 
 /// Adds one config's replay to `out`: its outcome row, its verdict
-/// rows, and its replay counters. Shared by the buffered and streaming
-/// judges, so both publish the same rows.
+/// rows, and its replay counters. Shared by [`judge_trace`] and live
+/// sessions, so both publish the same rows.
 pub(crate) fn push_replay_rows(
     session: SessionId,
     tenant: &str,
@@ -291,7 +288,7 @@ pub(crate) fn push_replay_rows(
 /// The recorder's share of a judged session: the newest `max_events`
 /// event summaries, the count of events beyond them (ring drops
 /// included), and the per-machine rollups on a lease from `pool`.
-/// Shared by the buffered and streaming judges.
+/// Shared by [`judge_trace`] and live sessions.
 pub(crate) fn recorder_rows(
     session: SessionId,
     recorder: &Recorder,
@@ -310,7 +307,7 @@ pub(crate) fn recorder_rows(
     (events, dropped, rollups)
 }
 
-/// Parses and re-judges one sealed session.
+/// Re-judges one decoded trace under each of its session's configs.
 ///
 /// `manifest` is the tenant's declared call-site set, if it declared
 /// one: a trace that calls outside it is flagged
@@ -319,33 +316,8 @@ pub(crate) fn recorder_rows(
 ///
 /// # Errors
 ///
-/// A quarantine reason: the trace failed to parse or a replay was
-/// structurally impossible. The caller poisons the session.
-#[allow(clippy::too_many_arguments)]
-pub fn judge(
-    bytes: &[u8],
-    session: SessionId,
-    tenant: &str,
-    configs: &[ReplayConfig],
-    pool: &Arc<AtomicEnginePool<u64>>,
-    manifest: Option<&BTreeSet<String>>,
-    recorder_ring: usize,
-    max_events: usize,
-) -> Result<JudgeOutput, String> {
-    let trace = Trace::parse(bytes).map_err(|e| format!("unreadable trace: {e}"))?;
-    judge_trace(
-        &trace,
-        session,
-        tenant,
-        configs,
-        pool,
-        manifest,
-        recorder_ring,
-        max_events,
-    )
-}
-
-/// [`judge`] for an already-parsed trace.
+/// A quarantine reason: a replay was structurally impossible. The
+/// caller poisons the session.
 #[allow(clippy::too_many_arguments)]
 pub fn judge_trace(
     trace: &Trace,
@@ -393,16 +365,19 @@ mod tests {
     use jinn_fsm::EnginePool;
     use jinn_replay::{program_by_name, record_program};
 
-    fn corpus_trace(name: &str) -> Vec<u8> {
-        record_program(&program_by_name(name).expect("known program"))
+    fn corpus_trace(name: &str) -> Trace {
+        Trace::parse(&record_program(
+            &program_by_name(name).expect("known program"),
+        ))
+        .expect("recording parses")
     }
 
     #[test]
     fn judging_figure1_yields_a_jinn_verdict() {
-        let bytes = corpus_trace("LocalRefDangling");
+        let trace = corpus_trace("LocalRefDangling");
         let pool = EnginePool::new(jinn_spec::machines());
         let configs = vec![ReplayConfig::parse("jinn").unwrap()];
-        let out = judge(&bytes, 9, "acme", &configs, &pool, None, 4096, 256).expect("judge");
+        let out = judge_trace(&trace, 9, "acme", &configs, &pool, None, 4096, 256).expect("judge");
         assert_eq!(out.program, "LocalRefDangling");
         assert!(!out.outside_manifest, "no manifest, nothing to flag");
         assert!(out.discharge.called_functions > 0, "call-site set audited");
@@ -425,11 +400,13 @@ mod tests {
 
     #[test]
     fn summary_cap_keeps_newest_events() {
-        let bytes = corpus_trace("LocalRefDangling");
+        let trace = corpus_trace("LocalRefDangling");
         let pool = EnginePool::new(jinn_spec::machines());
         let configs = vec![ReplayConfig::parse("jinn").unwrap()];
-        let full = judge(&bytes, 1, "t", &configs, &pool, None, 4096, 10_000).expect("judge");
-        let capped = judge(&bytes, 1, "t", &configs, &pool, None, 4096, 4).expect("judge");
+        let judge = |max_events| {
+            judge_trace(&trace, 1, "t", &configs, &pool, None, 4096, max_events).expect("judge")
+        };
+        let (full, capped) = (judge(10_000), judge(4));
         assert_eq!(capped.events.len(), 4);
         assert_eq!(
             capped.events_dropped,
@@ -442,14 +419,6 @@ mod tests {
             .collect();
         let got: Vec<u64> = capped.events.iter().map(|e| e.index).collect();
         assert_eq!(got, tail);
-    }
-
-    #[test]
-    fn unreadable_bytes_are_a_quarantine_reason() {
-        let pool = EnginePool::new(jinn_spec::machines());
-        let configs = vec![ReplayConfig::parse("jinn").unwrap()];
-        let err = judge(b"not a trace", 1, "t", &configs, &pool, None, 64, 16).unwrap_err();
-        assert!(err.contains("unreadable trace"), "{err}");
     }
 
     fn fsm_event(seq: u64, machine: &str, transition: &str, entity: &str) -> TraceEvent {
@@ -521,22 +490,24 @@ mod tests {
 
     #[test]
     fn manifests_flag_without_changing_verdicts_or_rollups() {
-        let bytes = corpus_trace("LocalRefDangling");
+        let trace = corpus_trace("LocalRefDangling");
         let pool = EnginePool::new(jinn_spec::machines());
         let configs = vec![ReplayConfig::parse("jinn").unwrap()];
-        let baseline = judge(&bytes, 1, "t", &configs, &pool, None, 4096, 256).expect("judge");
+        let judge = |manifest: Option<&BTreeSet<String>>| {
+            judge_trace(&trace, 1, "t", &configs, &pool, manifest, 4096, 256).expect("judge")
+        };
+        let baseline = judge(None);
         assert!(!baseline.outside_manifest);
 
-        let covering = Trace::parse(&bytes).unwrap().called_functions();
-        let honest =
-            judge(&bytes, 1, "t", &configs, &pool, Some(&covering), 4096, 256).expect("judge");
+        let covering = trace.called_functions();
+        let honest = judge(Some(&covering));
         assert!(
             !honest.outside_manifest,
             "a covering manifest is not flagged"
         );
 
         let lying: BTreeSet<String> = ["GetVersion".to_string()].into();
-        let liar = judge(&bytes, 1, "t", &configs, &pool, Some(&lying), 4096, 256).expect("judge");
+        let liar = judge(Some(&lying));
         assert!(liar.outside_manifest, "a lying manifest is flagged");
 
         // The manifest never changes a verdict, an outcome, an event

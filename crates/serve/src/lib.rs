@@ -13,34 +13,28 @@
 //!   byte streams over the length-prefixed frame envelope
 //!   (`jinn_replay::stream`), each session carrying a tenant tag and a
 //!   checker-stack selection.
-//! * **Ingest pipeline** — [`Daemon`] runs N worker threads over a
-//!   bounded queue. A sealed session is parsed with the hardened trace
-//!   reader and replayed under its configs
-//!   ([`jinn_replay::replay_trace_observed`]); compiled check tables are
-//!   cloned from a process-wide synthesis cache, and per-machine entity
-//!   rollups reuse pooled lock-free engines
-//!   ([`jinn_fsm::AtomicEnginePool`]). Corrupt input — frame checksum
-//!   mismatch, truncation, unreadable trace — quarantines the one
-//!   poisoned session and never stalls the fleet.
+//! * **Ingest pipeline** — every session owns a resumable record
+//!   decoder ([`jinn_replay::StreamDecoder`]) from `Open`; each `Append`
+//!   feeds it, and `Seal` checks the declared length/checksum against
+//!   its running totals. [`Daemon`] runs N worker threads over a bounded
+//!   queue of sealed sessions. A single-config session opened while a
+//!   `streaming_sessions` slot is free is *live*: its decoder drains as
+//!   bytes arrive (only the undecoded tail stays resident) into a replay
+//!   executor, so the worker joins an already-computed result. Every
+//!   other session is *retained*: its bytes stay in the decoder until a
+//!   worker drains it into a trace and replays it under each config
+//!   ([`judge_trace`]). Compiled check tables are cloned from a
+//!   process-wide synthesis cache, and per-machine entity rollups reuse
+//!   pooled lock-free engines ([`jinn_fsm::AtomicEnginePool`]) on a lease
+//!   taken at judging. Corrupt input — frame checksum mismatch, seal
+//!   mismatch, unreadable trace — quarantines the one poisoned session
+//!   and never stalls the fleet; a live verdict is never observable
+//!   before seal verification passes (`streaming` module docs, DESIGN.md
+//!   §13 and §16).
 //! * **Verdict/history store with retention** — per-session verdicts,
 //!   per-config outcomes, and execution-event summaries under a global
 //!   byte budget with deterministic oldest-session-first purge
 //!   ([`store`] module docs).
-//! * **Streaming incremental judging** — while a `streaming_sessions`
-//!   permit is available, a session is judged *as it uploads*: a
-//!   resumable record decoder ([`jinn_replay::StreamDecoder`]) consumes
-//!   each `Append`, releases the bytes it decodes (only the undecoded
-//!   tail stays resident), and pipes events to a per-session live
-//!   replay executor, so `Seal` only verifies the declared
-//!   length/checksum against running totals, rolls the recorder up on
-//!   an engine lease taken then (as a buffered session does; no lease
-//!   is held while the session uploads), and publishes the
-//!   already-computed result. The executor runs the same replay fold
-//!   as buffered judging, so the verdicts are identical. The
-//!   speculative verdict is never observable before seal verification
-//!   passes; a seal mismatch or decode error quarantines the session
-//!   with the buffered path's reason (`streaming` module docs,
-//!   DESIGN.md §16).
 //! * **Manifest audit** — a tenant can declare its call-site manifest
 //!   (the `Manifest` frame / [`DaemonHandle::declare_manifest`]) and is
 //!   acked with the static-discharge summary for it. The manifest
@@ -96,7 +90,7 @@ mod streaming;
 
 pub use daemon::{Daemon, DaemonHandle, ServeConfig, AUTO_SESSION_BASE};
 pub use error::ServeError;
-pub use judge::{judge, judge_trace, obs_counters, rollup_events, JudgeOutput};
+pub use judge::{judge_trace, obs_counters, rollup_events, JudgeOutput};
 pub use manifest::ManifestSummary;
 pub use session::{
     DischargeStats, EventSummary, MachineRollup, ObsCounters, OutcomeRec, SessionId, SessionState,

@@ -137,14 +137,14 @@ pub struct SessionStats {
     pub reason: Option<String>,
     /// Whether retention purged the session's history rows.
     pub history_purged: bool,
-    /// Whether the session was judged incrementally (a streaming judge
-    /// overlapped checking with ingest) rather than buffered-then-judged.
+    /// Whether a live executor replayed the session while it uploaded,
+    /// rather than a worker judging its retained bytes after `Seal`.
     pub streamed: bool,
     /// Seal-to-verdict latency, once judged: how long the client waited
     /// after `Seal` for its verdict. (Formerly `ingest_micros`.)
     pub seal_to_verdict_micros: Option<u64>,
     /// First-`Append`-to-verdict latency, once judged — the whole-trace
-    /// figure both the buffered and streaming paths pay in full, for
+    /// figure live and retained sessions both pay in full, for
     /// like-with-like benchmark comparisons.
     pub first_frame_micros: Option<u64>,
 }

@@ -1,16 +1,23 @@
-//! The session table: lifecycle bookkeeping, buffered ingest bytes,
+//! The session table: lifecycle bookkeeping, the ingest-byte charges,
 //! judged history rows, the retention budget, and the ordered indexes
 //! that pick victims and answer queries.
 //!
+//! The table never holds trace bytes: each session's own stream decoder
+//! does (the daemon's `streaming` module). The table charges the bytes
+//! a decoder holds against the per-session and fleet budgets
+//! ([`SessionTable::admit`], [`SessionTable::settle`]) and applies a
+//! seal verdict computed from the decoder's running totals
+//! ([`SessionTable::seal`]).
+//!
 //! One mutex guards the whole table, indexes included. That still
-//! suffices because nothing done under it scans the table: a purge or
-//! eviction victim costs O(log n), a query costs O(page + log n) when
-//! filtered by tenant or session and otherwise a scan of retained
-//! history that stops at the page. The expensive work (replay) happens
-//! in workers *outside* the lock — a worker takes the sealed bytes out,
-//! judges and compacts the rows without the lock, and comes back once
-//! with the results. A condvar broadcast on every state change backs
-//! `wait_terminal`/`wait_idle`.
+//! suffices because nothing done under it scans the table or a trace: a
+//! purge or eviction victim costs O(log n), a query costs O(page + log
+//! n) when filtered by tenant or session and otherwise a scan of
+//! retained history that stops at the page. The expensive work (decode,
+//! replay) happens in workers *outside* the lock — a worker marks the
+//! session judging, judges and compacts the rows without the lock, and
+//! comes back once with the results. A condvar broadcast on every state
+//! change backs `wait_terminal`/`wait_idle`.
 //!
 //! ## Indexes
 //!
@@ -53,7 +60,7 @@
 //! ## Admission control
 //!
 //! Every other resource the table holds is bounded too
-//! ([`StoreLimits`]): `open` past the live-session cap and `append`
+//! ([`StoreLimits`]): `open` past the live-session cap and `admit`
 //! past the fleet-wide buffered-bytes cap fail with typed errors, and
 //! whole session *records* beyond the record cap are evicted
 //! oldest-first among terminal sessions whenever one goes terminal —
@@ -65,7 +72,7 @@ use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Instant;
 
-use jinn_replay::{verify_seal_declaration, ReplayConfig};
+use jinn_replay::ReplayConfig;
 
 use crate::error::ServeError;
 use crate::judge::JudgeOutput;
@@ -198,12 +205,14 @@ pub struct FleetStats {
     /// Judged sessions whose trace called outside their tenant's
     /// declared manifest.
     pub outside_manifest_sessions: u64,
-    /// Sessions judged incrementally by a streaming judge.
+    /// Judged sessions that a live executor replayed while they
+    /// uploaded.
     pub streamed_sessions: u64,
     /// Most un-judged ingest bytes simultaneously buffered across the
-    /// fleet over the daemon's lifetime. A streaming session charges
-    /// only its undecoded tail here, so this is the figure the
-    /// streaming bench's peak-resident-bytes comparison reads.
+    /// fleet over the daemon's lifetime. A live session charges only
+    /// its undecoded tail here, a retained one every byte it uploaded,
+    /// so this is the figure the streaming bench's peak-resident-bytes
+    /// comparison reads.
     pub buffered_bytes_high_water: u64,
 }
 
@@ -483,7 +492,6 @@ struct Session {
     tenant: Box<str>,
     configs: Box<[ReplayConfig]>,
     state: SessionState,
-    buf: Vec<u8>,
     frames: u64,
     program: Option<Box<str>>,
     obs: ObsCounters,
@@ -497,11 +505,9 @@ struct Session {
     seal_to_verdict_micros: Option<u64>,
     first_frame_micros: Option<u64>,
     streamed: bool,
-    // Bytes a *streaming* session currently has charged against the
-    // fleet buffered-bytes budget (its undecoded tail). Buffered
-    // sessions charge via `buf` instead; the two are never both
-    // non-zero.
-    stream_charged: u64,
+    /// Bytes the session's decoder holds, as charged against the
+    /// per-session and fleet buffered-bytes budgets.
+    buffered: u64,
     events_replayed: u64,
     divergences: u64,
     summaries_dropped: u64,
@@ -605,7 +611,8 @@ impl SessionTable {
         self.inner.lock().expect("session table poisoned")
     }
 
-    /// Opens a session.
+    /// Opens a session. `streamed` records whether a live executor
+    /// replays it while it uploads ([`SessionStats::streamed`]).
     ///
     /// # Errors
     ///
@@ -616,6 +623,7 @@ impl SessionTable {
         id: SessionId,
         tenant: &str,
         configs: Vec<ReplayConfig>,
+        streamed: bool,
     ) -> Result<(), ServeError> {
         let mut t = self.lock();
         if t.sessions.contains_key(&id) {
@@ -638,7 +646,6 @@ impl SessionTable {
                 tenant: tenant.into(),
                 configs: configs.into_boxed_slice(),
                 state: SessionState::Open,
-                buf: Vec::new(),
                 frames: 1,
                 program: None,
                 obs: ObsCounters::default(),
@@ -651,8 +658,8 @@ impl SessionTable {
                 first_frame_at: None,
                 seal_to_verdict_micros: None,
                 first_frame_micros: None,
-                streamed: false,
-                stream_charged: 0,
+                streamed,
+                buffered: 0,
                 events_replayed: 0,
                 divergences: 0,
                 summaries_dropped: 0,
@@ -683,77 +690,29 @@ impl SessionTable {
         }
     }
 
-    /// Buffers a chunk of trace bytes.
+    /// Admits one `Append` chunk of `chunk_len` bytes: lifecycle and
+    /// backpressure checks, byte and frame accounting. The chunk itself
+    /// goes to the session's decoder, not the table; the whole chunk is
+    /// charged to the buffered budgets, and [`SessionTable::settle`]
+    /// releases what the decoder let go of.
     ///
     /// # Errors
     ///
-    /// [`ServeError::Backpressure`] when the chunk would exceed the
-    /// per-session buffer cap, [`ServeError::FleetBackpressure`] when it
-    /// would exceed the fleet-wide one; lifecycle errors otherwise.
-    pub fn append(&self, id: SessionId, chunk: &[u8]) -> Result<(), ServeError> {
+    /// [`ServeError::Backpressure`] when the chunk would take the bytes
+    /// charged to the session past the per-session cap,
+    /// [`ServeError::FleetBackpressure`] when it would exceed the
+    /// fleet-wide one; lifecycle errors otherwise.
+    pub fn admit(&self, id: SessionId, chunk_len: u64) -> Result<(), ServeError> {
         let mut t = self.lock();
         let cap = self.limits.max_buffered;
         let total = t.buffered;
         let total_cap = self.limits.max_total_buffered;
         let s = Self::session_mut(&mut t, id)?;
         Self::require_open(s, id)?;
-        if s.buf.len() as u64 + chunk.len() as u64 > cap {
+        if s.buffered + chunk_len > cap {
             return Err(ServeError::Backpressure {
                 session: id,
-                buffered: s.buf.len() as u64,
-                cap,
-            });
-        }
-        if total + chunk.len() as u64 > total_cap {
-            return Err(ServeError::FleetBackpressure {
-                buffered: total,
-                cap: total_cap,
-            });
-        }
-        s.buf.extend_from_slice(chunk);
-        s.bytes_received += chunk.len() as u64;
-        s.frames += 1;
-        if s.first_frame_at.is_none() {
-            s.first_frame_at = Some(Instant::now());
-        }
-        t.buffered += chunk.len() as u64;
-        t.fleet.buffered_bytes_high_water = t.fleet.buffered_bytes_high_water.max(t.buffered);
-        Ok(())
-    }
-
-    /// Marks a session as judged by the streaming path. Called once at
-    /// dispatch time, before any `Append` is streamed into it.
-    pub fn mark_streamed(&self, id: SessionId) {
-        let mut t = self.lock();
-        if let Some(s) = t.sessions.get_mut(&id) {
-            s.streamed = true;
-        }
-    }
-
-    /// [`SessionTable::append`]'s admission half for a streaming
-    /// session: the same lifecycle and backpressure checks (against the
-    /// session's *undecoded tail*, not everything ever received), and
-    /// the same byte/frame accounting — but the chunk itself goes to
-    /// the stream scanner, not the table. Charges the whole chunk to
-    /// the fleet buffered budget provisionally; [`stream_settle`]
-    /// releases what the scanner decoded.
-    ///
-    /// [`stream_settle`]: SessionTable::stream_settle
-    ///
-    /// # Errors
-    ///
-    /// Exactly [`SessionTable::append`]'s.
-    pub fn stream_admit(&self, id: SessionId, chunk_len: u64) -> Result<(), ServeError> {
-        let mut t = self.lock();
-        let cap = self.limits.max_buffered;
-        let total = t.buffered;
-        let total_cap = self.limits.max_total_buffered;
-        let s = Self::session_mut(&mut t, id)?;
-        Self::require_open(s, id)?;
-        if s.stream_charged + chunk_len > cap {
-            return Err(ServeError::Backpressure {
-                session: id,
-                buffered: s.stream_charged,
+                buffered: s.buffered,
                 cap,
             });
         }
@@ -765,7 +724,7 @@ impl SessionTable {
         }
         s.bytes_received += chunk_len;
         s.frames += 1;
-        s.stream_charged += chunk_len;
+        s.buffered += chunk_len;
         if s.first_frame_at.is_none() {
             s.first_frame_at = Some(Instant::now());
         }
@@ -774,68 +733,31 @@ impl SessionTable {
         Ok(())
     }
 
-    /// Settles a streaming session's buffered charge down to its
-    /// scanner's current undecoded tail — the moment streamed bytes
-    /// stop being resident. No-op on unknown or already-drained
-    /// sessions.
-    pub fn stream_settle(&self, id: SessionId, pending: u64) {
+    /// Settles a session's buffered charge down to the `pending` bytes
+    /// its decoder still holds — the moment decoded bytes stop being
+    /// resident. No-op on unknown or already-drained sessions.
+    pub fn settle(&self, id: SessionId, pending: u64) {
         let mut t = self.lock();
         let Some(s) = t.sessions.get_mut(&id) else {
             return;
         };
-        let release = s.stream_charged.saturating_sub(pending);
-        s.stream_charged -= release;
+        let release = s.buffered.saturating_sub(pending);
+        s.buffered -= release;
         t.buffered -= release;
     }
 
-    /// Seals a session: verifies the declared length and checksum, then
-    /// marks it queued. The caller enqueues the id for a worker.
-    ///
-    /// # Errors
-    ///
-    /// [`ServeError::Quarantined`] when the reassembled bytes don't
-    /// match the seal declaration (the session is poisoned in place);
-    /// lifecycle errors otherwise.
-    pub fn seal(&self, id: SessionId, total_len: u64, checksum: u64) -> Result<(), ServeError> {
-        let mut t = self.lock();
-        let s = Self::session_mut(&mut t, id)?;
-        Self::require_open(s, id)?;
-        s.frames += 1;
-        let actual_len = s.buf.len() as u64;
-        let actual_sum = jinn_replay::format::fnv1a(&s.buf);
-        if let Err(mismatch) = verify_seal_declaration(total_len, checksum, actual_len, actual_sum)
-        {
-            let reason = mismatch.to_string();
-            self.poison(&mut t, id, &reason);
-            self.changed.notify_all();
-            return Err(ServeError::Quarantined {
-                session: id,
-                reason,
-            });
-        }
-        let s = Self::session_mut(&mut t, id)?;
-        s.state = SessionState::Queued;
-        s.sealed_at = Some(Instant::now());
-        t.active += 1;
-        self.changed.notify_all();
-        Ok(())
-    }
-
-    /// [`SessionTable::seal`] for a streaming session: the declaration
-    /// was verified against the scanner's running totals (the table
-    /// never saw the bytes), and its result is applied here under the
-    /// same lock, with the same lifecycle precedence and poisoning, as
-    /// the buffered path's reassembled-buffer verification.
+    /// Seals a session: applies the verification of its declared
+    /// length and checksum, made against its decoder's running totals
+    /// outside this lock, and marks it queued. The caller enqueues the
+    /// id for a worker. Lifecycle errors take precedence over
+    /// `declared`.
     ///
     /// # Errors
     ///
     /// [`ServeError::Quarantined`] when `declared` carries a mismatch
-    /// reason; lifecycle errors otherwise.
-    pub fn seal_streamed(
-        &self,
-        id: SessionId,
-        declared: Result<(), String>,
-    ) -> Result<(), ServeError> {
+    /// reason (the session is poisoned in place); lifecycle errors
+    /// otherwise.
+    pub fn seal(&self, id: SessionId, declared: Result<(), String>) -> Result<(), ServeError> {
         let mut t = self.lock();
         let s = Self::session_mut(&mut t, id)?;
         Self::require_open(s, id)?;
@@ -856,7 +778,7 @@ impl SessionTable {
         Ok(())
     }
 
-    /// Client-side abort: drops the buffer, terminal state.
+    /// Client-side abort: releases the buffered charge, terminal state.
     ///
     /// # Errors
     ///
@@ -867,8 +789,7 @@ impl SessionTable {
         Self::require_open(s, id)?;
         s.state = SessionState::Aborted;
         s.reason = Some(reason.into());
-        let freed = s.buf.len() as u64 + std::mem::take(&mut s.stream_charged);
-        s.buf = Vec::new();
+        let freed = std::mem::take(&mut s.buffered);
         s.frames += 1;
         let key = (s.opened_seq, id);
         t.terminal.insert(key);
@@ -892,8 +813,7 @@ impl SessionTable {
         }
         s.state = SessionState::Quarantined;
         s.reason = Some(reason.into());
-        let freed = s.buf.len() as u64 + std::mem::take(&mut s.stream_charged);
-        s.buf = Vec::new();
+        let freed = std::mem::take(&mut s.buffered);
         let key = (s.opened_seq, id);
         t.terminal.insert(key);
         t.buffered -= freed;
@@ -910,35 +830,18 @@ impl SessionTable {
         self.changed.notify_all();
     }
 
-    /// Worker entry: takes a queued session's bytes for judging.
-    /// Returns `None` when the session is no longer queued (e.g. it was
-    /// quarantined while waiting).
-    pub fn begin_judging(&self, id: SessionId) -> Option<(Vec<u8>, String, Vec<ReplayConfig>)> {
+    /// Worker entry: marks a queued session judging and releases its
+    /// buffered charge (the worker now owns its decoder). Returns the
+    /// session's tenant, or `None` when the session is no longer queued
+    /// (e.g. it was quarantined while waiting).
+    pub fn begin_judging(&self, id: SessionId) -> Option<String> {
         let mut t = self.lock();
         let s = t.sessions.get_mut(&id)?;
         if s.state != SessionState::Queued {
             return None;
         }
         s.state = SessionState::Judging;
-        let bytes = std::mem::take(&mut s.buf);
-        let out = (bytes, s.tenant.to_string(), s.configs.to_vec());
-        t.buffered -= out.0.len() as u64;
-        self.changed.notify_all();
-        Some(out)
-    }
-
-    /// [`SessionTable::begin_judging`] for a streaming session: there
-    /// are no buffered bytes to take (the scanner consumed them as they
-    /// arrived); any residual undecoded-tail charge is released here.
-    /// Returns the session's tenant.
-    pub fn begin_judging_streamed(&self, id: SessionId) -> Option<String> {
-        let mut t = self.lock();
-        let s = t.sessions.get_mut(&id)?;
-        if s.state != SessionState::Queued {
-            return None;
-        }
-        s.state = SessionState::Judging;
-        let charged = std::mem::take(&mut s.stream_charged);
+        let charged = std::mem::take(&mut s.buffered);
         let tenant = s.tenant.to_string();
         t.buffered -= charged;
         self.changed.notify_all();

@@ -42,14 +42,11 @@ fn dummy_output() -> JudgeOutput {
 #[test]
 fn late_finish_after_quarantine_is_discarded() {
     let table = SessionTable::new(roomy_limits());
-    let bytes = b"pretend trace";
-    table.open(1, "t", Vec::new()).expect("open");
-    table.append(1, bytes).expect("append");
-    table
-        .seal(1, bytes.len() as u64, fnv1a(bytes))
-        .expect("seal");
-    let (taken, _, _) = table.begin_judging(1).expect("queued session");
-    assert_eq!(taken, bytes);
+    table.open(1, "t", Vec::new(), false).expect("open");
+    table.admit(1, 13).expect("admit");
+    table.settle(1, 13);
+    table.seal(1, Ok(())).expect("seal");
+    assert_eq!(table.begin_judging(1).as_deref(), Some("t"));
 
     // The session's connection goes bad mid-judging.
     table.quarantine(1, "corrupt frame stream");
@@ -86,8 +83,8 @@ fn live_session_cap_rejects_open() {
 
 #[test]
 fn fleet_buffered_cap_backpressures_append() {
-    // Buffered-path accounting: a streaming session would release
-    // decoded (or poisoned) bytes immediately and never hold the cap.
+    // Retained sessions hold every byte they upload; a live one would
+    // release decoded (or poisoned) bytes at once and never hold the cap.
     let daemon = Daemon::start(ServeConfig {
         max_total_buffered_bytes: 10,
         streaming_sessions: 0,

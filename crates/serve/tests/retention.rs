@@ -121,31 +121,39 @@ fn live_sessions_are_never_evicted() {
     let per_session = handle.fleet().history_bytes as usize;
     daemon.shutdown();
 
-    let daemon = Daemon::start(tiny_config(per_session + per_session / 2));
-    let handle = daemon.handle();
+    // One session replayed live while it uploads, one retained until
+    // judged (two configs).
+    for configs in ["jinn", "jinn,xcheck"] {
+        let daemon = Daemon::start(tiny_config(per_session + per_session / 2));
+        let handle = daemon.handle();
 
-    // An unsealed session with buffered bytes, opened FIRST (oldest).
-    handle.open(100, "tenant", "jinn").expect("open");
-    handle.append(100, &bytes).expect("append");
+        // An unsealed session with uploaded bytes, opened FIRST (oldest).
+        handle.open(100, "tenant", configs).expect("open");
+        handle.append(100, &bytes).expect("append");
 
-    // Now blow through the budget with judged sessions.
-    for id in 0..5 {
-        ingest(&handle, id, &bytes);
+        // Now blow through the budget with judged sessions.
+        for id in 0..5 {
+            ingest(&handle, id, &bytes);
+        }
+        let live = handle.session_stats(100).expect("live session");
+        assert_eq!(live.state, SessionState::Open, "{configs}: still open");
+        assert!(!live.history_purged, "{configs}: untouched by retention");
+        assert_eq!(live.bytes, bytes.len() as u64, "{configs}: upload intact");
+
+        // It can still seal and judge normally afterwards.
+        handle
+            .seal(100, bytes.len() as u64, fnv1a(&bytes))
+            .expect("seal");
+        let judged = handle.wait_session(100).expect("session");
+        assert_eq!(judged.state, SessionState::Judged, "{configs}");
+        assert_eq!(judged.streamed, configs == "jinn");
+        // Once judged it becomes evictable like anyone else (and as the
+        // oldest session it may be purged at once), but the replay
+        // itself completed: the counters survive retention.
+        assert!(
+            judged.events_replayed > 0,
+            "{configs}: judged after the purge storm"
+        );
+        daemon.shutdown();
     }
-    let live = handle.session_stats(100).expect("live session");
-    assert_eq!(live.state, SessionState::Open, "still open");
-    assert!(!live.history_purged, "live session untouched by retention");
-    assert_eq!(live.bytes, bytes.len() as u64, "buffer intact");
-
-    // It can still seal and judge normally afterwards.
-    handle
-        .seal(100, bytes.len() as u64, fnv1a(&bytes))
-        .expect("seal");
-    let judged = handle.wait_session(100).expect("session");
-    assert_eq!(judged.state, SessionState::Judged);
-    // Once judged it becomes evictable like anyone else (and as the
-    // oldest session it may be purged at once), but the replay itself
-    // completed: the counters survive retention.
-    assert!(judged.events_replayed > 0, "judged after the purge storm");
-    daemon.shutdown();
 }

@@ -12,7 +12,9 @@ use jinn_replay::{
     encode_frame, program_by_name, record_program, stream_preamble, Frame, Trace,
     MAX_MANIFEST_FUNCTIONS,
 };
-use jinn_serve::{Daemon, ServeConfig, ServeError, SessionState, SocketServer};
+use jinn_serve::{
+    Daemon, DaemonHandle, ServeConfig, ServeError, SessionState, SessionStats, SocketServer,
+};
 
 fn read_line(reader: &mut impl BufRead) -> String {
     let mut line = String::new();
@@ -286,30 +288,25 @@ fn query_request_line_length_is_capped() {
     daemon.shutdown();
 }
 
-/// A client that vanishes before sealing must not leak its session: the
-/// daemon aborts it, which frees its `live` slot and its streaming slot,
-/// so the next single-config session streams again.
-#[test]
-fn vanished_client_aborts_its_open_session() {
-    let daemon = Daemon::start(ServeConfig {
-        streaming_sessions: 1,
-        ..ServeConfig::default()
-    });
-    let server = SocketServer::bind(daemon.handle(), "127.0.0.1:0").expect("bind");
-    let handle = daemon.handle();
-    let bytes = record_program(&program_by_name("LocalRefDangling").expect("corpus program"));
-
-    // Open a streamed session, append half its trace, hang up.
+/// Opens `session` over a fresh connection, appends half of `bytes`,
+/// hangs up, and waits for the daemon to abort the session.
+fn vanish(
+    server: &SocketServer,
+    handle: &DaemonHandle,
+    session: u64,
+    config: &str,
+    bytes: &[u8],
+) -> SessionStats {
     let mut gone = TcpStream::connect(server.addr()).expect("connect");
     gone.write_all(&stream_preamble()).expect("preamble");
     gone.write_all(&encode_frame(&Frame::Open {
-        session: 21,
+        session,
         tenant: "gone".to_string(),
-        config: "jinn".to_string(),
+        config: config.to_string(),
     }))
     .expect("open");
     gone.write_all(&encode_frame(&Frame::Append {
-        session: 21,
+        session,
         chunk: bytes[..bytes.len() / 2].to_vec(),
     }))
     .expect("append");
@@ -319,27 +316,52 @@ fn vanished_client_aborts_its_open_session() {
     // `wait_session` would block forever on a leaked session: poll.
     let deadline = Instant::now() + Duration::from_secs(10);
     loop {
-        let state = handle.session_stats(21).map(|s| s.state);
+        let state = handle.session_stats(session).map(|s| s.state);
         if state == Some(SessionState::Aborted) && handle.fleet().live == 0 {
             break;
         }
         assert!(
             Instant::now() < deadline,
-            "vanished client's session leaked: {state:?}, live {}",
+            "vanished client's session {session} leaked: {state:?}, live {}",
             handle.fleet().live
         );
         std::thread::sleep(Duration::from_millis(5));
     }
-    let stats = handle.session_stats(21).expect("session 21");
-    assert!(stats.streamed, "the session held the one streaming slot");
+    let stats = handle.session_stats(session).expect("session");
     assert_eq!(
         stats.reason.as_deref(),
         Some("client disconnected before seal")
     );
+    stats
+}
 
-    // The streaming slot came back: the next sessions stream again.
-    // (`streamed_sessions` counts judged sessions, so the aborted one
-    // is not in it.)
+/// A client that vanishes before sealing must not leak its session: the
+/// daemon aborts it, which frees its `live` slot, its buffered bytes and
+/// (for a live session) its streaming slot, so the next single-config
+/// session streams again.
+#[test]
+fn vanished_client_aborts_its_open_session() {
+    let bytes = record_program(&program_by_name("LocalRefDangling").expect("corpus program"));
+    let daemon = Daemon::start(ServeConfig {
+        streaming_sessions: 1,
+        // Room for one whole trace and a little more: bytes a vanished
+        // session leaked would backpressure the sessions below.
+        max_total_buffered_bytes: bytes.len() as u64 * 5 / 4,
+        ..ServeConfig::default()
+    });
+    let server = SocketServer::bind(daemon.handle(), "127.0.0.1:0").expect("bind");
+    let handle = daemon.handle();
+
+    // A retained (two-config) session holding half its trace, then a
+    // live one holding the one streaming slot.
+    let retained = vanish(&server, &handle, 20, "jinn,xcheck", &bytes);
+    assert!(!retained.streamed, "a two-config session is retained");
+    let live = vanish(&server, &handle, 21, "jinn", &bytes);
+    assert!(live.streamed, "the session held the one streaming slot");
+
+    // The streaming slot and the buffered bytes came back: the next
+    // sessions stream again. (`streamed_sessions` counts judged
+    // sessions, so the aborted one is not in it.)
     let mut c = TcpStream::connect(server.addr()).expect("connect");
     c.write_all(&stream_preamble()).expect("preamble");
     let mut reader = BufReader::new(c.try_clone().expect("clone"));

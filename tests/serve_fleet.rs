@@ -346,15 +346,17 @@ fn declared_manifests_flag_without_changing_verdicts_across_corpus() {
     daemon.shutdown();
 }
 
-/// Streaming-incremental-judging pin: a daemon that overlaps ingest with
-/// checking (every session on the streaming path) must be
-/// observationally identical to a buffered daemon fed the *same frame
-/// sequences* — same verdict multisets across the full corpus, same
-/// quarantine reasons for seal-mismatch and unreadable-trace input, same
-/// abort handling, and the same `outside_manifest` flag for a lying
-/// manifest — while actually streaming (`stats.streamed`,
+/// Live-judging pin: a daemon whose every session a live executor
+/// replays while it uploads must be observationally identical to a
+/// daemon whose every session is retained until a worker judges it, fed
+/// the *same frame sequences* — same verdict multisets across the full
+/// corpus, same quarantine reasons for seal-mismatch and unreadable-trace
+/// input, same abort handling, and the same `outside_manifest` flag for a
+/// lying manifest — while actually streaming (`stats.streamed`,
 /// `fleet.streamed_sessions`) and holding far fewer bytes resident
-/// (`buffered_bytes_high_water`).
+/// (`buffered_bytes_high_water`). Every unreadable-trace reason is pinned
+/// to the batch parser: `unreadable trace: ` and `Trace::parse`'s error
+/// for the uploaded bytes.
 #[test]
 fn streaming_daemon_matches_buffered_daemon_across_corpus() {
     const CHUNK: usize = 512; // small chunks: many incremental-decode resume points
@@ -364,26 +366,37 @@ fn streaming_daemon_matches_buffered_daemon_across_corpus() {
     const LIAR: u64 = 4000;
     const SETUP_ONLY: u64 = 5000; // the setup section alone, re-sealed
     const LATE_SETUP: u64 = 6000; // a DefClass after the first event
+    const TRUNCATED: u64 = 7000; // the End record cut short, honest seal
 
     let names = corpus_names();
     let traces: Vec<(String, Vec<u8>)> =
         names.iter().map(|n| (n.clone(), corpus_bytes(n))).collect();
 
-    let streaming = Daemon::start(ServeConfig {
-        streaming_sessions: 4096, // every session takes the streaming path
+    let live = Daemon::start(ServeConfig {
+        streaming_sessions: 4096, // every session is replayed live
         ..ServeConfig::default()
     });
-    let buffered = Daemon::start(ServeConfig {
+    let retaining = Daemon::start(ServeConfig {
         streaming_sessions: 0,
         ..ServeConfig::default()
     });
-    let sh = streaming.handle();
-    let bh = buffered.handle();
+    let sh = live.handle();
+    let bh = retaining.handle();
     for h in [&sh, &bh] {
         h.declare_manifest("liar", &["IsSameObject".to_string()])
             .expect("declare lying manifest");
     }
 
+    let uploaded = |frames: &[Frame]| -> Vec<u8> {
+        frames
+            .iter()
+            .filter_map(|f| match f {
+                Frame::Append { chunk, .. } => Some(chunk.as_slice()),
+                _ => None,
+            })
+            .collect::<Vec<_>>()
+            .concat()
+    };
     let drive = |h: &jinn::serve::DaemonHandle, id: u64, frames: &[Frame]| {
         let mut err = None;
         for frame in frames {
@@ -414,18 +427,11 @@ fn streaming_daemon_matches_buffered_daemon_across_corpus() {
 
         // Re-declare the seal over the corrupted bytes: the envelope is
         // now honest, so the damage only surfaces when the *trace* is
-        // decoded — mid-stream on the streaming path, at parse time on
-        // the buffered path. Both must quarantine with the same reason.
+        // decoded — mid-stream in a live session, by the worker in a
+        // retained one. Both must quarantine with the same reason.
         let mut unreadable = clean(UNREADABLE + i, "t", bytes);
         flip_mid_append(&mut unreadable);
-        let rejoined: Vec<u8> = unreadable
-            .iter()
-            .filter_map(|f| match f {
-                Frame::Append { chunk, .. } => Some(chunk.as_slice()),
-                _ => None,
-            })
-            .collect::<Vec<_>>()
-            .concat();
+        let rejoined = uploaded(&unreadable);
         let last = unreadable.len() - 1;
         unreadable[last] = Frame::Seal {
             session: UNREADABLE + i,
@@ -433,7 +439,7 @@ fn streaming_daemon_matches_buffered_daemon_across_corpus() {
             checksum: fnv1a(&rejoined),
         };
 
-        // Mid-stream client cancellation: speculative streaming state
+        // Mid-stream client cancellation: speculative live state
         // must be discarded, never judged.
         let mut aborted = clean(ABORTED + i, "t", bytes);
         aborted.pop(); // drop the Seal
@@ -468,6 +474,7 @@ fn streaming_daemon_matches_buffered_daemon_across_corpus() {
         body.extend_from_slice(&bytes[event_start..event_end]);
         body.extend_from_slice(&bytes[class_start..end_pos]);
         let late_setup = seal_records(body, raw + 1);
+        let truncated = &bytes[..bytes.len() - 3];
 
         for (base, frames) in [
             (0, clean(i, "t", bytes)),
@@ -477,10 +484,15 @@ fn streaming_daemon_matches_buffered_daemon_across_corpus() {
             (LIAR, clean(LIAR + i, "liar", bytes)),
             (SETUP_ONLY, clean(SETUP_ONLY + i, "t", &setup_only)),
             (LATE_SETUP, clean(LATE_SETUP + i, "t", &late_setup)),
+            (TRUNCATED, clean(TRUNCATED + i, "t", truncated)),
         ] {
             let id = base + i;
             let (serr, s) = drive(&sh, id, &frames);
             let (berr, b) = drive(&bh, id, &frames);
+            let batch_reason = || {
+                let err = Trace::parse(&uploaded(&frames)).expect_err("unreadable upload");
+                Some(format!("unreadable trace: {err}"))
+            };
             assert_eq!(
                 s.state, b.state,
                 "{name} session {id}: {:?} vs {:?}",
@@ -491,19 +503,19 @@ fn streaming_daemon_matches_buffered_daemon_across_corpus() {
             assert_eq!(
                 served_multiset(&sh, id),
                 served_multiset(&bh, id),
-                "{name} session {id}: streaming verdicts diverge from buffered"
+                "{name} session {id}: live verdicts diverge from retained"
             );
             match base {
                 0 | LIAR => {
                     assert_eq!(s.state, SessionState::Judged, "{name}: {:?}", s.reason);
-                    assert!(s.streamed, "{name} session {id}: fast path did not run");
+                    assert!(s.streamed, "{name} session {id}: live replay did not run");
                     assert!(!b.streamed);
                     assert!(s.seal_to_verdict_micros.is_some());
                     assert!(s.first_frame_micros.is_some());
                     assert_eq!(
                         (s.outside_manifest, b.outside_manifest),
                         (base == LIAR, base == LIAR),
-                        "{name} session {id}: only LIAR sessions are flagged, on both paths"
+                        "{name} session {id}: only LIAR sessions are flagged, live or retained"
                     );
                 }
                 CORRUPT => {
@@ -511,14 +523,10 @@ fn streaming_daemon_matches_buffered_daemon_across_corpus() {
                     assert!(serr.expect("seal must fail").contains("quarantined"));
                     assert!(served_multiset(&sh, id).is_empty());
                 }
-                UNREADABLE => {
+                UNREADABLE | TRUNCATED => {
                     assert_eq!(s.state, SessionState::Quarantined);
                     assert!(serr.is_none(), "honest seal must be accepted");
-                    let reason = s.reason.expect("quarantine reason");
-                    assert!(
-                        reason.starts_with("unreadable trace"),
-                        "{name}: unexpected reason `{reason}`"
-                    );
+                    assert_eq!(s.reason, batch_reason(), "{name} session {id}");
                 }
                 ABORTED => assert_eq!(s.state, SessionState::Aborted),
                 SETUP_ONLY => {
@@ -532,10 +540,10 @@ fn streaming_daemon_matches_buffered_daemon_across_corpus() {
                 LATE_SETUP => {
                     assert_eq!(s.state, SessionState::Quarantined);
                     assert!(serr.is_none(), "the seal is honest");
+                    assert_eq!(s.reason, batch_reason(), "{name} session {id}");
                     let reason = s.reason.expect("quarantine reason");
                     assert!(
-                        reason.starts_with("unreadable trace")
-                            && reason.ends_with("setup record in event stream"),
+                        reason.ends_with("setup record in event stream"),
                         "{name}: unexpected reason `{reason}`"
                     );
                 }
@@ -544,9 +552,9 @@ fn streaming_daemon_matches_buffered_daemon_across_corpus() {
         }
     }
 
-    // The fast path really ran, and it held less resident than buffering:
-    // the buffered daemon's high-water is at least one whole trace, the
-    // streaming daemon's only the undecoded tail of an in-flight chunk.
+    // Live replay really ran, and it held less resident than retaining:
+    // the retaining daemon's high-water is at least one whole trace, the
+    // live daemon's only the undecoded tail of an in-flight chunk.
     let sf = sh.fleet();
     let bf = bh.fleet();
     assert_eq!(sf.judged, bf.judged);
@@ -556,23 +564,23 @@ fn streaming_daemon_matches_buffered_daemon_across_corpus() {
     let max_len = traces.iter().map(|(_, b)| b.len() as u64).max().unwrap();
     assert!(
         bf.buffered_bytes_high_water >= max_len,
-        "buffered daemon must hold a whole trace at seal"
+        "retaining daemon must hold a whole trace at seal"
     );
     assert!(
         sf.buffered_bytes_high_water < bf.buffered_bytes_high_water,
-        "streaming daemon held {} resident bytes, buffered {}",
+        "live daemon held {} resident bytes, retaining {}",
         sf.buffered_bytes_high_water,
         bf.buffered_bytes_high_water
     );
 
-    streaming.shutdown();
-    buffered.shutdown();
+    live.shutdown();
+    retaining.shutdown();
 }
 
 /// An activation still open at end of trace re-issues its recorded
-/// calls and returns `Void` (TRACE_FORMAT.md, "Replay semantics"). The
-/// streaming daemon judges such a trace in the one pass it streams, with
-/// exactly the buffered daemon's result.
+/// calls and returns `Void` (TRACE_FORMAT.md, "Replay semantics"). A
+/// live session judges such a trace in the one pass it streams, with
+/// exactly a retained session's result.
 #[test]
 fn open_activation_at_end_of_trace_judges_identically_on_both_paths() {
     // Build the open activation from a *real* corpus trace so every
@@ -602,16 +610,16 @@ fn open_activation_at_end_of_trace_judges_identically_on_both_paths() {
     let config = ReplayConfig::parse("jinn").unwrap();
     let local = replay_trace(&parsed, &config).expect("open activation replays");
 
-    let streaming = Daemon::start(ServeConfig {
+    let live = Daemon::start(ServeConfig {
         streaming_sessions: 4096,
         ..ServeConfig::default()
     });
-    let buffered = Daemon::start(ServeConfig {
+    let retaining = Daemon::start(ServeConfig {
         streaming_sessions: 0,
         ..ServeConfig::default()
     });
     let mut outcomes = Vec::new();
-    for daemon in [&streaming, &buffered] {
+    for daemon in [&live, &retaining] {
         let handle = daemon.handle();
         for frame in decode_stream(&encode_ingest(9, "t", "jinn", &spliced, 64)).unwrap() {
             handle.apply_frame(&frame).expect("ingest");
@@ -630,19 +638,19 @@ fn open_activation_at_end_of_trace_judges_identically_on_both_paths() {
     }
     assert_eq!(
         outcomes[0], outcomes[1],
-        "open activation: streaming diverges from buffered"
+        "open activation: live diverges from retained"
     );
     assert_eq!(outcomes[0].4, local_multiset(&spliced, &config));
-    let sh = streaming.handle();
+    let sh = live.handle();
     assert!(
         sh.session_stats(9).expect("stats").streamed,
-        "the session took the streaming path"
+        "the session was replayed live"
     );
     // One engine lease, taken at seal, served the rollup: no second
     // judge ran beside the live one.
     assert_eq!(sh.pool_stats().leases, 1, "{:?}", sh.pool_stats());
-    streaming.shutdown();
-    buffered.shutdown();
+    live.shutdown();
+    retaining.shutdown();
 }
 
 /// `RecursiveNative.call(I)V`: a bug-free native that allocates and
@@ -689,8 +697,8 @@ fn recursive_native_program() -> Program {
 
 /// Activations of one method are consumed in enter order, the order a
 /// re-executing VM asks for them: a recursive native replays every
-/// recorded call, cleanly, under every configuration and on both daemon
-/// paths.
+/// recorded call, cleanly, under every configuration, replayed live or
+/// retained.
 #[test]
 fn recursive_native_replays_every_recorded_call() {
     let bytes = record_program(&recursive_native_program());
@@ -712,15 +720,15 @@ fn recursive_native_replays_every_recorded_call() {
         assert!(out.violations.is_empty(), "{label}: {out:?}");
     }
 
-    let streaming = Daemon::start(ServeConfig {
+    let live = Daemon::start(ServeConfig {
         streaming_sessions: 4096,
         ..ServeConfig::default()
     });
-    let buffered = Daemon::start(ServeConfig {
+    let retaining = Daemon::start(ServeConfig {
         streaming_sessions: 0,
         ..ServeConfig::default()
     });
-    let (sh, bh) = (streaming.handle(), buffered.handle());
+    let (sh, bh) = (live.handle(), retaining.handle());
     for (id, label) in (1u64..).zip(labels) {
         let mut served = Vec::new();
         for handle in [&sh, &bh] {
@@ -739,13 +747,100 @@ fn recursive_native_replays_every_recorded_call() {
             served.push(served_multiset(handle, id));
         }
         assert!(sh.session_stats(id).expect("stats").streamed, "{label}");
+        assert_eq!(served[0], served[1], "{label}: live diverges from retained");
+    }
+    live.shutdown();
+    retaining.shutdown();
+}
+
+/// A bug-free string churn per call, then one global reference leaked:
+/// every call adds a few kilobytes of trace and one leak verdict.
+fn leaky_churn_program(calls: usize) -> Program {
+    Program {
+        name: "LeakyChurn".into(),
+        pitfall: None,
+        machine: "global-reference",
+        error_state: "Error:Leak",
+        leaks: true,
+        gc_period: Some(64),
+        build: Box::new(move |vm| {
+            let (_, entry) = vm.define_native_class(
+                "LeakyChurn",
+                "call",
+                "()V",
+                true,
+                Rc::new(|env, _| {
+                    for i in 0..200 {
+                        let s = typed::new_string_utf(env, &format!("churn-{i}"))?;
+                        typed::get_string_utf_length(env, s)?;
+                        typed::delete_local_ref(env, s)?;
+                    }
+                    let s = typed::new_string_utf(env, "kept")?;
+                    // Missing DeleteGlobalRef.
+                    typed::new_global_ref(env, s)?;
+                    typed::delete_local_ref(env, s)?;
+                    Ok(JValue::Void)
+                }),
+            );
+            Setup {
+                entries: vec![entry; calls],
+                first_args: Vec::new(),
+            }
+        }),
+    }
+}
+
+/// One `Append` may carry a whole trace past 1 MiB. A live session and a
+/// retained (three-config) one must judge it exactly as they judge the
+/// same trace in 2 KiB appends.
+#[test]
+fn one_mebibyte_append_judges_like_small_appends() {
+    let bytes = record_program(&leaky_churn_program(120));
+    assert!(bytes.len() >= 1 << 20, "trace is {} bytes", bytes.len());
+    let daemon = Daemon::start(ServeConfig::default());
+    let handle = daemon.handle();
+    let sessions = [
+        (1, "jinn", bytes.len()),
+        (2, "jinn", 2048),
+        (3, "jinn,hotspot,j9", bytes.len()),
+        (4, "jinn,hotspot,j9", 2048),
+    ];
+    for (id, configs, chunk) in sessions {
+        for frame in decode_stream(&encode_ingest(id, "t", configs, &bytes, chunk)).unwrap() {
+            handle.apply_frame(&frame).expect("ingest");
+        }
+    }
+    let stats: Vec<_> = sessions
+        .iter()
+        .map(|&(id, ..)| handle.wait_session(id).expect("session exists"))
+        .collect();
+    for s in &stats {
         assert_eq!(
-            served[0], served[1],
-            "{label}: streaming diverges from buffered"
+            s.state,
+            SessionState::Judged,
+            "{}: {:?}",
+            s.session,
+            s.reason
+        );
+        assert_eq!(s.streamed, s.configs.len() == 1, "session {}", s.session);
+    }
+    let served: Vec<_> = (1..=4).map(|id| served_multiset(&handle, id)).collect();
+    let jinn = ReplayConfig::parse("jinn").unwrap();
+    assert_eq!(served[0], local_multiset(&bytes, &jinn));
+    assert!(!served[0].is_empty(), "every call leaks a global reference");
+    assert_eq!(served[1], served[0], "live: one append vs 2 KiB appends");
+    assert_eq!(
+        served[3], served[2],
+        "retained: one append vs 2 KiB appends"
+    );
+    for (a, b) in [(0, 1), (2, 3)] {
+        assert_eq!(stats[a].events_replayed, stats[b].events_replayed);
+        assert_eq!(
+            handle.rollups(stats[a].session),
+            handle.rollups(stats[b].session)
         );
     }
-    streaming.shutdown();
-    buffered.shutdown();
+    daemon.shutdown();
 }
 
 #[test]

@@ -15,11 +15,13 @@
 //! measured trial runs both treatments back to back, alternating which
 //! goes first, and yields one enabled/disabled ratio; the reported
 //! overhead is the median of those ratios, so one slow trial or a drift
-//! that favours whichever treatment runs second cannot decide it. If
-//! the measured trials spread by more than `JINN_MAX_NOISE` the run
-//! aborts without printing an artifact — a noisy artifact is worse
-//! than none. If `JINN_OBS_MAX_OVERHEAD` is set, the run fails when
-//! the median ratio exceeds it — the CI regression gate.
+//! that favours whichever treatment runs second cannot decide it. The
+//! noise is the spread of those same ratios: their interquartile range
+//! over their median, which does not grow with the trial count the way
+//! a max/min range does. If it exceeds `JINN_MAX_NOISE` the run aborts
+//! without printing an artifact — a noisy artifact is worse than none.
+//! If `JINN_OBS_MAX_OVERHEAD` is set, the run fails when the median
+//! ratio exceeds it — the CI regression gate.
 
 use jinn_bench::env_u64;
 use jinn_bench::obs::{median_nanos, time_churn};
@@ -69,15 +71,13 @@ fn main() {
     ratios.sort_by(f64::total_cmp);
     // The upper middle for an even count, as `median_nanos` takes.
     let ratio = ratios[ratios.len() / 2];
-    let spread = |samples: &[u128]| {
-        let min = *samples.iter().min().expect("non-empty");
-        let max = *samples.iter().max().expect("non-empty");
-        (max as f64 - min as f64) / min as f64
-    };
-    let noise = spread(&disabled).max(spread(&enabled));
+    // Quartiles by rank, symmetric about the median: the whole range
+    // for three trials, the middle five of nine.
+    let q = (ratios.len() - 1) / 4;
+    let noise = (ratios[ratios.len() - 1 - q] - ratios[q]) / ratio;
     assert!(
         noise <= max_noise,
-        "trial spread {noise:.4} exceeds JINN_MAX_NOISE={max_noise}: \
+        "per-trial ratio spread {noise:.4} exceeds JINN_MAX_NOISE={max_noise}: \
          the machine is too noisy for a trustworthy artifact; re-run \
          (or raise JINN_MAX_NOISE if a rough number is acceptable)"
     );

@@ -509,7 +509,7 @@ fn cmd_bench() -> i32 {
 
 // ---- bench-streaming ---------------------------------------------------
 
-/// Per-mode outcome of the streaming-vs-buffered comparison.
+/// Per-mode outcome of the live-vs-retained comparison.
 struct StreamModeOut {
     seal_micros: Vec<u64>,
     first_micros: Vec<u64>,
@@ -605,13 +605,13 @@ fn stream_churn_trace(calls: u32, strings: u32) -> Vec<u8> {
 /// per mode. Phase one (timed): identical paced ingest of the recorded
 /// churn workload — chunked appends with a client-side gap, as a live
 /// recorder would produce — against a streaming daemon, which replays
-/// every session live, and a buffered one (`streaming_sessions = 0`),
+/// every session live, and a retaining one (`streaming_sessions = 0`),
 /// which retains every session until `Seal`. The streaming daemon
 /// decodes and replays each chunk as it
 /// arrives, so at `Seal` the verdict is one rollup away — seal-to-verdict
 /// collapses from O(trace) to O(1) — and the undecoded tail is all it
 /// ever holds resident. Phase two (unpaced): the whole golden corpus
-/// through the same daemon, pinning streaming-vs-buffered
+/// through the same daemon, pinning live-vs-retained
 /// verdict-multiset equality in the same run that claims the speedup.
 fn cmd_bench_streaming() -> i32 {
     use jinn_replay::{decode_stream, Frame};
@@ -705,27 +705,27 @@ fn cmd_bench_streaming() -> i32 {
         out
     };
 
-    let buffered = run_mode(false);
+    let retained = run_mode(false);
     let streamed = run_mode(true);
 
-    let verdicts_match = buffered.multisets == streamed.multisets;
+    let verdicts_match = retained.multisets == streamed.multisets;
     let s_p50 = percentile(&streamed.seal_micros, 0.50);
     let s_p99 = percentile(&streamed.seal_micros, 0.99);
-    let b_p50 = percentile(&buffered.seal_micros, 0.50);
-    let b_p99 = percentile(&buffered.seal_micros, 0.99);
-    let speedup = b_p50 as f64 / (s_p50 as f64).max(1e-9);
-    let peak_reduction = buffered.peak_buffered as f64 / (streamed.peak_buffered as f64).max(1.0);
+    let r_p50 = percentile(&retained.seal_micros, 0.50);
+    let r_p99 = percentile(&retained.seal_micros, 0.99);
+    let speedup = r_p50 as f64 / (s_p50 as f64).max(1e-9);
+    let peak_reduction = retained.peak_buffered as f64 / (streamed.peak_buffered as f64).max(1.0);
     let gate_on = cfg!(not(debug_assertions));
-    let pass = buffered.errors == 0
+    let pass = retained.errors == 0
         && streamed.errors == 0
         && verdicts_match
         && streamed.streamed == sessions
-        && buffered.streamed == 0
+        && retained.streamed == 0
         && (!gate_on || speedup >= min_speedup as f64);
 
     println!("{{");
     println!(
-        "  \"benchmark\": \"jinn-serve streaming vs buffered seal-to-verdict (paced churn \
+        "  \"benchmark\": \"jinn-serve streaming vs retained seal-to-verdict (paced churn \
          ingest + corpus equality sweep)\","
     );
     println!("  \"sessions_per_mode\": {sessions},");
@@ -736,24 +736,24 @@ fn cmd_bench_streaming() -> i32 {
     println!("  \"workload_trace_bytes\": {},", churn.len());
     println!("  \"streaming_seal_to_verdict_p50_micros\": {s_p50},");
     println!("  \"streaming_seal_to_verdict_p99_micros\": {s_p99},");
-    println!("  \"buffered_seal_to_verdict_p50_micros\": {b_p50},");
-    println!("  \"buffered_seal_to_verdict_p99_micros\": {b_p99},");
+    println!("  \"retained_seal_to_verdict_p50_micros\": {r_p50},");
+    println!("  \"retained_seal_to_verdict_p99_micros\": {r_p99},");
     println!("  \"seal_to_verdict_p50_speedup\": {speedup:.2},");
     println!(
         "  \"streaming_first_frame_to_verdict_p50_micros\": {},",
         percentile(&streamed.first_micros, 0.50)
     );
     println!(
-        "  \"buffered_first_frame_to_verdict_p50_micros\": {},",
-        percentile(&buffered.first_micros, 0.50)
+        "  \"retained_first_frame_to_verdict_p50_micros\": {},",
+        percentile(&retained.first_micros, 0.50)
     );
     println!(
         "  \"streaming_peak_buffered_bytes\": {},",
         streamed.peak_buffered
     );
     println!(
-        "  \"buffered_peak_buffered_bytes\": {},",
-        buffered.peak_buffered
+        "  \"retained_peak_buffered_bytes\": {},",
+        retained.peak_buffered
     );
     println!("  \"peak_buffered_reduction\": {peak_reduction:.1},");
     println!(
@@ -761,18 +761,18 @@ fn cmd_bench_streaming() -> i32 {
         sessions as f64 / streamed.wall_secs.max(1e-9)
     );
     println!(
-        "  \"buffered_sessions_per_sec\": {:.1},",
-        sessions as f64 / buffered.wall_secs.max(1e-9)
+        "  \"retained_sessions_per_sec\": {:.1},",
+        sessions as f64 / retained.wall_secs.max(1e-9)
     );
     println!("  \"streamed_sessions\": {},", streamed.streamed);
     println!("  \"verdicts_match\": {verdicts_match},");
-    println!("  \"errors\": {},", buffered.errors + streamed.errors);
+    println!("  \"errors\": {},", retained.errors + streamed.errors);
     println!("  \"min_seal_to_verdict_speedup\": {min_speedup},");
     println!("  \"gate_enforced\": {gate_on},");
     println!("  \"pass\": {pass},");
     println!(
         "  \"note\": \"identical paced frame sequences of a recorded bug-free churn workload \
-         against a streaming daemon and a buffered one, then the whole golden corpus through \
+         against a streaming daemon and a retaining one, then the whole golden corpus through \
          both for verdict-multiset equality; seal-to-verdict is the window the client blocks \
          on after Seal, peak buffered bytes is the fleet-wide high-water of resident \
          undecoded input\""

@@ -16,10 +16,20 @@
 //!   answered with one JSON line. Request lines are capped at
 //!   `MAX_QUERY_LINE` bytes — past it the connection gets one error
 //!   line and closes, mirroring the ingest side's frame-size cap.
+//!
+//! One accept thread blocks in `accept` and hands each connection to a
+//! thread of its own, so a client is served the moment it connects.
+//! Shutdown sets a stop flag and then connects once to the server's own
+//! address to wake the blocked `accept`; the loop checks the flag after
+//! every accept and closes whatever it accepted after the flag was set
+//! unserved. An accept error (descriptors exhausted, an aborted
+//! handshake) never ends the loop: it backs off for
+//! `ACCEPT_ERROR_BACKOFF` and accepts again, so a listener that is still
+//! bound is still served.
 
 use std::collections::HashSet;
 use std::io::{BufRead, BufReader, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -31,6 +41,14 @@ use crate::daemon::DaemonHandle;
 use crate::json::{self, JsonObj, JsonVal};
 use crate::store::{Query, QueryKind};
 
+/// How long the accept loop waits after an accept error before it
+/// accepts again.
+const ACCEPT_ERROR_BACKOFF: Duration = Duration::from_millis(10);
+
+/// How long shutdown's wake-up connection may take before shutdown gives
+/// up on joining the accept thread.
+const WAKE_CONNECT_TIMEOUT: Duration = Duration::from_secs(1);
+
 /// A listening socket server bound to a [`DaemonHandle`].
 pub struct SocketServer {
     addr: SocketAddr,
@@ -40,7 +58,8 @@ pub struct SocketServer {
 
 impl SocketServer {
     /// Binds `addr` (use port 0 for an ephemeral port) and starts the
-    /// accept loop.
+    /// accept thread, which blocks in `accept` until a client connects
+    /// or [`SocketServer::shutdown`] wakes it.
     ///
     /// # Errors
     ///
@@ -48,7 +67,6 @@ impl SocketServer {
     pub fn bind(handle: DaemonHandle, addr: &str) -> std::io::Result<SocketServer> {
         let listener = TcpListener::bind(addr)?;
         let addr = listener.local_addr()?;
-        listener.set_nonblocking(true)?;
         let stop = Arc::new(AtomicBool::new(false));
         let accept_stop = Arc::clone(&stop);
         let accept_thread = std::thread::Builder::new()
@@ -69,6 +87,13 @@ impl SocketServer {
 
     /// Stops accepting connections. In-flight connections finish on
     /// their own threads.
+    ///
+    /// Sets the stop flag, then wakes the blocked accept thread with one
+    /// connection to the bound address (an unspecified bind address,
+    /// `0.0.0.0` or `::`, is reached through the loopback address of its
+    /// family) and joins it, which closes the listener. If that
+    /// connection cannot be made, shutdown returns without the join; the
+    /// accept thread then exits at its next accept.
     pub fn shutdown(mut self) {
         self.stop_inner();
     }
@@ -76,7 +101,13 @@ impl SocketServer {
     fn stop_inner(&mut self) {
         self.stop.store(true, Ordering::SeqCst);
         if let Some(t) = self.accept_thread.take() {
-            let _ = t.join();
+            // Held open until the join, so the accept thread sees a
+            // live connection rather than one already torn down.
+            if let Ok(_wake) =
+                TcpStream::connect_timeout(&wake_addr(self.addr), WAKE_CONNECT_TIMEOUT)
+            {
+                let _ = t.join();
+            }
         }
     }
 }
@@ -87,9 +118,26 @@ impl Drop for SocketServer {
     }
 }
 
-fn accept_loop(listener: &TcpListener, handle: &DaemonHandle, stop: &Arc<AtomicBool>) {
-    while !stop.load(Ordering::SeqCst) {
-        match listener.accept() {
+/// The address shutdown's wake-up connection dials: the bound address,
+/// with an unspecified IP replaced by the loopback address of its family.
+fn wake_addr(addr: SocketAddr) -> SocketAddr {
+    let ip = match addr.ip() {
+        IpAddr::V4(ip) if ip.is_unspecified() => IpAddr::V4(Ipv4Addr::LOCALHOST),
+        IpAddr::V6(ip) if ip.is_unspecified() => IpAddr::V6(Ipv6Addr::LOCALHOST),
+        ip => ip,
+    };
+    SocketAddr::new(ip, addr.port())
+}
+
+fn accept_loop(listener: &TcpListener, handle: &DaemonHandle, stop: &AtomicBool) {
+    loop {
+        let accepted = listener.accept();
+        if stop.load(Ordering::SeqCst) {
+            // The wake-up connection, or a client that raced it: closed
+            // unserved.
+            return;
+        }
+        match accepted {
             Ok((stream, _)) => {
                 let handle = handle.clone();
                 let _ = std::thread::Builder::new()
@@ -98,10 +146,7 @@ fn accept_loop(listener: &TcpListener, handle: &DaemonHandle, stop: &Arc<AtomicB
                         let _ = serve_connection(stream, &handle);
                     });
             }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(5));
-            }
-            Err(_) => break,
+            Err(_) => std::thread::sleep(ACCEPT_ERROR_BACKOFF),
         }
     }
 }
@@ -115,7 +160,6 @@ fn error_line(msg: &str) -> String {
 fn serve_connection(stream: TcpStream, handle: &DaemonHandle) -> std::io::Result<()> {
     let mut first = [0u8; 1];
     // Block until the client commits to a protocol.
-    stream.set_nonblocking(false)?;
     let n = stream.peek(&mut first)?;
     if n == 0 {
         return Ok(());

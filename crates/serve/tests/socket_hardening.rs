@@ -1,10 +1,12 @@
 //! Socket-boundary hardening: duplicate-open ownership containment,
 //! query filter validation, the request-line length cap, the
 //! manifest-frame surface (acks, oversized declarations, unknown
-//! function names), and sessions left open by a vanished client.
+//! function names), sessions left open by a vanished client, the
+//! round trip of a fresh connection, and prompt shutdown.
 
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
+use std::sync::mpsc;
 use std::time::{Duration, Instant};
 
 use jinn_replay::format::fnv1a;
@@ -392,5 +394,66 @@ fn vanished_client_aborts_its_open_session() {
     assert_eq!(handle.fleet().streamed_sessions, 2);
 
     server.shutdown();
+    daemon.shutdown();
+}
+
+/// One `ping` on a fresh connection; returns the reply line.
+fn ping(server: &SocketServer) -> String {
+    let mut c = TcpStream::connect(server.addr()).expect("connect");
+    c.write_all(b"{\"op\": \"ping\"}\n").expect("write ping");
+    c.flush().expect("flush");
+    read_line(&mut BufReader::new(c))
+}
+
+/// A fresh connection is served as soon as it connects: the accept
+/// thread blocks in `accept` rather than polling, so a round trip costs
+/// no poll interval.
+#[test]
+fn fresh_connection_pings_are_answered_promptly() {
+    let daemon = Daemon::start(ServeConfig::default());
+    let server = SocketServer::bind(daemon.handle(), "127.0.0.1:0").expect("bind");
+    assert!(ping(&server).contains("pong"), "warm-up ping answered");
+    let mut round_trips: Vec<Duration> = (0..50)
+        .map(|_| {
+            let start = Instant::now();
+            let reply = ping(&server);
+            assert!(reply.contains("pong"), "ping answered: {reply}");
+            start.elapsed()
+        })
+        .collect();
+    round_trips.sort_unstable();
+    let median = round_trips[round_trips.len() / 2];
+    assert!(
+        median < Duration::from_millis(2),
+        "median fresh-connection round trip {median:?} is not under 2 ms"
+    );
+    server.shutdown();
+    daemon.shutdown();
+}
+
+/// Shutdown wakes the blocked accept thread and joins it within a
+/// second, for a loopback bind and for an unspecified one (whose
+/// wake-up goes through loopback). Shutdown runs on a helper thread so
+/// a hang fails the test instead of wedging it. Once shutdown returns,
+/// the listener is closed.
+#[test]
+fn idle_shutdown_returns_promptly() {
+    let daemon = Daemon::start(ServeConfig::default());
+    for bind in ["127.0.0.1:0", "0.0.0.0:0"] {
+        let server = SocketServer::bind(daemon.handle(), bind).expect("bind");
+        let port = server.addr().port();
+        let (done, returned) = mpsc::channel();
+        std::thread::spawn(move || {
+            server.shutdown();
+            let _ = done.send(());
+        });
+        returned
+            .recv_timeout(Duration::from_secs(1))
+            .unwrap_or_else(|_| panic!("shutdown of a server bound to {bind} took over 1 s"));
+        assert!(
+            TcpStream::connect(("127.0.0.1", port)).is_err(),
+            "the listener bound to {bind} still accepts after shutdown"
+        );
+    }
     daemon.shutdown();
 }

@@ -115,8 +115,8 @@ fn main() {
     );
     println!(
         "  \"note\": \"the disabled recorder (the default) adds one Option branch per \
-         instrumentation site; enabled, every site encodes a fixed-width record into the \
-         thread's private SPSC ring by pre-interned label id\""
+         instrumentation site; enabled, every site takes the recorder's one uncontended \
+         lock and writes a fixed-width record into its one ring by pre-interned label id\""
     );
     println!("}}");
 

@@ -1,8 +1,8 @@
 //! Parallel checking throughput: the Table 3 workload mix on
 //! 1/2/4/8/16/32/64 worker threads, each an independent `JniSession`
-//! with its own `Jinn` checker, all sharing one lock-free atomic state
-//! store, one epoch domain for quiesced sweeps, one recorder, and one
-//! sharded heap directory.
+//! with its own `Jinn` checker and its own recorder, all sharing one
+//! lock-free atomic state store, one epoch domain for quiesced sweeps,
+//! and one sharded heap directory.
 //!
 //! ```text
 //! cargo run --release -p jinn-bench --bin parallel
@@ -133,7 +133,7 @@ fn main() {
             "  \"violations\": 0,\n",
             "  \"note\": \"one Jinn per worker (Send), shared lock-free AtomicStore ",
             "(per-entity CAS on a dense atomic slab) + quiesced epoch sweeps (no ",
-            "stop-the-world) + per-thread recorder rings; on a single-core host the ",
+            "stop-the-world) + one recorder per worker; on a single-core host the ",
             "speedup comes from removing coordination and from sharded heaps cutting ",
             "per-collection copying-GC cost O(live heap) by 1/N, not from core ",
             "parallelism\"\n",

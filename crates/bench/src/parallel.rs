@@ -17,8 +17,8 @@
 //! - one shared [`EpochParticipants`] domain: workers pin every
 //!   iteration (one load + one store) and periodically run a *quiesced*
 //!   leak/directory sweep — nobody parks, nobody stops the world;
-//! - one shared enabled [`Recorder`], so every worker's events land in
-//!   per-thread ring shards and merge on export.
+//! - one enabled [`Recorder`] **per worker**: a recorder has one
+//!   writer, so workers never meet on a recorder's lock.
 //!
 //! Each worker owns a full `Vm` (its private heap, with `ballast/N`
 //! long-lived globals) and runs `transitions/N` boundary crossings of
@@ -115,7 +115,8 @@ pub struct ParallelRun {
     /// Entities live in the shared store at the end (should be zero:
     /// every worker evicts what it acquires).
     pub store_residue: usize,
-    /// Events captured by the shared per-thread recorder rings.
+    /// Events recorded, summed over the workers' recorders (including
+    /// events their rings evicted).
     pub trace_events: u64,
     /// Leak/violation reports from session shutdown (must be empty).
     pub shutdown_reports: usize,
@@ -143,7 +144,7 @@ pub fn run_parallel(cfg: &ParallelConfig) -> ParallelRun {
             .collect(),
     );
     let epochs = Arc::new(EpochParticipants::new());
-    let recorder = Recorder::enabled(1 << 14);
+    let recorders: Vec<Recorder> = (0..threads).map(|_| Recorder::enabled(1 << 14)).collect();
     let cross_thread = Arc::new(AtomicU64::new(0));
     let leak_peak = Arc::new(AtomicU64::new(0));
 
@@ -162,7 +163,7 @@ pub fn run_parallel(cfg: &ParallelConfig) -> ParallelRun {
                 let epochs = Arc::clone(&epochs);
                 let cross_thread = Arc::clone(&cross_thread);
                 let leak_peak = Arc::clone(&leak_peak);
-                let recorder = recorder.clone();
+                let recorder = recorders[t].clone();
                 scope.spawn(move || {
                     run_worker(WorkerContext {
                         t,
@@ -209,7 +210,7 @@ pub fn run_parallel(cfg: &ParallelConfig) -> ParallelRun {
         leak_sweep_peak: leak_peak.load(Ordering::Relaxed),
         cross_thread_uses: cross_thread.load(Ordering::Relaxed),
         store_residue: store.len(),
-        trace_events: recorder.total_events(),
+        trace_events: recorders.iter().map(Recorder::total_events).sum(),
         shutdown_reports,
         worker_wall_nanos,
         fairness_spread: slowest as f64 / fastest as f64,

@@ -58,10 +58,10 @@ pub struct Vm {
     pub(crate) dead: Option<JvmDeath>,
     /// Observability handle; shared with the JVM substrate.
     pub(crate) recorder: Recorder,
-    /// Interned trace label per JNI function, indexed by `FuncId`; built
-    /// once in [`set_recorder`](Self::set_recorder) so the record path
-    /// carries only a `u32`.
-    pub(crate) func_labels: Vec<LabelId>,
+    /// Interned trace label per JNI function, indexed by `FuncId`;
+    /// filled lazily on each function's first recorded call so the
+    /// record path carries only a `u32`.
+    pub(crate) func_labels: Vec<Option<LabelId>>,
     /// Interned trace labels for native methods (`Class.method`), filled
     /// lazily on first call of each method.
     pub(crate) native_labels: HashMap<minijvm::MethodId, LabelId>,
@@ -122,25 +122,24 @@ impl Vm {
     /// forensics) and the JVM substrate (GC and pin events).
     pub fn set_recorder(&mut self, recorder: Recorder) {
         self.jvm.set_recorder(recorder.clone());
-        // Intern every JNI function name up front: the invoke hot path
-        // then records by dense id, and trace policies can address any
-        // function before its first call.
-        self.func_labels = crate::registry::registry()
-            .iter()
-            .map(|(_, spec)| recorder.intern(&spec.name))
-            .collect();
+        // Label ids belong to one recorder: forget the old recorder's.
+        // Function and native-method names are interned on first call.
+        self.func_labels.clear();
         self.native_labels.clear();
         self.native_calls_label = recorder.intern("native.calls");
         self.recorder = recorder;
     }
 
-    /// The interned trace label for a JNI function (recorder attached).
+    /// The interned trace label for a JNI function (recorder attached),
+    /// computed on its first recorded call.
     #[inline]
-    pub(crate) fn func_label(&self, func: crate::registry::FuncId) -> LabelId {
-        self.func_labels
-            .get(func.0 as usize)
-            .copied()
-            .unwrap_or(LabelId(0))
+    pub(crate) fn func_label(&mut self, func: crate::registry::FuncId) -> LabelId {
+        let idx = func.0 as usize;
+        if idx >= self.func_labels.len() {
+            self.func_labels.resize(idx + 1, None);
+        }
+        let recorder = &self.recorder;
+        *self.func_labels[idx].get_or_insert_with(|| recorder.intern(func.name()))
     }
 
     /// The interned trace label for a native method, `Class.method`,

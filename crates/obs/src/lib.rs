@@ -5,11 +5,11 @@
 //! error state. This crate supplies the surrounding context that a
 //! production deployment needs on top of the verdict:
 //!
-//! * [`spsc`] — per-writer-thread SPSC rings of fixed-width binary
+//! * [`recorder`] — one ring per recorder of fixed-width binary
 //!   [`raw::RawEvent`] records, one per language transition (the
 //!   paper's Figure 2 arrows), FSM transition, GC event, pin event, and
-//!   checker verdict — a wait-free record path cheap enough to leave on
-//!   in production;
+//!   checker verdict — one uncontended lock and no string work per
+//!   event, cheap enough to leave on in production;
 //! * [`metrics`] — monotonic counters and log₂-bucketed latency
 //!   histograms keyed per JNI function and per state machine, with a
 //!   cheap [`Snapshot`];
@@ -35,11 +35,9 @@ pub mod forensics;
 pub mod metrics;
 pub mod raw;
 pub mod recorder;
-pub mod spsc;
 
 pub use event::{EntityTag, EventKind, FsmOutcome, TraceEvent, VerdictAction};
 pub use forensics::{BugReport, ForensicsConfig};
 pub use metrics::{Coverage, Histogram, MetricsRegistry, Snapshot};
 pub use raw::{LabelId, RawEvent};
-pub use recorder::{Recorder, DEFAULT_RING_CAPACITY, MAX_WRITERS};
-pub use spsc::SpscRing;
+pub use recorder::{Recorder, DEFAULT_RING_CAPACITY};

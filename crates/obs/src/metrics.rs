@@ -151,8 +151,7 @@ pub struct FuncMetrics {
 }
 
 impl FuncMetrics {
-    /// Folds another function's worth of metrics into this one (used
-    /// when flushing thread-local batches into the shared store).
+    /// Folds another function's worth of metrics into this one.
     pub fn merge(&mut self, other: &FuncMetrics) {
         self.calls += other.calls;
         self.failures += other.failures;
@@ -214,7 +213,7 @@ impl MetricsRegistry {
     }
 
     /// Merges a pre-aggregated block of per-function metrics under
-    /// `func` (used when draining thread-local batches).
+    /// `func` (used when a recorder resolves its id-keyed store).
     pub fn merge_jni(&mut self, func: &str, block: &FuncMetrics) {
         match self.jni.get_mut(func) {
             Some(m) => m.merge(block),

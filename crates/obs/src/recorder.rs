@@ -1,78 +1,51 @@
 //! The [`Recorder`]: the cheaply clonable handle every substrate crate
 //! carries.
 //!
-//! A recorder is either *enabled* — backed by per-thread SPSC rings, an
-//! intern table, and a metrics store — or *disabled*, in which case
-//! every recording call is a single `Option` discriminant check and an
-//! immediate return.
+//! A recorder is either *enabled* — backed by one state behind one
+//! mutex: an intern table, a ring of the newest events, and exact
+//! per-label metrics — or *disabled*, in which case every recording call
+//! is a single `Option` discriminant check and an immediate return.
 //!
-//! ## The fast path
+//! ## One writer per recorder
 //!
-//! The first event a thread records against a backend registers the
-//! thread as a *writer*: it claims a private [`SpscRing`] slot, after
-//! which the record path is wait-free — no lock, no shared-cacheline
-//! read-modify-write:
+//! Every production recorder is written by one thread: a session's live
+//! executor, or the worker that judges it. The record path is therefore
+//! one uncontended lock per operation:
 //!
-//! * **events** are encoded as fixed-width [`RawEvent`] words straight
-//!   into the thread's own ring (labels are intern-table ids, not
-//!   strings);
-//! * **sequence numbers** are claimed from the global counter in blocks
-//!   of [`SEQ_BLOCK`], so the shared atomic is touched once per block;
+//! * **events** are encoded as fixed-width [`RawEvent`] records straight
+//!   into the recorder's ring (labels are intern-table ids, not
+//!   strings); the ring grows on demand up to its capacity, then evicts
+//!   the oldest record;
+//! * **sequence numbers** are the count of records ever pushed, so the
+//!   exported timeline is gap-free and strictly ascending;
 //! * **timestamps** are batched: one clock read per [`STAMP_BATCH`]
-//!   events, monotone within a ring;
-//! * **metrics** accumulate in thread-local batches and are folded into
-//!   the shared store every [`FLUSH_EVERY`] operations, at thread exit,
-//!   and before a same-thread snapshot.
+//!   events;
+//! * **metrics** go straight into the per-label store, so a snapshot is
+//!   exact whichever thread takes it.
 //!
-//! Export ([`Recorder::events`]) is the merge point: it snapshots each
-//! ring without stopping writers and k-way merges by sequence number.
+//! Clones may record from several threads at once. They serialize on
+//! the lock, so nothing is lost or torn, but their events interleave in
+//! one ring and evict each other. No recorder method calls another
+//! while it holds the lock (the std mutex is not reentrant).
 
-use std::cell::RefCell;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, OnceLock, Weak};
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::Instant;
 
 use crate::event::{EventKind, FsmOutcome, TraceEvent, VerdictAction};
 use crate::metrics::{Coverage, FuncMetrics, MachineMetrics, MetricsRegistry, Snapshot};
-use crate::raw::{op, LabelId, RawEvent, ENTITY_KEY_BIT, NO_LABEL, RAW_WORDS};
-use crate::spsc::SpscRing;
+use crate::raw::{op, LabelId, RawEvent, ENTITY_KEY_BIT, NO_LABEL};
 
-/// Default per-writer ring capacity for [`Recorder::enabled`].
+/// Default ring capacity per recorder for [`Recorder::enabled`].
 pub const DEFAULT_RING_CAPACITY: usize = 4096;
 
-/// Maximum registered writer threads per backend. The last slot is a
-/// shared overflow ring (mutex-serialised) for threads beyond the limit,
-/// so recording never fails — it just stops being wait-free for the
-/// overflow crowd.
-pub const MAX_WRITERS: usize = 64;
-
-const OVERFLOW_SLOT: usize = MAX_WRITERS - 1;
-
-/// One call in this many (per thread) gets a latency timer when timers
+/// One call in this many (per recorder) gets a latency timer when timers
 /// are enabled; see [`Recorder::timer`].
 const TIMER_SAMPLE: u32 = 8;
-
-/// Sequence numbers are claimed from the shared counter in blocks of
-/// this size: one `fetch_add` per block instead of per event. Cross-
-/// thread interleaving in the merged timeline is therefore approximate
-/// at block granularity; within a thread, order is exact.
-pub const SEQ_BLOCK: u64 = 64;
 
 /// Events per wall-clock read: timestamps within a batch share one
 /// reading, so timelines are coarse to roughly this granularity.
 pub const STAMP_BATCH: u32 = 32;
-
-/// Thread-local metric batches are folded into the shared store every
-/// this many recording operations (plus at thread exit and before a
-/// same-thread snapshot).
-pub const FLUSH_EVERY: u32 = 256;
-
-fn lock<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
-    // A panicking recorder user must not cascade into every other
-    // thread's recording path: recover the data under the poison.
-    m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
-}
 
 /// Label interning state: text → dense id, and id → shared text.
 #[derive(Debug, Default)]
@@ -81,17 +54,19 @@ struct InternState {
     names: Vec<Arc<str>>,
 }
 
-fn intern_locked(st: &mut InternState, label: &str) -> u32 {
-    if let Some(&id) = st.ids.get(label) {
-        return id;
+impl InternState {
+    fn intern(&mut self, label: &str) -> u32 {
+        if let Some(&id) = self.ids.get(label) {
+            return id;
+        }
+        let id = self.names.len() as u32;
+        self.ids.insert(Box::from(label), id);
+        self.names.push(Arc::from(label));
+        id
     }
-    let id = st.names.len() as u32;
-    st.ids.insert(Box::from(label), id);
-    st.names.push(Arc::from(label));
-    id
 }
 
-/// Thread-local, id-keyed metric batches (and their shared aggregate).
+/// Id-keyed metric aggregates; resolved to names at snapshot time.
 #[derive(Debug, Default)]
 struct IdMetrics {
     jni: Vec<FuncMetrics>,
@@ -107,176 +82,95 @@ fn at<T: Default + Clone>(v: &mut Vec<T>, id: u32) -> &mut T {
     &mut v[id]
 }
 
-impl IdMetrics {
-    /// Folds this batch into `global` and resets it (capacity kept).
-    fn drain_into(&mut self, global: &mut IdMetrics) {
-        for (id, m) in self.jni.iter_mut().enumerate() {
-            if m.calls > 0 {
-                at(&mut global.jni, id as u32).merge(m);
-                *m = FuncMetrics::default();
-            }
+/// Counts one FSM outcome and returns its record flag bits.
+fn count_outcome(m: &mut MachineMetrics, outcome: FsmOutcome) -> u8 {
+    match outcome {
+        FsmOutcome::Moved => {
+            m.applied += 1;
+            0
         }
-        for (id, m) in self.machines.iter_mut().enumerate() {
-            if m.total() > 0 {
-                at(&mut global.machines, id as u32).merge(m);
-                *m = MachineMetrics::default();
-            }
+        FsmOutcome::Error => {
+            m.errors += 1;
+            1
         }
-        for (id, c) in self.counters.iter_mut().enumerate() {
-            if *c > 0 {
-                *at(&mut global.counters, id as u32) += *c;
-                *c = 0;
-            }
+        FsmOutcome::NotApplicable => {
+            m.not_applicable += 1;
+            2
         }
     }
 }
 
+/// Everything an enabled recorder holds, behind its one lock.
 #[derive(Debug)]
-struct Inner {
-    /// Globally unique backend id, the thread-local producer key.
-    id: u64,
-    start: Instant,
-    ring_capacity: usize,
-    /// Global sequence counter, claimed in [`SEQ_BLOCK`] blocks.
-    seq: AtomicU64,
-    /// Next writer slot to hand out (never reused).
-    next_slot: AtomicUsize,
-    /// Per-writer rings, allocated lazily at registration.
-    slots: Box<[OnceLock<SpscRing>]>,
-    /// Serialises producers that share the overflow slot.
-    overflow_lock: Mutex<()>,
-    intern: Mutex<InternState>,
-    /// Flushed metric aggregates, id-keyed; resolved to names at
-    /// snapshot time.
-    store: Mutex<IdMetrics>,
-}
-
-static NEXT_BACKEND_ID: AtomicU64 = AtomicU64::new(1);
-
-/// One thread's registration with one backend: its ring slot, its
-/// current sequence block and timestamp batch, and its unflushed metric
-/// batch. Lives in thread-local storage; the `Drop` impl flushes at
-/// thread exit (before `join` returns).
-#[derive(Debug)]
-struct Producer {
-    backend: u64,
-    inner: Weak<Inner>,
-    slot: usize,
-    exclusive: bool,
-    seq_next: u64,
-    seq_end: u64,
+struct State {
+    intern: InternState,
+    /// The newest `capacity` records; record `n` lives at `n & mask`.
+    ring: Vec<RawEvent>,
+    /// `capacity - 1`; capacity is a power of two.
+    mask: u64,
+    /// Records ever pushed, including evicted ones; the next sequence
+    /// number.
+    pushed: u64,
+    /// The batched clock reading stamped on records.
     micros: u64,
-    stamp_left: u32,
-    local: IdMetrics,
-    ops: u32,
     /// Calls until the next latency timer is handed out.
     timer_left: u32,
+    metrics: IdMetrics,
 }
 
-thread_local! {
-    static PRODUCERS: RefCell<Vec<Producer>> = const { RefCell::new(Vec::new()) };
-}
-
-impl Producer {
-    fn register(inner: &Arc<Inner>) -> Producer {
-        let claimed = inner.next_slot.fetch_add(1, Ordering::Relaxed);
-        let (slot, exclusive) = if claimed < OVERFLOW_SLOT {
-            (claimed, true)
-        } else {
-            (OVERFLOW_SLOT, false)
-        };
-        inner.slots[slot].get_or_init(|| SpscRing::new(inner.ring_capacity));
-        Producer {
-            backend: inner.id,
-            inner: Arc::downgrade(inner),
-            slot,
-            exclusive,
-            seq_next: 0,
-            seq_end: 0,
-            micros: 0,
-            stamp_left: 0,
-            local: IdMetrics::default(),
-            ops: 0,
-            timer_left: 0,
-        }
-    }
-
-    /// Encodes the event and pushes it into this thread's ring. Metrics
-    /// are the caller's business.
+impl State {
+    /// Appends a record, evicting the oldest once the ring is full.
     #[inline]
-    #[allow(clippy::too_many_arguments)] // the five record words plus routing
-    fn trace(&mut self, inner: &Inner, thread: u16, op: u8, flags: u8, label: u32, x: u64, y: u64) {
-        let seq = self.next_seq(inner);
-        let micros = self.stamp(inner);
-        let words = RawEvent {
+    #[allow(clippy::too_many_arguments)] // the five record words plus the clock
+    fn push(&mut self, start: Instant, thread: u16, op: u8, flags: u8, label: u32, x: u64, y: u64) {
+        let seq = self.pushed;
+        if seq.is_multiple_of(u64::from(STAMP_BATCH)) {
+            self.micros = start.elapsed().as_micros() as u64;
+        }
+        let event = RawEvent {
             seq,
-            micros,
+            micros: self.micros,
             thread,
             op,
             flags,
             label,
             x,
             y,
-        }
-        .to_words();
-        let ring = inner.slots[self.slot].get().expect("registered slot");
-        if self.exclusive {
-            ring.push(words);
+        };
+        let slot = (seq & self.mask) as usize;
+        if slot == self.ring.len() {
+            self.ring.push(event);
         } else {
-            let _guard = lock(&inner.overflow_lock);
-            ring.push(words);
+            self.ring[slot] = event;
         }
+        self.pushed += 1;
     }
 
-    #[inline]
-    fn next_seq(&mut self, inner: &Inner) -> u64 {
-        if self.seq_next == self.seq_end {
-            let base = inner.seq.fetch_add(SEQ_BLOCK, Ordering::Relaxed);
-            self.seq_next = base;
-            self.seq_end = base + SEQ_BLOCK;
-            // A fresh block is a natural point to resynchronise the
-            // batched clock.
-            self.micros = inner.start.elapsed().as_micros() as u64;
-            self.stamp_left = STAMP_BATCH;
-        }
-        let seq = self.seq_next;
-        self.seq_next += 1;
-        seq
+    fn dropped(&self) -> u64 {
+        self.pushed.saturating_sub(self.mask + 1)
     }
 
-    #[inline]
-    fn stamp(&mut self, inner: &Inner) -> u64 {
-        if self.stamp_left == 0 {
-            self.micros = inner.start.elapsed().as_micros() as u64;
-            self.stamp_left = STAMP_BATCH;
-        }
-        self.stamp_left -= 1;
-        self.micros
-    }
-
-    /// Bumps the op counter and flushes the metric batch if due.
-    #[inline]
-    fn tick(&mut self, inner: &Inner) {
-        self.ops += 1;
-        if self.ops >= FLUSH_EVERY {
-            self.flush_with(inner);
-        }
-    }
-
-    fn flush_with(&mut self, inner: &Inner) {
-        self.ops = 0;
-        self.local.drain_into(&mut lock(&inner.store));
+    /// The held records, oldest first. Until the ring fills, `split`
+    /// is its length and the whole ring is the first part.
+    fn held(&self) -> impl Iterator<Item = &RawEvent> {
+        let split = (self.pushed & self.mask) as usize;
+        self.ring[split..].iter().chain(&self.ring[..split])
     }
 }
 
-impl Drop for Producer {
-    fn drop(&mut self) {
-        // Thread exit (TLS destructors run before `join` returns):
-        // surface whatever this thread still holds locally. If the
-        // backend is already gone there is nobody to tell.
-        if let Some(inner) = self.inner.upgrade() {
-            self.flush_with(&inner);
-        }
+#[derive(Debug)]
+struct Inner {
+    start: Instant,
+    state: Mutex<State>,
+}
+
+impl Inner {
+    fn lock(&self) -> MutexGuard<'_, State> {
+        // A panicking recorder user must not cascade into every other
+        // thread's recording path: recover the data under the poison.
+        self.state
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner)
     }
 }
 
@@ -296,22 +190,23 @@ impl Recorder {
         Recorder { inner: None }
     }
 
-    /// A recorder backed by per-writer-thread SPSC rings of
-    /// `ring_capacity` events each (allocated lazily as threads start
-    /// recording) and an empty metrics store.
+    /// A recorder with one ring per recorder, holding the newest
+    /// `ring_capacity` events (rounded up to a power of two, minimum 2;
+    /// allocated as events arrive), and an empty metrics store.
     pub fn enabled(ring_capacity: usize) -> Recorder {
-        let slots: Vec<OnceLock<SpscRing>> = (0..MAX_WRITERS).map(|_| OnceLock::new()).collect();
+        let capacity = ring_capacity.max(2).next_power_of_two();
         Recorder {
             inner: Some(Arc::new(Inner {
-                id: NEXT_BACKEND_ID.fetch_add(1, Ordering::Relaxed),
                 start: Instant::now(),
-                ring_capacity,
-                seq: AtomicU64::new(0),
-                next_slot: AtomicUsize::new(0),
-                slots: slots.into_boxed_slice(),
-                overflow_lock: Mutex::new(()),
-                intern: Mutex::new(InternState::default()),
-                store: Mutex::new(IdMetrics::default()),
+                state: Mutex::new(State {
+                    intern: InternState::default(),
+                    ring: Vec::new(),
+                    mask: (capacity - 1) as u64,
+                    pushed: 0,
+                    micros: 0,
+                    timer_left: 0,
+                    metrics: IdMetrics::default(),
+                }),
             })),
         }
     }
@@ -322,86 +217,27 @@ impl Recorder {
         self.inner.is_some()
     }
 
-    /// Runs `f` with this thread's producer for the backend,
-    /// registering the thread as a writer on first use. Returns `None`
-    /// (dropping the operation) only in teardown corner cases — TLS
-    /// already destroyed, or a reentrant call from inside the producer.
-    #[inline]
-    fn with_producer<R>(
-        inner: &Arc<Inner>,
-        f: impl FnOnce(&mut Producer, &Inner) -> R,
-    ) -> Option<R> {
-        PRODUCERS
-            .try_with(|cell| {
-                let mut producers = cell.try_borrow_mut().ok()?;
-                let idx = match producers.iter().position(|p| p.backend == inner.id) {
-                    Some(idx) => idx,
-                    None => {
-                        // Drop registrations whose backend died so a
-                        // thread outliving many recorders doesn't
-                        // accumulate state without bound.
-                        producers.retain(|p| p.inner.strong_count() > 0);
-                        producers.push(Producer::register(inner));
-                        producers.len() - 1
-                    }
-                };
-                Some(f(&mut producers[idx], inner.as_ref()))
-            })
-            .ok()
-            .flatten()
-    }
-
-    /// Flushes the calling thread's metric batch for this backend, if it
-    /// has one, without registering a writer slot.
-    fn flush_current(inner: &Arc<Inner>) {
-        let _ = PRODUCERS.try_with(|cell| {
-            if let Ok(mut producers) = cell.try_borrow_mut() {
-                if let Some(p) = producers.iter_mut().find(|p| p.backend == inner.id) {
-                    p.flush_with(inner);
-                }
-            }
-        });
-    }
-
-    /// Flushes the calling thread's batched metrics into the shared
-    /// store, making them visible to [`snapshot`](Self::snapshot) from
-    /// other threads. Threads flush automatically every
-    /// [`FLUSH_EVERY`] operations and when they exit; call this at the
-    /// end of work on a *scoped* or pooled thread, where exit (and the
-    /// TLS-destructor flush it triggers) may come after the coordinating
-    /// thread has already resumed. No-op when disabled.
-    pub fn flush(&self) {
-        if let Some(inner) = &self.inner {
-            Self::flush_current(inner);
-        }
-    }
-
     /// Starts a latency timer — `None` when disabled, so that path never
     /// touches the clock.
     ///
-    /// Only one call in `TIMER_SAMPLE` (per thread) gets a timer: a
+    /// Only one call in `TIMER_SAMPLE` (per recorder) gets a timer: a
     /// clock read costs more than an entire ring write, and the latency
     /// *histograms* only need a representative sample, not a census. Call counts are exact regardless — only
     /// the histogram population is thinned.
     #[inline]
     pub fn timer(&self) -> Option<Instant> {
         let inner = self.inner.as_ref()?;
-        let due = Self::with_producer(inner, |p, _| {
-            if p.timer_left == 0 {
-                p.timer_left = TIMER_SAMPLE - 1;
+        let due = {
+            let mut st = inner.lock();
+            if st.timer_left == 0 {
+                st.timer_left = TIMER_SAMPLE - 1;
                 true
             } else {
-                p.timer_left -= 1;
+                st.timer_left -= 1;
                 false
             }
-        })
-        // Teardown corner cases (no producer) lose nothing by timing.
-        .unwrap_or(true);
-        if due {
-            Some(Instant::now())
-        } else {
-            None
-        }
+        };
+        due.then(Instant::now)
     }
 
     /// Microseconds since the recorder was created (0 when disabled).
@@ -418,7 +254,7 @@ impl Recorder {
     /// Meaningless (always id 0) on a disabled recorder.
     pub fn intern(&self, label: &str) -> LabelId {
         match &self.inner {
-            Some(inner) => LabelId(intern_locked(&mut lock(&inner.intern), label)),
+            Some(inner) => LabelId(inner.lock().intern.intern(label)),
             None => LabelId(0),
         }
     }
@@ -430,11 +266,21 @@ impl Recorder {
     pub fn label(&self, label: &str) -> Arc<str> {
         match &self.inner {
             Some(inner) => {
-                let mut st = lock(&inner.intern);
-                let id = intern_locked(&mut st, label);
-                Arc::clone(&st.names[id as usize])
+                let mut st = inner.lock();
+                let id = st.intern.intern(label);
+                Arc::clone(&st.intern.names[id as usize])
             }
             None => Arc::from(label),
+        }
+    }
+
+    /// Pushes one record (no metrics).
+    #[inline]
+    fn trace(&self, thread: u16, op: u8, flags: u8, label: u32, x: u64, y: u64) {
+        if let Some(inner) = &self.inner {
+            inner
+                .lock()
+                .push(inner.start, thread, op, flags, label, x, y);
         }
     }
 
@@ -443,12 +289,7 @@ impl Recorder {
     /// `Call:C→Java` by label id.
     #[inline]
     pub fn jni_enter_id(&self, thread: u16, func: LabelId) {
-        if let Some(inner) = &self.inner {
-            Self::with_producer(inner, |p, inner| {
-                p.trace(inner, thread, op::JNI_ENTER, 0, func.0, 0, 0);
-                p.tick(inner);
-            });
-        }
+        self.trace(thread, op::JNI_ENTER, 0, func.0, 0, 0);
     }
 
     /// `Return:Java→C` by label id: records the exit event *and* the
@@ -456,57 +297,44 @@ impl Recorder {
     #[inline]
     pub fn jni_exit_id(&self, thread: u16, func: LabelId, nanos: Option<u64>, failed: bool) {
         if let Some(inner) = &self.inner {
-            Self::with_producer(inner, |p, inner| {
-                let m = at(&mut p.local.jni, func.0);
-                m.calls += 1;
-                if failed {
-                    m.failures += 1;
-                }
-                if let Some(ns) = nanos {
-                    m.latency.record(ns);
-                }
-                p.trace(
-                    inner,
-                    thread,
-                    op::JNI_EXIT,
-                    u8::from(failed),
-                    func.0,
-                    nanos.unwrap_or(0),
-                    0,
-                );
-                p.tick(inner);
-            });
+            let mut st = inner.lock();
+            let m = at(&mut st.metrics.jni, func.0);
+            m.calls += 1;
+            if failed {
+                m.failures += 1;
+            }
+            if let Some(ns) = nanos {
+                m.latency.record(ns);
+            }
+            st.push(
+                inner.start,
+                thread,
+                op::JNI_EXIT,
+                u8::from(failed),
+                func.0,
+                nanos.unwrap_or(0),
+                0,
+            );
         }
     }
 
     /// `Call:Java→C` by label id.
     #[inline]
     pub fn native_enter_id(&self, thread: u16, method: LabelId) {
-        if let Some(inner) = &self.inner {
-            Self::with_producer(inner, |p, inner| {
-                p.trace(inner, thread, op::NATIVE_ENTER, 0, method.0, 0, 0);
-                p.tick(inner);
-            });
-        }
+        self.trace(thread, op::NATIVE_ENTER, 0, method.0, 0, 0);
     }
 
     /// `Return:C→Java` by label id.
     #[inline]
     pub fn native_exit_id(&self, thread: u16, method: LabelId, nanos: u64, failed: bool) {
-        if let Some(inner) = &self.inner {
-            Self::with_producer(inner, |p, inner| {
-                p.trace(
-                    inner,
-                    thread,
-                    op::NATIVE_EXIT,
-                    u8::from(failed),
-                    method.0,
-                    nanos,
-                    0,
-                );
-                p.tick(inner);
-            });
-        }
+        self.trace(
+            thread,
+            op::NATIVE_EXIT,
+            u8::from(failed),
+            method.0,
+            nanos,
+            0,
+        );
     }
 
     /// An FSM transition by label ids: records the event *and* the
@@ -520,35 +348,8 @@ impl Recorder {
         outcome: FsmOutcome,
         entity: Option<LabelId>,
     ) {
-        if let Some(inner) = &self.inner {
-            Self::with_producer(inner, |p, inner| {
-                let m = at(&mut p.local.machines, machine.0);
-                let flags = match outcome {
-                    FsmOutcome::Moved => {
-                        m.applied += 1;
-                        0
-                    }
-                    FsmOutcome::Error => {
-                        m.errors += 1;
-                        1
-                    }
-                    FsmOutcome::NotApplicable => {
-                        m.not_applicable += 1;
-                        2
-                    }
-                };
-                p.trace(
-                    inner,
-                    thread,
-                    op::FSM_TRANSITION,
-                    flags,
-                    machine.0,
-                    u64::from(transition.0),
-                    entity.map(|e| u64::from(e.0) + 1).unwrap_or(0),
-                );
-                p.tick(inner);
-            });
-        }
+        let entity = entity.map(|e| u64::from(e.0) + 1).unwrap_or(0);
+        self.fsm_transition(thread, machine, transition, outcome, entity);
     }
 
     /// An FSM transition whose entity is an opaque numeric key rather
@@ -568,34 +369,32 @@ impl Recorder {
         outcome: FsmOutcome,
         key: u64,
     ) {
+        let entity = ENTITY_KEY_BIT | (key & !ENTITY_KEY_BIT);
+        self.fsm_transition(thread, machine, transition, outcome, entity);
+    }
+
+    /// An FSM transition with its entity word already encoded.
+    #[inline]
+    fn fsm_transition(
+        &self,
+        thread: u16,
+        machine: LabelId,
+        transition: LabelId,
+        outcome: FsmOutcome,
+        entity: u64,
+    ) {
         if let Some(inner) = &self.inner {
-            Self::with_producer(inner, |p, inner| {
-                let m = at(&mut p.local.machines, machine.0);
-                let flags = match outcome {
-                    FsmOutcome::Moved => {
-                        m.applied += 1;
-                        0
-                    }
-                    FsmOutcome::Error => {
-                        m.errors += 1;
-                        1
-                    }
-                    FsmOutcome::NotApplicable => {
-                        m.not_applicable += 1;
-                        2
-                    }
-                };
-                p.trace(
-                    inner,
-                    thread,
-                    op::FSM_TRANSITION,
-                    flags,
-                    machine.0,
-                    u64::from(transition.0),
-                    ENTITY_KEY_BIT | (key & !ENTITY_KEY_BIT),
-                );
-                p.tick(inner);
-            });
+            let mut st = inner.lock();
+            let flags = count_outcome(at(&mut st.metrics.machines, machine.0), outcome);
+            st.push(
+                inner.start,
+                thread,
+                op::FSM_TRANSITION,
+                flags,
+                machine.0,
+                u64::from(transition.0),
+                entity,
+            );
         }
     }
 
@@ -608,104 +407,65 @@ impl Recorder {
         function: LabelId,
         action: VerdictAction,
     ) {
-        if let Some(inner) = &self.inner {
-            Self::with_producer(inner, |p, inner| {
-                let flags = match action {
-                    VerdictAction::Warn => 0,
-                    VerdictAction::AbortVm => 1,
-                    VerdictAction::ThrowException => 2,
-                };
-                p.trace(
-                    inner,
-                    thread,
-                    op::VERDICT,
-                    flags,
-                    machine.0,
-                    u64::from(function.0),
-                    0,
-                );
-                p.tick(inner);
-            });
-        }
+        let flags = match action {
+            VerdictAction::Warn => 0,
+            VerdictAction::AbortVm => 1,
+            VerdictAction::ThrowException => 2,
+        };
+        self.trace(
+            thread,
+            op::VERDICT,
+            flags,
+            machine.0,
+            u64::from(function.0),
+            0,
+        );
     }
 
     /// Bumps a counter by pre-interned id.
     #[inline]
     pub fn count_id(&self, counter: LabelId, delta: u64) {
         if let Some(inner) = &self.inner {
-            Self::with_producer(inner, |p, inner| {
-                *at(&mut p.local.counters, counter.0) += delta;
-                p.tick(inner);
-            });
+            *at(&mut inner.lock().metrics.counters, counter.0) += delta;
         }
     }
 
     /// A GC safepoint.
     #[inline]
     pub fn gc_safepoint_id(&self, thread: u16, collected: bool) {
-        if let Some(inner) = &self.inner {
-            Self::with_producer(inner, |p, inner| {
-                p.trace(
-                    inner,
-                    thread,
-                    op::GC_SAFEPOINT,
-                    u8::from(collected),
-                    NO_LABEL,
-                    0,
-                    0,
-                );
-                p.tick(inner);
-            });
-        }
+        self.trace(
+            thread,
+            op::GC_SAFEPOINT,
+            u8::from(collected),
+            NO_LABEL,
+            0,
+            0,
+        );
     }
 
     /// A completed GC cycle.
     #[inline]
     pub fn gc_id(&self, thread: u16, live: u64, freed: u64) {
-        if let Some(inner) = &self.inner {
-            Self::with_producer(inner, |p, inner| {
-                p.trace(inner, thread, op::GC, 0, NO_LABEL, live, freed);
-                p.tick(inner);
-            });
-        }
+        self.trace(thread, op::GC, 0, NO_LABEL, live, freed);
     }
 
     /// A pin acquisition.
     #[inline]
     pub fn pin_acquire_id(&self, thread: u16, pin: u32) {
-        if let Some(inner) = &self.inner {
-            Self::with_producer(inner, |p, inner| {
-                p.trace(
-                    inner,
-                    thread,
-                    op::PIN_ACQUIRE,
-                    0,
-                    NO_LABEL,
-                    u64::from(pin),
-                    0,
-                );
-                p.tick(inner);
-            });
-        }
+        self.trace(thread, op::PIN_ACQUIRE, 0, NO_LABEL, u64::from(pin), 0);
     }
 
     /// A pin release.
     #[inline]
     pub fn pin_release_id(&self, thread: u16, pin: u32, ok: bool) {
-        if let Some(inner) = &self.inner {
-            Self::with_producer(inner, |p, inner| {
-                p.trace(
-                    inner,
-                    thread,
-                    op::PIN_RELEASE,
-                    u8::from(ok),
-                    NO_LABEL,
-                    u64::from(pin),
-                    0,
-                );
-                p.tick(inner);
-            });
-        }
+        self.trace(
+            thread,
+            op::PIN_RELEASE,
+            u8::from(ok),
+            NO_LABEL,
+            u64::from(pin),
+            0,
+        );
     }
 
     // ----- compatibility path: record by enum / name -----
@@ -715,94 +475,82 @@ impl Recorder {
     /// should pre-intern and use the `*_id` methods.
     pub fn event(&self, thread: u16, kind: EventKind) {
         let Some(inner) = &self.inner else { return };
-        let raw = {
-            let mut st = lock(&inner.intern);
-            RawEvent::encode(0, 0, thread, &kind, |s| intern_locked(&mut st, s))
-        };
-        Self::with_producer(inner, |p, inner| {
-            p.trace(inner, thread, raw.op, raw.flags, raw.label, raw.x, raw.y);
-            p.tick(inner);
-        });
+        let mut st = inner.lock();
+        let raw = RawEvent::encode(0, 0, thread, &kind, |s| st.intern.intern(s));
+        st.push(
+            inner.start,
+            thread,
+            raw.op,
+            raw.flags,
+            raw.label,
+            raw.x,
+            raw.y,
+        );
     }
 
     /// Records a completed JNI call into the metrics store (by name;
     /// cold path).
     pub fn jni_call(&self, func: &str, nanos: u64, failed: bool) {
-        if self.inner.is_some() {
-            let id = self.intern(func);
-            let Some(inner) = &self.inner else { return };
-            Self::with_producer(inner, |p, inner| {
-                let m = at(&mut p.local.jni, id.0);
-                m.calls += 1;
-                if failed {
-                    m.failures += 1;
-                }
-                m.latency.record(nanos);
-                p.tick(inner);
-            });
+        let Some(inner) = &self.inner else { return };
+        let mut st = inner.lock();
+        let id = st.intern.intern(func);
+        let m = at(&mut st.metrics.jni, id);
+        m.calls += 1;
+        if failed {
+            m.failures += 1;
         }
+        m.latency.record(nanos);
     }
 
     /// Records an FSM transition outcome into the metrics store (by
     /// name; cold path).
     pub fn fsm(&self, machine: &str, outcome: FsmOutcome) {
-        if self.inner.is_some() {
-            let id = self.intern(machine);
-            let Some(inner) = &self.inner else { return };
-            Self::with_producer(inner, |p, inner| {
-                let m = at(&mut p.local.machines, id.0);
-                match outcome {
-                    FsmOutcome::Moved => m.applied += 1,
-                    FsmOutcome::Error => m.errors += 1,
-                    FsmOutcome::NotApplicable => m.not_applicable += 1,
-                }
-                p.tick(inner);
-            });
-        }
+        let Some(inner) = &self.inner else { return };
+        let mut st = inner.lock();
+        let id = st.intern.intern(machine);
+        count_outcome(at(&mut st.metrics.machines, id), outcome);
     }
 
     /// Bumps a named counter (by name; cold path).
     pub fn count(&self, name: &str, delta: u64) {
-        if self.inner.is_some() {
-            let id = self.intern(name);
-            self.count_id(id, delta);
-        }
+        let Some(inner) = &self.inner else { return };
+        let mut st = inner.lock();
+        let id = st.intern.intern(name);
+        *at(&mut st.metrics.counters, id) += delta;
     }
 
     // ----- export -----
 
     /// A point-in-time copy of the metrics plus coverage accounting, or
-    /// `None` when disabled. Flushes the calling thread's batch first;
-    /// other threads' unflushed tails (at most [`FLUSH_EVERY`] - 1
-    /// operations each) appear after their next flush or exit.
+    /// `None` when disabled. Exact: every recorded operation is in it,
+    /// whichever thread recorded it.
     pub fn snapshot(&self) -> Option<Snapshot> {
         let inner = self.inner.as_ref()?;
-        Self::flush_current(inner);
+        let st = inner.lock();
         let mut metrics = MetricsRegistry::new();
-        {
-            let st = lock(&inner.intern);
-            let store = lock(&inner.store);
-            let name = |id: usize| st.names.get(id).map(|n| &**n).unwrap_or("label#?");
-            for (id, m) in store.jni.iter().enumerate() {
-                if m.calls > 0 {
-                    metrics.merge_jni(name(id), m);
-                }
+        let name = |id: usize| st.intern.names.get(id).map(|n| &**n).unwrap_or("label#?");
+        for (id, m) in st.metrics.jni.iter().enumerate() {
+            if m.calls > 0 {
+                metrics.merge_jni(name(id), m);
             }
-            for (id, m) in store.machines.iter().enumerate() {
-                if m.total() > 0 {
-                    metrics.merge_machine(name(id), m);
-                }
+        }
+        for (id, m) in st.metrics.machines.iter().enumerate() {
+            if m.total() > 0 {
+                metrics.merge_machine(name(id), m);
             }
-            for (id, &c) in store.counters.iter().enumerate() {
-                if c > 0 {
-                    metrics.add(name(id), c);
-                }
+        }
+        for (id, &c) in st.metrics.counters.iter().enumerate() {
+            if c > 0 {
+                metrics.add(name(id), c);
             }
         }
         Some(Snapshot {
             taken_at_micros: inner.start.elapsed().as_micros() as u64,
             metrics,
-            coverage: self.coverage(),
+            coverage: Coverage {
+                recorded: st.pushed,
+                ring_dropped: st.dropped(),
+            },
         })
     }
 
@@ -815,76 +563,30 @@ impl Recorder {
         }
     }
 
-    /// The events currently held, merged across the per-writer rings
-    /// into one sequence-ordered timeline (empty when disabled).
-    ///
-    /// Each ring is snapshotted without stopping its writer, then the
-    /// per-ring streams — already sequence-ascending — are k-way merged
-    /// by `(seq, slot index)`.
+    /// The events currently held, oldest first: a sequence-ascending
+    /// run with no gaps (empty when disabled).
     pub fn events(&self) -> Vec<TraceEvent> {
-        use std::cmp::Reverse;
-        use std::collections::BinaryHeap;
-
         let Some(inner) = &self.inner else {
             return Vec::new();
         };
-        let names: Vec<Arc<str>> = lock(&inner.intern).names.clone();
-        let mut streams: Vec<Vec<[u64; RAW_WORDS]>> = inner
-            .slots
-            .iter()
-            .filter_map(|slot| slot.get())
-            .map(|ring| ring.snapshot())
-            .collect();
-        for stream in &mut streams {
-            // Exclusive rings are seq-sorted by construction; the shared
-            // overflow ring interleaves several producers' blocks.
-            if stream.windows(2).any(|w| w[0][0] > w[1][0]) {
-                stream.sort_unstable_by_key(|words| words[0]);
-            }
-        }
-        let mut heap: BinaryHeap<Reverse<(u64, usize)>> = streams
-            .iter()
-            .enumerate()
-            .filter(|(_, s)| !s.is_empty())
-            .map(|(i, s)| Reverse((s[0][0], i)))
-            .collect();
-        let mut cursors = vec![0usize; streams.len()];
-        let mut out = Vec::with_capacity(streams.iter().map(Vec::len).sum());
-        while let Some(Reverse((_, i))) = heap.pop() {
-            let words = streams[i][cursors[i]];
-            cursors[i] += 1;
-            out.push(RawEvent::from_words(words).decode(&names));
-            if let Some(next) = streams[i].get(cursors[i]) {
-                heap.push(Reverse((next[0], i)));
-            }
-        }
-        out
+        let st = inner.lock();
+        st.held().map(|raw| raw.decode(&st.intern.names)).collect()
     }
 
-    /// Total events ever recorded into the rings, including evicted ones.
+    /// Total events ever recorded into the ring, including evicted ones.
     pub fn total_events(&self) -> u64 {
         match &self.inner {
-            Some(inner) => inner
-                .slots
-                .iter()
-                .filter_map(|slot| slot.get())
-                .map(SpscRing::total_pushed)
-                .sum(),
+            Some(inner) => inner.lock().pushed,
             None => 0,
         }
     }
 
-    /// Events recorded but evicted from their ring (0 when disabled).
+    /// Events recorded but evicted from the ring (0 when disabled).
     /// When non-zero, [`Recorder::events`] is a truncated view of the
     /// run.
     pub fn dropped_events(&self) -> u64 {
         match &self.inner {
-            Some(inner) => inner
-                .slots
-                .iter()
-                .filter_map(|slot| slot.get())
-                .map(SpscRing::dropped)
-                .sum(),
+            Some(inner) => inner.lock().dropped(),
             None => 0,
         }
     }
@@ -911,7 +613,7 @@ mod tests {
     use super::*;
     use crate::event::NO_THREAD;
 
-    // The whole point of the Arc/atomic backend: handles cross threads.
+    // Handles cross threads: the backend is an `Arc<Mutex<_>>`.
     const _: fn() = || {
         fn assert_send_sync<T: Send + Sync>() {}
         assert_send_sync::<Recorder>();
@@ -984,6 +686,18 @@ mod tests {
     }
 
     #[test]
+    fn capacity_rounds_up_to_a_power_of_two() {
+        for (asked, held) in [(0, 2), (1, 2), (5, 8), (8, 8)] {
+            let r = Recorder::enabled(asked);
+            for _ in 0..20 {
+                safepoint(&r, 0);
+            }
+            assert_eq!(r.events().len(), held, "capacity {asked}");
+            assert_eq!(r.dropped_events(), 20 - held as u64);
+        }
+    }
+
+    #[test]
     fn dropped_events_surface_in_dumps() {
         let r = Recorder::enabled(2);
         for _ in 0..5 {
@@ -1007,49 +721,44 @@ mod tests {
     }
 
     #[test]
-    fn export_merges_interleaved_thread_tags_in_seq_order() {
-        // All nine events come from this one OS thread, so they share a
-        // single ring — it must hold all of them.
+    fn export_keeps_interleaved_thread_tags_in_seq_order() {
         let r = Recorder::enabled(16);
         for i in 0..9u16 {
             safepoint(&r, i % 3);
         }
         let events = r.events();
         let seqs: Vec<u64> = events.iter().map(|e| e.seq).collect();
-        assert_eq!(seqs, (0..9).collect::<Vec<u64>>(), "merged by seq");
+        assert_eq!(seqs, (0..9).collect::<Vec<u64>>(), "ordered by seq");
         let threads: Vec<u16> = events.iter().map(|e| e.thread).collect();
         assert_eq!(threads, vec![0, 1, 2, 0, 1, 2, 0, 1, 2]);
     }
 
     #[test]
-    fn ring_eviction_is_per_writer_thread() {
+    fn one_ring_keeps_the_newest_events_across_writers() {
         let r = Recorder::enabled(2);
         std::thread::scope(|scope| {
             let busy = r.clone();
-            let quiet = r.clone();
             scope.spawn(move || {
                 for _ in 0..5 {
                     safepoint(&busy, 0);
                 }
             });
+        });
+        std::thread::scope(|scope| {
+            let quiet = r.clone();
             scope.spawn(move || safepoint(&quiet, 1));
         });
-        // The busy writer overflowed its own ring; the quiet writer's
-        // event survived in its separate ring.
-        assert_eq!(r.dropped_events(), 3);
-        let held: Vec<u16> = r.events().iter().map(|e| e.thread).collect();
-        assert_eq!(held.len(), 3);
-        assert!(held.contains(&1), "{held:?}");
+        // One ring for both writers: the quiet writer's event evicted
+        // the busy writer's older ones.
+        assert_eq!(r.total_events(), 6);
+        assert_eq!(r.dropped_events(), 4);
+        let held: Vec<(u64, u16)> = r.events().iter().map(|e| (e.seq, e.thread)).collect();
+        assert_eq!(held, vec![(4, 0), (5, 1)]);
     }
 
     #[test]
     fn concurrent_recording_from_spawned_threads() {
         let r = Recorder::enabled(1024);
-        // `thread::spawn` + `join`, not `thread::scope`: join waits for
-        // the thread's TLS destructors (which flush the metric batch),
-        // while a scope can return before they have run. Scoped threads
-        // that need exact metrics call `Recorder::flush` — see the
-        // `scoped_threads_flush_explicitly` test below.
         let handles: Vec<_> = (0..4u16)
             .map(|t| {
                 let r = r.clone();
@@ -1073,7 +782,7 @@ mod tests {
     }
 
     #[test]
-    fn scoped_threads_flush_explicitly() {
+    fn scoped_threads_metrics_are_visible_without_a_flush() {
         let r = Recorder::enabled(1024);
         std::thread::scope(|scope| {
             for _ in 0..4 {
@@ -1082,23 +791,19 @@ mod tests {
                     for _ in 0..100 {
                         r.count("gc.safepoints", 1);
                     }
-                    // A scope may resume the parent before this thread's
-                    // TLS destructors run, so flush before returning.
-                    r.flush();
                 });
             }
         });
         assert_eq!(r.snapshot().unwrap().metrics.counter("gc.safepoints"), 400);
     }
 
-    /// The satellite-2 acceptance test: 32 concurrent writers, one
-    /// strictly ordered, duplicate-free merged timeline with nothing
-    /// lost.
+    /// 32 concurrent writers, one strictly ordered, duplicate-free
+    /// timeline with nothing lost.
     #[test]
     fn merge_of_32_concurrent_writers_is_strictly_ordered_and_complete() {
         const THREADS: u16 = 32;
         const PER_THREAD: u32 = 200;
-        let r = Recorder::enabled(4096);
+        let r = Recorder::enabled(8192);
         std::thread::scope(|scope| {
             for t in 0..THREADS {
                 let r = r.clone();
@@ -1132,6 +837,32 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn concurrent_reader_sees_gapless_seq_runs() {
+        const EVENTS: u64 = 20_000;
+        let r = Recorder::enabled(8);
+        let writer = {
+            let r = r.clone();
+            std::thread::spawn(move || {
+                for n in 0..EVENTS {
+                    r.event(0, EventKind::Gc { live: n, freed: n });
+                }
+            })
+        };
+        // Export while the writer runs: every call returns a contiguous,
+        // seq-ascending run whose payloads match their sequence numbers.
+        for _ in 0..200 {
+            let events = r.events();
+            assert!(events.windows(2).all(|w| w[1].seq == w[0].seq + 1));
+            for e in &events {
+                assert!(matches!(e.kind, EventKind::Gc { live, .. } if live == e.seq));
+            }
+        }
+        writer.join().unwrap();
+        let held: Vec<u64> = r.events().iter().map(|e| e.seq).collect();
+        assert_eq!(held, (EVENTS - 8..EVENTS).collect::<Vec<u64>>());
     }
 
     #[test]

@@ -1,8 +1,13 @@
 //! Parallel checking throughput: the Table 3 workload mix on
 //! 1/2/4/8/16/32/64 worker threads, each an independent `JniSession`
-//! with its own `Jinn` checker and its own recorder, all sharing one
-//! lock-free atomic state store, one epoch domain for quiesced sweeps,
-//! and one sharded heap directory.
+//! with its own `Jinn` checker, its own VM heap and its own recorder.
+//! The workers share nothing: there is no shared state store and no
+//! epoch sweep.
+//!
+//! The speedup this reports is mostly the copying collector working on
+//! `ballast/N`-object heaps (a collection costs O(live heap)), not
+//! checking scaling across cores; it can exceed the thread count on a
+//! one-core host.
 //!
 //! ```text
 //! cargo run --release -p jinn-bench --bin parallel
@@ -25,7 +30,6 @@ fn run_at(threads: usize, transitions: u64, ballast: usize) -> ParallelRun {
         transitions,
         ballast,
         gc_period: env_u64("JINN_PARALLEL_GC_PERIOD", 64),
-        safepoint_every: env_u64("JINN_PARALLEL_SAFEPOINT", 512),
     })
 }
 
@@ -44,7 +48,7 @@ fn main() {
         .map(|n| n.get())
         .unwrap_or(1);
 
-    println!("Parallel Jinn: lock-free sharded checking throughput");
+    println!("Parallel Jinn: one checker, heap and recorder per worker");
     println!(
         "(total work constant across thread counts; ballast {ballast} objects; \
          host cores {host_cores})\n"
@@ -55,15 +59,12 @@ fn main() {
     for &threads in &THREAD_COUNTS {
         let run = run_at(threads, transitions, ballast);
         assert_eq!(run.violations, 0, "workload must be bug-free");
-        assert_eq!(run.cross_thread_uses, 0, "entity keys are disjoint");
-        assert_eq!(run.store_residue, 0, "every acquire is evicted");
         rows.push(vec![
             threads.to_string(),
             run.transitions.to_string(),
             run.checked_events.to_string(),
             format!("{:.1}", run.elapsed.as_secs_f64() * 1e3),
             format!("{:.0}", run.events_per_sec),
-            run.epoch_sweeps.to_string(),
             format!("{:.2}", run.fairness_spread),
         ]);
         runs.push(run);
@@ -82,7 +83,6 @@ fn main() {
                 "checked events",
                 "wall ms",
                 "events/sec",
-                "epoch sweeps",
                 "fairness",
                 "speedup"
             ],
@@ -113,7 +113,7 @@ fn main() {
     let json = format!(
         concat!(
             "{{\n",
-            "  \"benchmark\": \"parallel lock-free checking (Table 3 workload mix)\",\n",
+            "  \"benchmark\": \"parallel checking, one checker per worker (Table 3 workload mix)\",\n",
             "  \"total_transitions\": {transitions},\n",
             "  \"ballast_objects\": {ballast},\n",
             "  \"host_cores\": {host_cores},\n",
@@ -123,20 +123,16 @@ fn main() {
             "  \"events_per_sec\": [{eps}],\n",
             "  \"speedup_vs_1_thread\": [{speedups}],\n",
             "  \"speedup_at_8_threads\": {s8:.4},\n",
-            "  \"speedup_at_8_at_least_5_5x\": {ok8},\n",
             "  \"speedup_at_64_threads\": {s64:.4},\n",
-            "  \"epoch_sweeps\": {sweeps},\n",
-            "  \"leak_sweep_peak\": {leaks},\n",
             "  \"fairness_spread_max_over_min\": [{fairness}],\n",
             "  \"worker_wall_nanos\": {{{worker_walls}\n  }},\n",
-            "  \"cross_thread_uses\": 0,\n",
             "  \"violations\": 0,\n",
-            "  \"note\": \"one Jinn per worker (Send), shared lock-free AtomicStore ",
-            "(per-entity CAS on a dense atomic slab) + quiesced epoch sweeps (no ",
-            "stop-the-world) + one recorder per worker; on a single-core host the ",
-            "speedup comes from removing coordination and from sharded heaps cutting ",
-            "per-collection copying-GC cost O(live heap) by 1/N, not from core ",
-            "parallelism\"\n",
+            "  \"note\": \"each worker owns one Jinn checker (built on the driver ",
+            "thread and moved in), one VM heap holding ballast/N globals and one ",
+            "recorder; workers share no state store and run no epoch sweep. The ",
+            "speedup is mostly the copying collector: a collection costs O(live ",
+            "heap), so N heaps of ballast/N objects do about 1/N of the GC work. It ",
+            "can exceed the thread count on one core and is not a scaling claim\"\n",
             "}}\n",
         ),
         transitions = transitions,
@@ -147,10 +143,7 @@ fn main() {
         eps = events_per_sec.join(", "),
         speedups = speedups.join(", "),
         s8 = speedup8,
-        ok8 = speedup8 >= 5.5,
         s64 = speedup64,
-        sweeps = json_list(&runs, |r| r.epoch_sweeps),
-        leaks = json_list(&runs, |r| r.leak_sweep_peak),
         fairness = fairness.join(", "),
         worker_walls = runs
             .iter()

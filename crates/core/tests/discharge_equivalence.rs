@@ -11,7 +11,7 @@ use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use jinn_core::{discharge, WorkloadManifest};
-use jinn_fsm::{AtomicStore, CompiledMachine, TransitionId};
+use jinn_fsm::{CompiledMachine, CompiledStore, Engine, TransitionId};
 
 /// The Table 3 mix — kept textually in sync with
 /// `jinn_workloads::TABLE3_CALLED_FUNCTIONS` (the workloads crate pins
@@ -82,8 +82,8 @@ fn discharged_engines_match_full_engines_on_workload_streams() {
             .filter(|id| !elided.contains(id))
             .collect();
 
-        let full = AtomicStore::<u64>::new(spec.clone());
-        let discharged = AtomicStore::<u64>::with_compiled(Arc::new(
+        let mut full = CompiledStore::<u64>::new(spec.clone());
+        let mut discharged = CompiledStore::<u64>::with_compiled(Arc::new(
             CompiledMachine::compile_discharged(spec.clone(), &elided),
         ));
 
@@ -97,9 +97,8 @@ fn discharged_engines_match_full_engines_on_workload_streams() {
         for _ in 0..if live.is_empty() { 0 } else { 2_000 } {
             let key = rng.next() % 24;
             let t = live[(rng.next() as usize) % live.len()];
-            let thread = (rng.next() % 3) as u16;
-            full_outcomes.push(full.apply(thread, &key, t).outcome);
-            discharged_outcomes.push(discharged.apply(thread, &key, t).outcome);
+            full_outcomes.push(full.apply(&key, t));
+            discharged_outcomes.push(discharged.apply(&key, t));
         }
 
         assert_eq!(
@@ -141,12 +140,11 @@ fn elided_transitions_are_inert_from_every_state() {
         .expect("suite has a monitor machine");
     let elided = report.elided_for("monitor");
     assert!(!elided.is_empty());
-    let store = AtomicStore::<u64>::with_compiled(Arc::new(CompiledMachine::compile_discharged(
-        monitor.clone(),
-        &elided,
-    )));
+    let mut store = CompiledStore::<u64>::with_compiled(Arc::new(
+        CompiledMachine::compile_discharged(monitor.clone(), &elided),
+    ));
     for &t in &elided {
-        let out = store.apply(0, &7, t).outcome;
+        let out = store.apply(&7, t);
         assert!(
             matches!(out, jinn_fsm::TransitionOutcome::NotApplicable { .. }),
             "elided `{}` must be inert, got {out:?}",

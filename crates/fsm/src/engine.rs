@@ -1,7 +1,8 @@
-//! The [`Engine`] abstraction: one single-threaded interface over the
-//! reference [`StateStore`] and the production
-//! [`AtomicStore`](crate::AtomicStore), so the session pool and the
+//! The [`Engine`] abstraction: one interface over the reference
+//! [`StateStore`] and the production
+//! [`CompiledStore`](crate::CompiledStore), so the session pool and the
 //! equivalence proptests drive either store through the same calls.
+//! Both are single-threaded: every mutation takes `&mut self`.
 
 use std::fmt;
 use std::hash::Hash;
@@ -144,7 +145,7 @@ impl<K: Eq + Hash + Clone + fmt::Debug> Engine<K> for StateStore<K> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::atomic::AtomicStore;
+    use crate::compiled::CompiledStore;
     use crate::machine::{ConstraintClass, Direction, EntityKind};
 
     fn machine() -> MachineSpec {
@@ -186,7 +187,7 @@ mod tests {
     #[test]
     fn both_engines_agree_on_a_scripted_run() {
         let reference = drive::<StateStore<u64>>();
-        let atomic = drive::<AtomicStore<u64>>();
-        assert_eq!(reference, atomic);
+        let compiled = drive::<CompiledStore<u64>>();
+        assert_eq!(reference, compiled);
     }
 }

@@ -54,7 +54,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod atomic;
 mod compiled;
 mod diagram;
 mod engine;
@@ -62,8 +61,7 @@ mod machine;
 mod pool;
 mod runtime;
 
-pub use atomic::{AtomicStore, CrossThreadUse, ShardedOutcome, NO_OWNER};
-pub use compiled::{CompiledMachine, DenseKey, DENSE_LIMIT, NOT_APPLICABLE};
+pub use compiled::{CompiledMachine, CompiledStore, DenseKey, DENSE_LIMIT, NOT_APPLICABLE};
 pub use diagram::{ascii_table, dot};
 pub use engine::Engine;
 pub use machine::{

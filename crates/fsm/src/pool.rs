@@ -7,10 +7,12 @@
 //! engine sets, clears them, and hands them to the next session.
 //! [`Engine::clear`] is what makes this sound: a cleared engine is
 //! observationally identical to a freshly built one (the equivalence
-//! proptests in this crate cover both stores).
+//! proptest in this crate clears mid-script and compares both stores).
 //!
-//! The pool is encoding-agnostic: anything implementing [`Engine`] can
-//! be pooled.
+//! The pool is shared across threads; its engines are not. A lease is
+//! one owned engine set, used by whichever thread holds it, so the
+//! engines need no synchronization of their own. The pool is
+//! encoding-agnostic: anything implementing [`Engine`] can be pooled.
 //!
 //! ## Idle high-water
 //!
@@ -125,13 +127,6 @@ pub struct EngineLease<K, E: Engine<K>> {
     pool: Arc<EnginePool<K, E>>,
 }
 
-impl<K, E: Engine<K>> EngineLease<K, E> {
-    /// The engine tracking `machine`, if the pool was built with it.
-    pub fn by_machine(&mut self, machine: &str) -> Option<&mut E> {
-        self.engines.iter_mut().find(|e| e.spec().name() == machine)
-    }
-}
-
 impl<K, E: Engine<K>> std::ops::Deref for EngineLease<K, E> {
     type Target = [E];
 
@@ -174,9 +169,11 @@ fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
-/// The daemon's pool: lock-free [`AtomicStore`](crate::AtomicStore)
-/// engines dispatching through compiled dense tables.
-pub type AtomicEnginePool<K> = EnginePool<K, crate::atomic::AtomicStore<K>>;
+/// The daemon's pool: [`CompiledStore`](crate::CompiledStore) engines
+/// dispatching through compiled dense tables. Each lease is used by one
+/// thread at a time. The name predates `CompiledStore` and is kept
+/// because the `benchmark` package imports this alias by name.
+pub type AtomicEnginePool<K> = EnginePool<K, crate::compiled::CompiledStore<K>>;
 
 #[cfg(test)]
 mod tests {
@@ -207,17 +204,16 @@ mod tests {
         {
             let mut lease = pool.lease();
             assert_eq!(lease.len(), 2);
-            let a = lease.by_machine("a").expect("machine a");
+            assert_eq!(lease[0].spec().name(), "a");
             assert!(matches!(
-                Engine::apply_named(a, &7, "Acquire"),
+                lease[0].apply_named(&7, "Acquire"),
                 TransitionOutcome::Moved { .. }
             ));
-            assert_eq!(Engine::<u64>::len(a), 1);
+            assert_eq!(lease[0].len(), 1);
         }
         // Second lease gets the same (cleared) set back: no new build.
-        let mut lease = pool.lease();
-        let a = lease.by_machine("a").expect("machine a");
-        assert_eq!(Engine::<u64>::len(a), 0, "engines return cleared");
+        let lease = pool.lease();
+        assert_eq!(lease[0].len(), 0, "engines return cleared");
         drop(lease);
         let stats = pool.stats();
         assert_eq!(stats.built, 1);
@@ -284,9 +280,8 @@ mod tests {
         let pool: Arc<AtomicEnginePool<u64>> = EnginePool::new(vec![toy_machine("a")]);
         for i in 0..10u64 {
             let mut lease = pool.lease();
-            let e = lease.by_machine("a").unwrap();
             assert!(matches!(
-                Engine::apply_named(e, &i, "Acquire"),
+                lease[0].apply_named(&i, "Acquire"),
                 TransitionOutcome::Moved { .. }
             ));
         }
@@ -305,9 +300,8 @@ mod tests {
             handles.push(std::thread::spawn(move || {
                 for i in 0..50 {
                     let mut lease = pool.lease();
-                    let e = lease.by_machine("a").unwrap();
                     assert!(matches!(
-                        Engine::apply_named(e, &(t * 1000 + i), "Acquire"),
+                        lease[0].apply_named(&(t * 1000 + i), "Acquire"),
                         TransitionOutcome::Moved { .. }
                     ));
                 }

@@ -54,7 +54,6 @@ mod handles;
 pub mod heap;
 pub mod mutf8;
 pub mod pins;
-mod safepoint;
 pub mod thread;
 mod value;
 mod vm;
@@ -65,7 +64,6 @@ pub use error::{DeathKind, JvmDeath, JvmError};
 pub use handles::HandleSlab;
 pub use heap::{Body, GcStats, Heap, PrimArray, Slot};
 pub use pins::{PinData, PinError, PinId, PinKind};
-pub use safepoint::{EpochHandle, EpochParticipants};
 pub use thread::{EnvToken, RefFault, ThreadState, DEFAULT_LOCAL_CAPACITY};
 pub use value::{FieldId, JRef, JValue, MethodId, ObjectId, Oop, RefKind, ThreadId};
 pub use vm::{Jvm, MonitorError, TerminationReport};

@@ -2,18 +2,18 @@
 //! with a randomly seeded bug, (1) recording is byte-identical across
 //! runs, (2) replaying one trace twice produces byte-identical verdict
 //! sequences across the standard configurations, and (3) each dispatch
-//! engine — the reference and the lock-free one — serializes
+//! engine — the reference and the compiled one — serializes
 //! byte-identical observability traces for identical scripts.
 
 use std::rc::Rc;
 
 use jinn_fsm::{
-    AtomicStore, ConstraintClass, Direction, Engine, EntityKind, MachineSpec, StateStore,
+    CompiledStore, ConstraintClass, Direction, Engine, EntityKind, MachineSpec, StateStore,
 };
 use jinn_obs::{EventKind, Recorder};
 use jinn_replay::{record_program, replay_bytes, standard_configs, Program, Trace, TraceWriter};
 use minijni::typed;
-use minijvm::{EpochParticipants, JRef, JValue};
+use minijvm::{JRef, JValue};
 use proptest::prelude::*;
 
 /// A tiny correct-by-construction op language (a subset of the soundness
@@ -321,99 +321,25 @@ fn engines_serialize_identical_traces_for_a_scripted_run() {
         reference_a, reference_b,
         "reference trace bytes are reproducible"
     );
-    // The lock-free store records *more* than the thread-less reference
-    // (owner thread, dense entity labels), so its bytes differ by
-    // design; what must hold is that two runs of the same script are
-    // byte-identical — interning order and slab layout may not inject
+    // The compiled store records *more* than the thread-less reference
+    // (thread 0, dense entity labels), so its bytes differ by design;
+    // what must hold is that two runs of the same script are
+    // byte-identical — interning order and cell layout may not inject
     // nondeterminism.
-    let atomic_a = engine_trace::<AtomicStore<u64>>(&words);
-    let atomic_b = engine_trace::<AtomicStore<u64>>(&words);
-    assert!(!atomic_a.is_empty());
-    assert_eq!(atomic_a, atomic_b, "lock-free trace bytes are reproducible");
-}
-
-/// Like [`engine_trace`] but through the lock-free store's thread-aware API,
-/// with an epoch participant pinning between ops and quiescing for a
-/// leak sweep every 16 ops — the parallel checker's actual shape.
-fn atomic_trace_with_epoch_sweeps(words: &[u64]) -> Vec<u8> {
-    let recorder = Recorder::enabled(1 << 12);
-    let mut store: AtomicStore<u64> = AtomicStore::new(engine_machine());
-    jinn_fsm::Engine::set_recorder(&mut store, recorder.clone());
-    let epochs = EpochParticipants::new();
-    let epoch = epochs.register();
-    let initial = store.machine().initial();
-    for (i, &w) in words.iter().enumerate() {
-        epoch.pin();
-        let key = (w >> 8) % 16;
-        match w % 8 {
-            0 | 1 => {
-                store.apply_named(0, &key, "Acquire");
-            }
-            2 | 3 => {
-                store.apply_named(0, &key, "Release");
-            }
-            4 => {
-                store.apply_named(0, &key, "UseAfterRelease");
-            }
-            5 => {
-                store.apply_named(0, &key, "NoSuchTransition");
-            }
-            6 => {
-                store.evict(&key);
-            }
-            _ => {
-                let _ = store.try_apply_named(0, &key, "Acquire");
-            }
-        }
-        if i % 16 == 15 {
-            // The sweep reads the quiesced cut; reads never record, so
-            // the trace must come out byte-identical to a sweep-free run.
-            epoch.quiesce(|| store.entities_not_in(initial).len());
-        }
-    }
-    assert!(epochs.sweeps() > 0 || words.len() < 16);
-    let mut writer = TraceWriter::new();
-    for event in recorder.events() {
-        let rendered = match &event.kind {
-            EventKind::FsmTransition {
-                machine,
-                transition,
-                outcome,
-                entity,
-            } => match entity {
-                Some(e) => format!("fsm {machine}.{transition} [{outcome}] entity={e}"),
-                None => format!("fsm {machine}.{transition} [{outcome}]"),
-            },
-            other => format!("{other:?}"),
-        };
-        writer.obs_event(event.thread, &format!("#{} {rendered}", event.seq));
-    }
-    writer.finish()
-}
-
-/// Epoch-based sweeps are trace-invisible: a run that pins every op and
-/// quiesces for periodic leak sweeps serializes the exact bytes of a
-/// plain single-threaded run — and of the reference engine. This is the
-/// determinism half of the epoch protocol's contract (the sweep is a
-/// consistent read cut, never a mutation).
-#[test]
-fn epoch_sweeps_leave_trace_bytes_identical() {
-    let words: Vec<u64> = (0..200u64)
-        .map(|i| i.wrapping_mul(0x9e37_79b9_7f4a_7c15))
-        .collect();
-    let with_sweeps = atomic_trace_with_epoch_sweeps(&words);
-    let again = atomic_trace_with_epoch_sweeps(&words);
-    let without = engine_trace::<AtomicStore<u64>>(&words);
-    assert!(!with_sweeps.is_empty());
-    assert_eq!(with_sweeps, without, "sweeps must not perturb the trace");
-    assert_eq!(with_sweeps, again, "swept runs are reproducible");
+    let compiled_a = engine_trace::<CompiledStore<u64>>(&words);
+    let compiled_b = engine_trace::<CompiledStore<u64>>(&words);
+    assert!(!compiled_a.is_empty());
+    assert_eq!(
+        compiled_a, compiled_b,
+        "compiled trace bytes are reproducible"
+    );
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// Random scripts: each engine serializes the same trace bytes on
-    /// every run. The lock-free store's bytes differ from the
+    /// every run. The compiled store's bytes differ from the
     /// reference's by design (see the scripted test above), so each is
     /// compared with itself.
     #[test]
@@ -425,8 +351,8 @@ proptest! {
             engine_trace::<StateStore<u64>>(&words)
         );
         prop_assert_eq!(
-            engine_trace::<AtomicStore<u64>>(&words),
-            engine_trace::<AtomicStore<u64>>(&words)
+            engine_trace::<CompiledStore<u64>>(&words),
+            engine_trace::<CompiledStore<u64>>(&words)
         );
     }
 

@@ -6,14 +6,15 @@
 //! live [`Recorder`] wired in ([`jinn_replay::replay_trace_observed`])
 //! so the re-judged execution's events can be summarized for the query
 //! API. The session's FSM-transition stream is additionally re-applied
-//! through a leased set of pooled lock-free [`AtomicStore`] engines
+//! through a leased set of pooled [`CompiledStore`] engines
 //! ([`jinn_fsm::AtomicEnginePool`]) to produce per-machine entity
-//! rollups without rebuilding compiled machines per session — and
-//! without any mutex on the rollup path, so concurrent ingest workers
-//! never convoy on a pool engine's interior lock. A live session's
-//! executor publishes through the same row helpers.
+//! rollups without rebuilding compiled machines per session. A lease is
+//! one engine set owned by one worker for one [`rollup_events`] call,
+//! so the engines are single-threaded and the only shared step is the
+//! pool's idle-list lock at lease and return. A live session's executor
+//! publishes through the same row helpers.
 //!
-//! [`AtomicStore`]: jinn_fsm::AtomicStore
+//! [`CompiledStore`]: jinn_fsm::CompiledStore
 
 use std::collections::{BTreeSet, HashMap};
 use std::sync::{Arc, OnceLock};

@@ -25,8 +25,8 @@
 //!   worker drains it into a trace and replays it under each config
 //!   ([`judge_trace`]). Compiled check tables are cloned from a
 //!   process-wide synthesis cache, and per-machine entity rollups reuse
-//!   pooled lock-free engines ([`jinn_fsm::AtomicEnginePool`]) on a lease
-//!   taken at judging. Corrupt input — frame checksum mismatch, seal
+//!   pooled single-threaded compiled engines
+//!   ([`jinn_fsm::AtomicEnginePool`]) on a lease taken at judging. Corrupt input — frame checksum mismatch, seal
 //!   mismatch, unreadable trace — quarantines the one poisoned session
 //!   and never stalls the fleet; a live verdict is never observable
 //!   before seal verification passes (`streaming` module docs, DESIGN.md

@@ -1,157 +1,68 @@
-//! Concurrent checking semantics: one lock-free store shared by several
-//! threads must not change verdicts. Disjoint-entity threads produce the same verdict
-//! multiset as a serialized run, and a cross-thread (foreign `JNIEnv`)
-//! touch — the paper's `EnvMismatch` pitfall — is reported exactly once,
-//! without deadlock and without silently rehoming the entity.
-
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+//! Concurrent checking semantics: checker state is per thread, as in
+//! the paper (a `JNIEnv` belongs to one thread). Checkers running on
+//! several worker threads must reach exactly the verdicts of a serial
+//! run, whether each checker is built on its worker or built on the
+//! driver thread and moved in.
 
 use jinn_core::{install_prebuilt, Jinn};
-use jinn_fsm::{AtomicStore, ConstraintClass, Direction, EntityKind, MachineSpec, StateStore};
+use jinn_microbench::{run_scenario, scenarios, Behavior, Config};
 use jinn_vendors::Vendor;
 use minijni::{RunOutcome, Session};
 
-fn machine() -> MachineSpec {
-    MachineSpec::builder("local-reference", ConstraintClass::Resource)
-        .entity(EntityKind::Reference)
-        .state("BeforeAcquire")
-        .state("Acquired")
-        .state("Released")
-        .error_state("Error:Dangling", "use after release in {function}")
-        .transition("Acquire", "BeforeAcquire", "Acquired", |t| {
-            t.on(Direction::CallJavaToC, "native call")
-        })
-        .transition("Release", "Acquired", "Released", |t| {
-            t.on(Direction::ReturnCToJava, "native return")
-        })
-        .transition("UseAfterRelease", "Released", "Error:Dangling", |t| {
-            t.on(Direction::CallCToJava, "JNI call")
-        })
-        .build()
-        .unwrap()
-}
-
-/// The per-entity script each thread runs: clean lifecycle for even
-/// entities, use-after-release for odd ones.
-fn script(entity: u64) -> &'static [&'static str] {
-    if entity.is_multiple_of(2) {
-        &["Acquire", "Release"]
-    } else {
-        &["Acquire", "Release", "UseAfterRelease"]
-    }
-}
-
-/// Disjoint-entity threads against one shared store must yield exactly
-/// the verdict multiset of the same work applied serially to a plain
-/// `StateStore`.
+/// Every Table 1 scenario under Jinn, spread over four worker threads
+/// (each run builds its own checker on its worker), must reach the same
+/// behavior and diagnosis as a serial run on the driver thread. The
+/// scenarios include EnvMismatch, a `JNIEnv` used from a foreign
+/// thread, so thread-locality is checked at the checker.
 #[test]
-fn disjoint_threads_match_serialized_verdict_multiset() {
-    const THREADS: u16 = 4;
-    const ENTITIES_PER_THREAD: u64 = 64;
-    let keys = |t: u16| (0..ENTITIES_PER_THREAD).map(move |i| (u64::from(t) << 32) | i);
-
-    // Serialized reference run.
-    let mut serial: StateStore<u64> = StateStore::new(machine());
-    let mut expected: Vec<(u64, String)> = Vec::new();
-    for t in 0..THREADS {
-        for key in keys(t) {
-            for step in script(key) {
-                if let Some(err) = serial.apply_named(&key, step).error() {
-                    expected.push((key, err.state.clone()));
-                }
-            }
+fn table_1_on_four_workers_matches_serial_run() {
+    const WORKERS: usize = 4;
+    let all = scenarios();
+    for vendor in Vendor::ALL {
+        let config = Config::Jinn(vendor);
+        let serial: Vec<(usize, Behavior, Option<String>)> = all
+            .iter()
+            .enumerate()
+            .map(|(i, s)| {
+                let o = run_scenario(s, config);
+                (i, o.behavior, o.message)
+            })
+            .collect();
+        let mut parallel: Vec<(usize, Behavior, Option<String>)> = std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..WORKERS)
+                .map(|w| {
+                    let all = &all;
+                    scope.spawn(move || {
+                        all.iter()
+                            .enumerate()
+                            .skip(w)
+                            .step_by(WORKERS)
+                            .map(|(i, s)| {
+                                let o = run_scenario(s, config);
+                                (i, o.behavior, o.message)
+                            })
+                            .collect::<Vec<_>>()
+                    })
+                })
+                .collect();
+            handles
+                .into_iter()
+                .flat_map(|h| h.join().expect("no worker panic"))
+                .collect()
+        });
+        parallel.sort_by_key(|&(i, ..)| i);
+        assert_eq!(parallel.len(), all.len(), "every scenario ran once");
+        for (got, want) in parallel.iter().zip(&serial) {
+            assert_eq!(got, want, "{} under {}", all[want.0].name, config.label());
         }
+        assert!(
+            serial
+                .iter()
+                .any(|(i, b, _)| all[*i].name == "EnvMismatch" && b.is_detection()),
+            "Jinn detects EnvMismatch under {}",
+            config.label()
+        );
     }
-
-    // Concurrent run.
-    let store: Arc<AtomicStore<u64>> = Arc::new(AtomicStore::new(machine()));
-    let verdicts: Arc<Mutex<Vec<(u64, String)>>> = Arc::new(Mutex::new(Vec::new()));
-    let cross = Arc::new(AtomicU64::new(0));
-    std::thread::scope(|scope| {
-        for t in 0..THREADS {
-            let store = Arc::clone(&store);
-            let verdicts = Arc::clone(&verdicts);
-            let cross = Arc::clone(&cross);
-            scope.spawn(move || {
-                for key in keys(t) {
-                    for step in script(key) {
-                        let out = store.apply_named(t, &key, step);
-                        if out.cross_thread.is_some() {
-                            cross.fetch_add(1, Ordering::Relaxed);
-                        }
-                        if let Some(err) = out.outcome.error() {
-                            verdicts
-                                .lock()
-                                .unwrap_or_else(|e| e.into_inner())
-                                .push((key, err.state.clone()));
-                        }
-                    }
-                }
-            });
-        }
-    });
-
-    expected.sort_unstable();
-    let mut got = verdicts.lock().unwrap_or_else(|e| e.into_inner()).clone();
-    got.sort_unstable();
-    assert_eq!(got, expected, "verdict multiset must match serialized run");
-    assert!(!got.is_empty(), "odd entities must error");
-    assert_eq!(cross.load(Ordering::Relaxed), 0, "keys are disjoint");
-    assert_eq!(store.len() as u64, u64::from(THREADS) * ENTITIES_PER_THREAD);
-
-    // The leak sweep sees the same population, in sorted order.
-    let dangling_id = store.machine().state_id("Error:Dangling").unwrap();
-    assert_eq!(
-        store.entities_in(dangling_id),
-        serial.entities_in(dangling_id)
-    );
-}
-
-/// A foreign-thread touch is the violation itself: the store flags it
-/// exactly once, still applies the transition (no rehoming), and does
-/// not deadlock.
-#[test]
-fn cross_thread_use_is_reported_exactly_once() {
-    const THREADS: u16 = 4;
-    let store: Arc<AtomicStore<u64>> = Arc::new(AtomicStore::new(machine()));
-    const SHARED_KEY: u64 = 0xDEAD_BEEF;
-    store.apply_named(0, &SHARED_KEY, "Acquire");
-
-    let reports = Arc::new(AtomicU64::new(0));
-    std::thread::scope(|scope| {
-        for t in 0..THREADS {
-            let store = Arc::clone(&store);
-            let reports = Arc::clone(&reports);
-            scope.spawn(move || {
-                // Every thread churns its own entities...
-                for i in 0..128u64 {
-                    let key = (u64::from(t) << 40) | i;
-                    store.apply_named(t, &key, "Acquire");
-                    store.apply_named(t, &key, "Release");
-                    store.evict(&key);
-                }
-                // ...and thread 3 alone touches thread 0's entity once.
-                if t == 3 {
-                    let out = store.apply_named(t, &SHARED_KEY, "Release");
-                    assert!(out.outcome.applied(), "transition still applies");
-                    if let Some(cross) = out.cross_thread {
-                        assert_eq!(cross.owner, 0);
-                        assert_eq!(cross.user, 3);
-                        reports.fetch_add(1, Ordering::Relaxed);
-                    }
-                }
-            });
-        }
-    });
-    assert_eq!(
-        reports.load(Ordering::Relaxed),
-        1,
-        "EnvMismatch reported exactly once"
-    );
-    // The entity stayed home: the owner keeps seeing its state.
-    let released = store.machine().state_id("Released").unwrap();
-    assert_eq!(store.state_of(0, &SHARED_KEY), released);
 }
 
 /// End-to-end: two full `JniSession`s with their own `Jinn` checkers —

@@ -404,7 +404,7 @@ fn cmd_bench() -> i32 {
     };
     let addr = server.addr().to_string();
 
-    // Warm-up: one session end to end (synthesis cache, engine pool).
+    // Warm-up: one session end to end (synthesis cache).
     let _ = ingest_session(&addr, 1, "warmup", "jinn", &traces[0]);
 
     let next = Arc::new(AtomicU64::new(0));
@@ -460,7 +460,6 @@ fn cmd_bench() -> i32 {
     let wall = start.elapsed();
 
     let fleet = daemon.handle().fleet();
-    let pool = daemon.handle().pool_stats();
     server.shutdown();
     daemon.shutdown();
 
@@ -493,8 +492,6 @@ fn cmd_bench() -> i32 {
     println!("  \"fleet_quarantined\": {},", fleet.quarantined);
     println!("  \"fleet_purged_sessions\": {},", fleet.purged_sessions);
     println!("  \"history_bytes\": {},", fleet.history_bytes);
-    println!("  \"pool_built\": {},", pool.built);
-    println!("  \"pool_leases\": {},", pool.leases);
     println!("  \"min_sessions_per_sec\": {min_sessions_per_sec},");
     println!("  \"gate_enforced\": {gate_on},");
     println!("  \"pass\": {pass},");
@@ -637,7 +634,7 @@ fn cmd_bench_streaming() -> i32 {
             ..ServeConfig::default()
         });
         let handle = daemon.handle();
-        // Warm-up outside the measurement: synthesis cache, engine pool.
+        // Warm-up outside the measurement: synthesis cache.
         for frame in decode_stream(&encode_ingest(1, "warmup", "jinn", &churn, chunk)).unwrap() {
             let _ = handle.apply_frame(&frame);
         }

@@ -251,7 +251,7 @@ struct ObsLabels {
     global_ref: LabelId,
     acquire: LabelId,
     release: LabelId,
-    use_: LabelId,
+    use_after_release: LabelId,
     checks_executed: LabelId,
     locals_acquired: LabelId,
 }
@@ -341,7 +341,7 @@ impl Jinn {
             global_ref: recorder.intern("global-reference"),
             acquire: recorder.intern("Acquire"),
             release: recorder.intern("Release"),
-            use_: recorder.intern("Use"),
+            use_after_release: recorder.intern("UseAfterRelease"),
             checks_executed: recorder.intern("checks.executed"),
             locals_acquired: recorder.intern("locals.acquired"),
         };
@@ -475,14 +475,15 @@ impl Jinn {
     }
 
     /// Emits an entity-tagged error transition into the trace ring so a
-    /// forensics capture can name the failing reference. Error `Use`
-    /// events deliberately do not feed the per-machine `Moved` tallies —
-    /// the violation path counts them.
+    /// forensics capture can name the failing reference. The label is
+    /// the spec's own transition name, `UseAfterRelease`. Error events
+    /// deliberately do not feed the per-machine `Moved` tallies — the
+    /// violation path counts them.
     fn record_ref_error(&self, machine: LabelId, thread: ThreadId, r: JRef) {
         self.recorder.fsm_transition_keyed(
             thread.0,
             machine,
-            self.labels.use_,
+            self.labels.use_after_release,
             FsmOutcome::Error,
             entity_key(&r),
         );

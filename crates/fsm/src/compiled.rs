@@ -284,12 +284,12 @@ impl_dense_key!(u8, u16, u32, u64, usize);
 ///
 /// Keys below [`DENSE_LIMIT`] index a `Vec` of `u16` state cells (a
 /// sentinel value marks an untracked entity), grown on first write up
-/// to the largest key written since the last [`CompiledStore::clear`];
-/// other keys spill to a `HashMap`. Transition outcomes and sorted
-/// sweeps match the reference [`StateStore`](crate::StateStore)
-/// outcome-for-outcome, and the store implements [`Engine`], so it can
-/// be pooled by [`EnginePool`](crate::EnginePool) and driven by the
-/// equivalence proptests.
+/// to the largest key written; other keys spill to a `HashMap`.
+/// Transition outcomes and sorted sweeps match the reference
+/// [`StateStore`](crate::StateStore) outcome-for-outcome, and the store
+/// implements [`Engine`], so the equivalence proptests drive both
+/// through the same calls. An [`EnginePool`](crate::EnginePool) lease
+/// is one fresh store per machine over tables compiled once.
 pub struct CompiledStore<K> {
     machine: Arc<CompiledMachine>,
     cells: Vec<u16>,
@@ -545,14 +545,6 @@ impl<K: DenseKey> Engine<K> for CompiledStore<K> {
     {
         self.sweep(|s| s != state)
     }
-
-    /// Truncates the cell `Vec` instead of walking it, so clearing
-    /// costs nothing per cell.
-    fn clear(&mut self) {
-        self.cells.clear();
-        self.spill.clear();
-        self.len = 0;
-    }
 }
 
 #[cfg(test)]
@@ -650,9 +642,6 @@ mod tests {
         assert!(store.evict(&sparse).is_none());
         assert!(store.evict(&(dense + 1)).is_none(), "past the cells");
         assert_eq!(store.len(), 1);
-        store.clear();
-        assert!(store.is_empty());
-        assert_eq!(store.state_of(&dense), store.spec().initial());
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! The [`Engine`] abstraction: one interface over the reference
 //! [`StateStore`] and the production
-//! [`CompiledStore`](crate::CompiledStore), so the session pool and the
-//! equivalence proptests drive either store through the same calls.
+//! [`CompiledStore`](crate::CompiledStore), so the equivalence and
+//! determinism proptests drive either store through the same calls.
 //! Both are single-threaded: every mutation takes `&mut self`.
 
 use std::fmt;
@@ -73,9 +73,6 @@ pub trait Engine<K> {
     fn entities_not_in(&self, state: StateId) -> Vec<K>
     where
         K: Ord;
-
-    /// Clears all tracked entities.
-    fn clear(&mut self);
 }
 
 impl<K: Eq + Hash + Clone + fmt::Debug> Engine<K> for StateStore<K> {
@@ -135,10 +132,6 @@ impl<K: Eq + Hash + Clone + fmt::Debug> Engine<K> for StateStore<K> {
         K: Ord,
     {
         StateStore::entities_not_in(self, state)
-    }
-
-    fn clear(&mut self) {
-        StateStore::clear(self);
     }
 }
 

@@ -68,5 +68,5 @@ pub use machine::{
     ConstraintClass, Direction, EntityKind, MachineBuilder, MachineError, MachineSpec, StateId,
     StateSpec, TransitionBuilder, TransitionId, TransitionSpec, TriggerSpec,
 };
-pub use pool::{AtomicEnginePool, EngineLease, EnginePool, PoolStats};
+pub use pool::{AtomicEnginePool, EnginePool, PoolStats};
 pub use runtime::{EntityState, ErrorEntered, StateStore, TransitionOutcome, UnknownTransition};

@@ -365,11 +365,6 @@ impl<K: Eq + Hash + Clone + fmt::Debug> StateStore<K> {
         out.sort_unstable();
         out
     }
-
-    /// Clears all tracked entities.
-    pub fn clear(&mut self) {
-        self.states.clear();
-    }
 }
 
 #[cfg(test)]
@@ -472,14 +467,12 @@ mod tests {
     }
 
     #[test]
-    fn evict_and_clear() {
+    fn evict_untracks_the_entity() {
         let mut store: StateStore<u32> = StateStore::new(machine());
         store.apply_named(&1, "Acquire");
         assert!(store.contains(&1));
         assert!(store.evict(&1).is_some());
         assert!(!store.contains(&1));
-        store.apply_named(&2, "Acquire");
-        store.clear();
         assert!(store.is_empty());
     }
 }

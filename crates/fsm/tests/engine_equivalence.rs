@@ -2,10 +2,10 @@
 //! ([`CompiledStore`]) must agree with the reference [`StateStore`]
 //! outcome-for-outcome on arbitrary machines and arbitrary event
 //! scripts — including `NotApplicable` non-matches, error entries,
-//! unknown transition names, evictions, clears mid-script (the engine
-//! pool's reuse path), and the sorted leak-sweep order. Keys cover the
-//! bottom of the dense cell range, its top just below [`DENSE_LIMIT`]
-//! (where the cell `Vec` grows to its cap), and the hash spill past it.
+//! unknown transition names, evictions, and the sorted leak-sweep
+//! order. Keys cover the bottom of the dense cell range, its top just
+//! below [`DENSE_LIMIT`] (where the cell `Vec` grows to its cap), and
+//! the hash spill past it.
 
 use jinn_fsm::{
     CompiledStore, ConstraintClass, Direction, Engine, EntityKind, MachineSpec, StateStore,
@@ -59,8 +59,6 @@ enum Op {
     ApplyNamed(u64, String),
     Evict(u64),
     StateOf(u64),
-    /// Clear every entity, as the engine pool does between leases.
-    Clear,
 }
 
 /// Decodes raw proptest words into keys and operations. Keys fall in
@@ -77,9 +75,6 @@ fn decode(words: &[u64], transitions: usize) -> Vec<Op> {
                 1 => DENSE_LIMIT as u64 - 24 + small,
                 _ => DENSE_LIMIT as u64 + small,
             };
-            if (w >> 56) % 32 == 0 {
-                return Op::Clear;
-            }
             match w % 8 {
                 0..=3 => Op::Apply(key, ((w >> 16) as usize) % transitions),
                 4 | 5 => {
@@ -105,7 +100,6 @@ struct Observed {
     outcomes: Vec<TransitionOutcome>,
     states: Vec<usize>,
     evictions: Vec<bool>,
-    lens_after_clear: Vec<usize>,
     len: usize,
     leak_sweep: Vec<u64>,
     in_initial: Vec<u64>,
@@ -117,7 +111,6 @@ fn drive<E: Engine<u64>>(machine: MachineSpec, ops: &[Op]) -> Observed {
         outcomes: Vec::new(),
         states: Vec::new(),
         evictions: Vec::new(),
-        lens_after_clear: Vec::new(),
         len: 0,
         leak_sweep: Vec::new(),
         in_initial: Vec::new(),
@@ -135,10 +128,6 @@ fn drive<E: Engine<u64>>(machine: MachineSpec, ops: &[Op]) -> Observed {
             Op::ApplyNamed(key, name) => observed.outcomes.push(engine.apply_named(key, name)),
             Op::Evict(key) => observed.evictions.push(engine.evict(key).is_some()),
             Op::StateOf(key) => observed.states.push(engine.state_of(key).index()),
-            Op::Clear => {
-                engine.clear();
-                observed.lens_after_clear.push(engine.len());
-            }
         }
     }
     let initial = engine.spec().initial();

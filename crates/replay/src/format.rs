@@ -803,6 +803,18 @@ impl<'a> Decoder<'a> {
         u32::try_from(v).map_err(|_| TraceError::Corrupt(format!("u32 out of range: {v}")))
     }
 
+    /// A JNI function id, which must name one of the registry's
+    /// functions: every consumer indexes the registry with it.
+    fn func(&mut self) -> Result<u16, TraceError> {
+        let func = self.u16v()?;
+        if usize::from(func) >= minijni::registry().len() {
+            return Err(TraceError::Corrupt(format!(
+                "unknown JNI function id {func}"
+            )));
+        }
+        Ok(func)
+    }
+
     fn istr(&mut self) -> Result<String, TraceError> {
         // A bare `varint()? as usize` would silently truncate intern ids on
         // 32-bit targets; go through the checked u32 path like the
@@ -1088,7 +1100,7 @@ impl<'a> Decoder<'a> {
                 tag::JNI_ENTER => {
                     let thread = self.u16v()?;
                     let presented = self.u32v()?;
-                    let func = self.u16v()?;
+                    let func = self.func()?;
                     let n = self.varint()? as usize;
                     let mut args = Vec::with_capacity(n.min(64));
                     for _ in 0..n {
@@ -1104,7 +1116,7 @@ impl<'a> Decoder<'a> {
                 }
                 tag::JNI_EXIT => {
                     let thread = self.u16v()?;
-                    let func = self.u16v()?;
+                    let func = self.func()?;
                     let status = self.status()?;
                     self.records += 1;
                     return Ok(Some(TraceRecord::JniExit {
@@ -1582,6 +1594,33 @@ mod tests {
                 assert!(msg.contains("dangling intern id 3"), "{msg}");
             }
             other => panic!("dangling intern id must be Corrupt, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn jni_function_ids_past_the_registry_are_corrupt() {
+        let exit = |func: u64| {
+            let mut bytes = b"JTRC\x01\x00".to_vec();
+            bytes.push(tag::JNI_EXIT);
+            varint_into(&mut bytes, 0); // thread
+            varint_into(&mut bytes, func);
+            bytes.push(0); // CallStatus::Ok
+            bytes
+        };
+        let last = minijni::registry().len() as u64 - 1;
+        let bytes = exit(last);
+        let mut dec = Decoder::new(&bytes).unwrap();
+        assert!(matches!(
+            dec.next_record(),
+            Ok(Some(TraceRecord::JniExit { .. }))
+        ));
+        let bytes = exit(last + 1);
+        let mut dec = Decoder::new(&bytes).unwrap();
+        match dec.next_record() {
+            Err(TraceError::Corrupt(msg)) => {
+                assert!(msg.contains("unknown JNI function id"), "{msg}");
+            }
+            other => panic!("a foreign function id must be Corrupt, got {other:?}"),
         }
     }
 

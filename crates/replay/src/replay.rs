@@ -239,12 +239,25 @@ fn rebuild_world(
                 vm.jvm_mut().mirror_oop(id)
             }
         };
+        check_thread(vm, seed.thread)?;
         let r = vm.jvm_mut().new_local(ThreadId(seed.thread), oop);
         if r != seed.expected {
             divergences += 1;
         }
     }
     Ok(divergences)
+}
+
+/// Rejects a record on a thread the trace never spawned: the VM indexes
+/// its threads by id.
+fn check_thread(vm: &Vm, thread: u16) -> Result<(), TraceError> {
+    if vm.jvm().thread_ids().any(|t| t.0 == thread) {
+        Ok(())
+    } else {
+        Err(TraceError::Corrupt(format!(
+            "record on unspawned thread {thread}"
+        )))
+    }
 }
 
 /// Replays a parsed trace under one configuration.
@@ -811,6 +824,7 @@ pub fn run_live_replay(
     let name = setup.program().to_string();
     let mut outcomes = Vec::new();
     while let Some(top) = feed.pop_top() {
+        check_thread(session.vm(), top.thread)?;
         let thread = ThreadId(top.thread);
         {
             let mut env = session.env(thread);
@@ -958,6 +972,21 @@ mod tests {
             feeder.push(&event).expect("recursion folds");
         }
         feeder.finish();
+    }
+
+    #[test]
+    fn events_on_unspawned_threads_are_corrupt_not_a_panic() {
+        let mut trace = Trace::parse(&record_program(
+            &program_by_name("LocalRefDangling").unwrap(),
+        ))
+        .unwrap();
+        for event in &mut trace.events {
+            if let TraceRecord::NativeEnter { thread, .. } = event {
+                *thread = 60_000;
+            }
+        }
+        let err = replay_trace(&trace, &ReplayConfig::Jinn(Vendor::HotSpot)).unwrap_err();
+        assert!(err.to_string().contains("unspawned thread 60000"), "{err}");
     }
 
     #[test]

@@ -15,7 +15,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 
-use jinn_fsm::{AtomicEnginePool, EnginePool, PoolStats};
+use jinn_fsm::{EnginePool, PoolStats};
 use jinn_replay::{Frame, ReplayConfig, MAX_MANIFEST_FUNCTIONS};
 
 use crate::error::ServeError;
@@ -154,7 +154,7 @@ pub(crate) struct Shared {
     config: ServeConfig,
     pub(crate) table: SessionTable,
     queue: IngestQueue,
-    pool: Arc<AtomicEnginePool<u64>>,
+    pool: Arc<EnginePool<u64>>,
     /// Each tenant's declared call-site set (the manifest audit).
     manifests: Mutex<HashMap<String, Arc<BTreeSet<String>>>>,
     streams: Mutex<Streams>,
@@ -528,7 +528,7 @@ impl DaemonHandle {
         self.shared.table.fleet()
     }
 
-    /// Engine-pool counters (lease reuse across sessions).
+    /// Engine-pool counters: machines per set and leases taken.
     pub fn pool_stats(&self) -> PoolStats {
         self.shared.pool.stats()
     }

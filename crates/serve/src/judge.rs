@@ -6,20 +6,18 @@
 //! live [`Recorder`] wired in ([`jinn_replay::replay_trace_observed`])
 //! so the re-judged execution's events can be summarized for the query
 //! API. The session's FSM-transition stream is additionally re-applied
-//! through a leased set of pooled [`CompiledStore`] engines
-//! ([`jinn_fsm::AtomicEnginePool`]) to produce per-machine entity
-//! rollups without rebuilding compiled machines per session. A lease is
-//! one engine set owned by one worker for one [`rollup_events`] call,
-//! so the engines are single-threaded and the only shared step is the
-//! pool's idle-list lock at lease and return. A live session's executor
-//! publishes through the same row helpers.
+//! through fresh [`CompiledStore`] engines to produce per-machine entity
+//! rollups. The daemon's [`EnginePool`] compiles the spec machines once;
+//! each [`rollup_events`] call leases one new, empty engine per machine
+//! over those tables, owned by the calling worker alone. A live
+//! session's executor publishes through the same row helpers.
 //!
 //! [`CompiledStore`]: jinn_fsm::CompiledStore
 
 use std::collections::{BTreeSet, HashMap};
-use std::sync::{Arc, OnceLock};
+use std::sync::OnceLock;
 
-use jinn_fsm::{AtomicEnginePool, Engine, MachineSpec, TransitionOutcome};
+use jinn_fsm::{Engine, EnginePool, MachineSpec, TransitionOutcome};
 use jinn_obs::{EventKind, Recorder, TraceEvent};
 use jinn_replay::{replay_trace, replay_trace_observed, ReplayConfig, ReplayOutcome, Trace};
 
@@ -41,7 +39,7 @@ pub struct JudgeOutput {
     pub events: Vec<EventSummary>,
     /// Re-judged events beyond the summary cap.
     pub events_dropped: u64,
-    /// Per-machine rollups from the pooled engines.
+    /// Per-machine rollups from the re-applied transition stream.
     pub rollups: Vec<MachineRollup>,
     /// Recorder coverage of the *recorded* trace (its `obs.*` meta).
     pub obs: ObsCounters,
@@ -67,16 +65,6 @@ pub fn obs_counters(trace: &Trace) -> ObsCounters {
     };
     ObsCounters {
         dropped: num("obs.dropped"),
-    }
-}
-
-/// The checker records condensed transition labels; the spec machines
-/// use the full names. Map the condensed forms back before re-applying
-/// through a spec-built engine.
-fn transition_aliases(name: &str) -> &'static [&'static str] {
-    match name {
-        "Use" => &["UseAfterRelease"],
-        _ => &[],
     }
 }
 
@@ -166,22 +154,19 @@ pub(crate) fn outside_manifest(
     manifest.is_some_and(|declared| !called.is_subset(declared))
 }
 
-/// Re-applies the session's transition stream through a leased set of
-/// pooled compiled engines, producing one rollup per machine that saw
+/// Re-applies the session's transition stream through fresh engines
+/// leased from `pool`, producing one rollup per machine that saw
 /// traffic.
 ///
 /// Re-exported at the crate root so benchmarks can drive the daemon's
 /// exact rollup path.
 ///
 /// Entity keys are dense *per machine*: each engine sees keys `0..n`
-/// for its own entities, so a store's slab growth tracks the machine's
+/// for its own entities, so a store's cell `Vec` tracks the machine's
 /// entity count, not the session-global one. Transitions the spec
-/// machine does not recognise (even after aliasing) are tallied as
-/// `unknown_transitions` instead of inflating the applied count.
-pub fn rollup_events(
-    pool: &Arc<AtomicEnginePool<u64>>,
-    events: &[TraceEvent],
-) -> Vec<MachineRollup> {
+/// machine does not recognise are tallied as `unknown_transitions`
+/// instead of inflating the applied count.
+pub fn rollup_events(pool: &EnginePool<u64>, events: &[TraceEvent]) -> Vec<MachineRollup> {
     let mut lease = pool.lease();
     // Hoisted once per judge call: machine name -> engine index. The
     // per-event linear scan this replaces cost O(machines) per
@@ -213,18 +198,8 @@ pub fn rollup_events(
             next_key[idx] += 1;
             k
         });
-        let engine = &mut lease[idx];
-        let mut outcome = engine.try_apply_named(&key, transition);
-        if outcome.is_err() {
-            for alias in transition_aliases(transition) {
-                outcome = engine.try_apply_named(&key, alias);
-                if outcome.is_ok() {
-                    break;
-                }
-            }
-        }
         let entry = counts.entry(machine.to_string()).or_default();
-        match outcome {
+        match lease[idx].try_apply_named(&key, transition) {
             Ok(o) => {
                 entry.0 += 1;
                 if matches!(o, TransitionOutcome::Error(_)) {
@@ -293,7 +268,7 @@ pub(crate) fn push_replay_rows(
 pub(crate) fn recorder_rows(
     session: SessionId,
     recorder: &Recorder,
-    pool: &Arc<AtomicEnginePool<u64>>,
+    pool: &EnginePool<u64>,
     max_events: usize,
 ) -> (Vec<EventSummary>, u64, Vec<MachineRollup>) {
     let all = recorder.events();
@@ -325,7 +300,7 @@ pub fn judge_trace(
     session: SessionId,
     tenant: &str,
     configs: &[ReplayConfig],
-    pool: &Arc<AtomicEnginePool<u64>>,
+    pool: &EnginePool<u64>,
     manifest: Option<&BTreeSet<String>>,
     recorder_ring: usize,
     max_events: usize,
@@ -363,7 +338,8 @@ pub fn judge_trace(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use jinn_fsm::EnginePool;
+    use std::sync::Arc;
+
     use jinn_replay::{program_by_name, record_program};
 
     fn corpus_trace(name: &str) -> Trace {
@@ -471,10 +447,11 @@ mod tests {
         let events = vec![
             fsm_event(0, "global-reference", "Acquire", "g0"),
             fsm_event(1, "global-reference", "NoSuchTransition", "g0"),
-            // The "Use" alias still resolves to UseAfterRelease.
             fsm_event(2, "local-reference", "Acquire", "l0"),
             fsm_event(3, "local-reference", "Release", "l0"),
-            fsm_event(4, "local-reference", "Use", "l0"),
+            // The spec's own name applies; a condensed label does not.
+            fsm_event(4, "local-reference", "UseAfterRelease", "l0"),
+            fsm_event(5, "local-reference", "Use", "l0"),
         ];
         let pool = EnginePool::new(jinn_spec::machines());
         let rollups = rollup_events(&pool, &events);
@@ -484,8 +461,8 @@ mod tests {
         assert_eq!(global.unknown_transitions, 1);
         let local = rollups.iter().find(|r| r.machine == "local-reference");
         let local = local.expect("local rollup");
-        assert_eq!(local.transitions, 3, "aliased Use applies");
-        assert_eq!(local.unknown_transitions, 0);
+        assert_eq!(local.transitions, 3, "UseAfterRelease applies");
+        assert_eq!(local.unknown_transitions, 1, "\"Use\" is not a spec name");
         assert_eq!(local.errors, 1, "UseAfterRelease lands in an error state");
     }
 

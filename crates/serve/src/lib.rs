@@ -24,13 +24,14 @@
 //!   other session is *retained*: its bytes stay in the decoder until a
 //!   worker drains it into a trace and replays it under each config
 //!   ([`judge_trace`]). Compiled check tables are cloned from a
-//!   process-wide synthesis cache, and per-machine entity rollups reuse
-//!   pooled single-threaded compiled engines
-//!   ([`jinn_fsm::AtomicEnginePool`]) on a lease taken at judging. Corrupt input — frame checksum mismatch, seal
-//!   mismatch, unreadable trace — quarantines the one poisoned session
-//!   and never stalls the fleet; a live verdict is never observable
-//!   before seal verification passes (`streaming` module docs, DESIGN.md
-//!   §13 and §16).
+//!   process-wide synthesis cache, and per-machine entity rollups run on
+//!   fresh single-threaded engines leased at judging from one machine
+//!   set compiled at start ([`jinn_fsm::EnginePool`]). Corrupt input —
+//!   frame checksum mismatch, seal mismatch, unreadable trace, a JNI
+//!   function or thread id that does not exist — quarantines the one
+//!   poisoned session and never stalls the fleet; a live verdict is
+//!   never observable before seal verification passes (`streaming`
+//!   module docs, DESIGN.md §13 and §16).
 //! * **Verdict/history store with retention** — per-session verdicts,
 //!   per-config outcomes, and execution-event summaries under a global
 //!   byte budget with deterministic oldest-session-first purge

@@ -9,7 +9,7 @@
 //!
 //! The manifest is an audit only. Verdicts come from replaying the
 //! trace under the full checker stack, and rollups from the daemon's
-//! one engine pool, whatever the tenant declared. A session whose trace
+//! one compiled machine set, whatever the tenant declared. A session whose trace
 //! calls a function outside its tenant's declared set is flagged
 //! (`SessionStats::outside_manifest`), so a lying manifest is visible,
 //! never trusted.

@@ -288,7 +288,7 @@ impl OutcomeRec {
 }
 
 /// Final entity-population rollup of one machine after re-applying the
-/// session's transition stream through a pooled engine.
+/// session's transition stream through a fresh engine.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct MachineRollup {
     /// The machine name.
@@ -299,8 +299,8 @@ pub struct MachineRollup {
     pub entities: u64,
     /// Error-state entries observed.
     pub errors: u64,
-    /// Transition labels the spec machine did not recognise (even
-    /// after aliasing) — excluded from `transitions`.
+    /// Transition labels the spec machine did not recognise — excluded
+    /// from `transitions`.
     pub unknown_transitions: u64,
 }
 

@@ -295,7 +295,6 @@ fn handle_request(line: &str, handle: &DaemonHandle) -> String {
             .build(),
         "fleet" => {
             let f = handle.fleet();
-            let p = handle.pool_stats();
             JsonObj::new()
                 .bool("ok", true)
                 .num("opened", f.opened)
@@ -311,9 +310,7 @@ fn handle_request(line: &str, handle: &DaemonHandle) -> String {
                 .num("outside_manifest_sessions", f.outside_manifest_sessions)
                 .num("streamed_sessions", f.streamed_sessions)
                 .num("buffered_bytes_high_water", f.buffered_bytes_high_water)
-                .num("pool_built", p.built)
-                .num("pool_leases", p.leases)
-                .num("pool_lease_high_water", p.lease_high_water)
+                .num("pool_leases", handle.pool_stats().leases)
                 .build()
         }
         "stats" => match get_u64(&req, "session").and_then(|id| handle.session_stats(id)) {

@@ -14,7 +14,7 @@
 //!   executor thread ([`run_live_replay`]) via an [`EventFeed`]. By
 //!   `Seal` the replay has usually kept pace, so seal-to-verdict work is
 //!   draining the tail, joining the executor, and rolling the recorder up
-//!   on an engine lease taken then.
+//!   through fresh engines leased then.
 //! - **Retained** (every other session): `Append`s go into the same
 //!   decoder without being drained, so the wire bytes stay resident and
 //!   are charged to the buffered-bytes budgets. The worker drains the
@@ -53,7 +53,7 @@ use std::collections::BTreeSet;
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 
-use jinn_fsm::AtomicEnginePool;
+use jinn_fsm::EnginePool;
 use jinn_obs::Recorder;
 use jinn_replay::{
     run_live_replay, verify_seal_declaration, EventFeed, LiveFeeder, ReplayConfig, ReplayOutcome,
@@ -209,7 +209,7 @@ impl StreamingSession {
         &self,
         tenant: &str,
         manifest: Option<&BTreeSet<String>>,
-        pool: &Arc<AtomicEnginePool<u64>>,
+        pool: &EnginePool<u64>,
         max_events: usize,
     ) -> Result<JudgeOutput, String> {
         let g = &mut *self.lock();
@@ -330,7 +330,7 @@ impl LiveState {
         session: SessionId,
         tenant: &str,
         manifest: Option<&BTreeSet<String>>,
-        pool: &Arc<AtomicEnginePool<u64>>,
+        pool: &EnginePool<u64>,
         max_events: usize,
     ) -> Result<JudgeOutput, String> {
         if let Some(e) = &self.decode_error {
@@ -370,7 +370,6 @@ impl LiveState {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use jinn_fsm::EnginePool;
 
     fn retained_reason(bytes: &[u8]) -> String {
         let configs = vec![ReplayConfig::parse("jinn").unwrap()];

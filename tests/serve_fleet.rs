@@ -917,3 +917,102 @@ fn frame_stream_corruption_is_contained_to_its_connection() {
     assert!(!page.items.is_empty(), "healthy session keeps its verdicts");
     daemon.shutdown();
 }
+
+/// Rewrites one field of a single-raw-record event in a corpus trace and
+/// re-seals it: the first record tagged `tag` (`TRACE_FORMAT.md`) that
+/// introduces no intern definitions gets its `field`-th varint after
+/// the tag replaced by `value`.
+fn reseal_with_field(bytes: &[u8], tag: u8, field: usize, value: u64) -> Vec<u8> {
+    let records = records_of(bytes);
+    let at = (1..records.len())
+        .find(|&i| records[i].2 - records[i - 1].2 == 1 && bytes[records[i - 1].1] == tag)
+        .expect("an event record with this tag");
+    let start = records[at - 1].1;
+    let mut pos = start + 1;
+    let varint_end =
+        |pos: usize| pos + bytes[pos..].iter().position(|b| b & 0x80 == 0).unwrap() + 1;
+    for _ in 0..field {
+        pos = varint_end(pos);
+    }
+    let mut body = bytes[..pos].to_vec();
+    let mut v = value;
+    loop {
+        let byte = (v & 0x7F) as u8;
+        v >>= 7;
+        if v == 0 {
+            body.push(byte);
+            break;
+        }
+        body.push(byte | 0x80);
+    }
+    let &(_, end_pos, raw) = records.last().expect("records decoded");
+    body.extend_from_slice(&bytes[varint_end(pos)..end_pos]);
+    seal_records(body, raw)
+}
+
+#[test]
+fn hostile_ids_quarantine_live_and_retained_sessions_alike() {
+    const JNI_ENTER: u8 = 0x06;
+    const NATIVE_ENTER: u8 = 0x08;
+    let bytes = corpus_bytes("LocalRefDangling");
+    // JniEnter is (thread, presented env, func, ...); NativeEnter is
+    // (thread, method, ...). Neither id below exists.
+    let hostile = [
+        (
+            "JNI function 60000",
+            reseal_with_field(&bytes, JNI_ENTER, 2, 60_000),
+        ),
+        (
+            "thread 60000",
+            reseal_with_field(&bytes, NATIVE_ENTER, 0, 60_000),
+        ),
+    ];
+    let live = Daemon::start(ServeConfig {
+        streaming_sessions: 4096,
+        ..ServeConfig::default()
+    });
+    let retaining = Daemon::start(ServeConfig {
+        streaming_sessions: 0,
+        ..ServeConfig::default()
+    });
+    // Each session is driven on a thread of its own, so a panic or a
+    // wedged worker fails the test instead of hanging it.
+    let run = |daemon: &Daemon, id: u64, trace: &[u8]| {
+        let handle = daemon.handle();
+        let frames = decode_stream(&encode_ingest(id, "t", "jinn", trace, 64)).unwrap();
+        let (tx, rx) = std::sync::mpsc::channel();
+        let client = thread::spawn(move || {
+            for frame in &frames {
+                if handle.apply_frame(frame).is_err() {
+                    break;
+                }
+            }
+            let _ = tx.send(handle.wait_session(id).expect("session exists"));
+        });
+        let stats = rx
+            .recv_timeout(std::time::Duration::from_secs(30))
+            .unwrap_or_else(|e| panic!("session {id} never finished: {e}"));
+        client.join().expect("client thread");
+        stats
+    };
+    for (i, (what, trace)) in hostile.iter().enumerate() {
+        let id = 10 + i as u64;
+        let on_live = run(&live, id, trace);
+        let on_retained = run(&retaining, id, trace);
+        assert_eq!(on_live.state, SessionState::Quarantined, "{what}: live");
+        assert_eq!(
+            on_retained.state,
+            SessionState::Quarantined,
+            "{what}: retained"
+        );
+        assert_eq!(on_live.reason, on_retained.reason, "{what}");
+        let reason = on_live.reason.unwrap_or_default();
+        assert!(reason.contains("corrupt trace"), "{what}: {reason}");
+    }
+    for daemon in [&live, &retaining] {
+        let stats = run(daemon, 99, &bytes);
+        assert_eq!(stats.state, SessionState::Judged, "{:?}", stats.reason);
+    }
+    live.shutdown();
+    retaining.shutdown();
+}

@@ -2,11 +2,12 @@
 //!
 //! `judge_trace` re-judges every `tests/corpus/*.jtrace` under `jinn`
 //! and under `jinn,xcheck,hotspot`, and the rendered rollup rows,
-//! verdict triples, outcome behaviours and event-summary count must
-//! equal `tests/golden/judge_corpus.txt` byte for byte. Changes to the
-//! engines, the rollup path or the daemon's engine handling must leave
-//! this file unchanged; a change that means to alter the judge's output
-//! rewrites the file and says why.
+//! verdicts (triple and message), outcome behaviours and event-summary
+//! count must equal `tests/golden/judge_corpus.txt` byte for byte.
+//! Changes to the engines, the checker's state, the rollup path or the
+//! daemon's engine handling must leave this file unchanged; a change
+//! that means to alter the judge's output rewrites the file and says
+//! why.
 
 use std::fmt::Write as _;
 
@@ -58,8 +59,8 @@ fn render() -> String {
             for v in &judged.verdicts {
                 writeln!(
                     out,
-                    "verdict {} {} {} {}",
-                    v.config, v.machine, v.error_state, v.function
+                    "verdict {} {} {} {} {:?}",
+                    v.config, v.machine, v.error_state, v.function, v.message
                 )
                 .unwrap();
             }

@@ -7,6 +7,16 @@
 //! reports a [`Violation`] — thrown as a `jinn.JNIAssertionFailure` — the
 //! moment an entity enters an error state.
 //!
+//! Reference state lives in generation-indexed cells: one table per
+//! thread for locals, one for globals and one for weak globals, each
+//! indexed by handle slot and holding the slot's newest generation with
+//! its `Live`/`Released` state. An older generation is dangling, so a
+//! release overwrites state instead of leaving a tombstone, and the
+//! tables stay bounded by the VM's live-slot high-water mark. The ID
+//! signature tables are sets of the method and field IDs issued to native
+//! code; names and signatures are read from the VM's append-only class
+//! registry.
+//!
 //! Jinn never asks the VM whether a reference is valid; like the real
 //! tool, it maintains its own encodings and detects danglingness from the
 //! acquire/release history it observed. (The single exception is the
@@ -14,7 +24,7 @@
 //! verified against the VM once and then tracked — this is what the JVMTI
 //! start-up hook gives the real Jinn for free.)
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -22,6 +32,7 @@ use jinn_obs::{FsmOutcome, LabelId, Recorder};
 use jinn_spec::{Check, EntityCallMode};
 use minijni::registry::Op;
 use minijni::{CallCx, FuncId, Interpose, JniArg, JniRet, Report, ReportAction, Violation};
+use minijvm::class::{FieldInfo, MethodInfo};
 use minijvm::{
     ClassId, FieldId, FieldType, JRef, JValue, Jvm, MethodId, MethodSig, ObjectId, PinId, PinKind,
     RefKind, ThreadId, DEFAULT_LOCAL_CAPACITY,
@@ -83,44 +94,57 @@ impl StatsCell {
 /// been boxed into a session — including from another thread.
 pub type SharedStats = Arc<StatsCell>;
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-struct LocalKey {
-    thread: u16,
-    slot: u32,
-    generation: u32,
-}
-
-impl LocalKey {
-    fn of(r: JRef) -> LocalKey {
-        LocalKey {
-            thread: r.owner().0,
-            slot: r.slot(),
-            generation: r.generation(),
-        }
-    }
-}
-
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-struct GlobalKey {
-    weak: bool,
-    slot: u32,
-    generation: u32,
-}
-
-impl GlobalKey {
-    fn of(r: JRef) -> GlobalKey {
-        GlobalKey {
-            weak: r.kind() == RefKind::WeakGlobal,
-            slot: r.slot(),
-            generation: r.generation(),
-        }
-    }
-}
-
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum RefState {
     Live,
     Released,
+}
+
+/// One table of reference state, indexed by handle slot. A cell holds the
+/// newest generation of its slot that Jinn saw acquired or adopted, and
+/// that generation's state; an older generation of the slot is dangling.
+/// Cells are written only for slots the VM issued (an acquire, or an
+/// adoption the VM vouched for), never on a lookup, so a table is bounded
+/// by the VM's live-slot high-water mark.
+#[derive(Debug, Default)]
+struct RefCells(Vec<Option<(u32, RefState)>>);
+
+impl RefCells {
+    /// The state of `r`: its cell's state at the same generation,
+    /// `Released` at an older one, `None` for an untracked slot or a
+    /// newer generation (the caller's adoption path).
+    fn state(&self, r: JRef) -> Option<RefState> {
+        match self.0.get(r.slot() as usize).copied().flatten() {
+            Some((generation, state)) if generation == r.generation() => Some(state),
+            Some((generation, _)) if generation > r.generation() => Some(RefState::Released),
+            _ => None,
+        }
+    }
+
+    fn set(&mut self, r: JRef, state: RefState) {
+        let slot = r.slot() as usize;
+        if slot >= self.0.len() {
+            self.0.resize(slot + 1, None);
+        }
+        self.0[slot] = Some((r.generation(), state));
+    }
+
+    /// Releases a frame entry, unless its slot has since moved on to a
+    /// newer generation.
+    fn release(&mut self, (slot, generation): (u32, u32)) {
+        if let Some(Some((g, state))) = self.0.get_mut(slot as usize) {
+            if *g == generation {
+                *state = RefState::Released;
+            }
+        }
+    }
+
+    fn live(&self) -> usize {
+        self.0
+            .iter()
+            .filter(|c| matches!(c, Some((_, RefState::Live))))
+            .count()
+    }
 }
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -129,17 +153,18 @@ enum FrameKind {
     Explicit,
 }
 
+/// A local frame mirror. Each entry is the (slot, generation) it acquired.
 #[derive(Debug)]
 struct Frame {
     kind: FrameKind,
     capacity: usize,
-    refs: Vec<LocalKey>,
+    refs: Vec<(u32, u32)>,
 }
 
 #[derive(Debug, Default)]
 struct LocalTracker {
     frames: Vec<Frame>,
-    states: HashMap<LocalKey, RefState>,
+    cells: RefCells,
 }
 
 impl LocalTracker {
@@ -159,46 +184,22 @@ impl LocalTracker {
         self.frames.last_mut().expect("non-empty")
     }
 
-    fn acquire(&mut self, key: LocalKey) {
-        self.current().refs.push(key);
-        self.states.insert(key, RefState::Live);
+    fn acquire(&mut self, r: JRef) {
+        self.current().refs.push((r.slot(), r.generation()));
+        self.cells.set(r, RefState::Live);
     }
 
-    fn release_frame(&mut self) -> Option<Frame> {
-        if self.frames.len() <= 1 {
+    fn release_frame(&mut self) {
+        let refs = if self.frames.len() <= 1 {
             // Keep the base frame; release its refs instead.
-            let base = self.base();
-            let refs = std::mem::take(&mut base.refs);
-            for r in refs {
-                self.states.insert(r, RefState::Released);
-            }
-            return None;
+            std::mem::take(&mut self.base().refs)
+        } else {
+            self.frames.pop().expect("len checked").refs
+        };
+        for entry in refs {
+            self.cells.release(entry);
         }
-        let frame = self.frames.pop()?;
-        for r in &frame.refs {
-            self.states.insert(*r, RefState::Released);
-        }
-        Some(frame)
     }
-}
-
-#[derive(Debug, Clone)]
-struct MethodSnapshot {
-    class: ClassId,
-    name: String,
-    sig: MethodSig,
-    is_static: bool,
-    visibility: minijvm::Visibility,
-}
-
-#[derive(Debug, Clone)]
-struct FieldSnapshot {
-    class: ClassId,
-    name: String,
-    ty: FieldType,
-    is_static: bool,
-    is_final: bool,
-    visibility: minijvm::Visibility,
 }
 
 /// Configuration of a synthesized checker.
@@ -232,12 +233,15 @@ pub struct Jinn {
     checks_enabled: bool,
     config: JinnConfig,
     stats: SharedStats,
-    methods: HashMap<MethodId, MethodSnapshot>,
-    fields: HashMap<FieldId, FieldSnapshot>,
+    /// IDs returned to native code; their names and signatures are read
+    /// from the VM's append-only class registry.
+    methods: HashSet<MethodId>,
+    fields: HashSet<FieldId>,
     pins: HashMap<PinId, PinInfo>,
     criticals: HashMap<ThreadId, Vec<(ObjectId, u32)>>,
     monitors: HashMap<(ThreadId, ObjectId), u32>,
-    globals: HashMap<GlobalKey, RefState>,
+    globals: RefCells,
+    weak_globals: RefCells,
     locals: HashMap<ThreadId, LocalTracker>,
     recorder: Recorder,
     labels: ObsLabels,
@@ -318,12 +322,13 @@ impl Jinn {
             checks_enabled: true,
             config,
             stats: Arc::new(StatsCell::default()),
-            methods: HashMap::new(),
-            fields: HashMap::new(),
+            methods: HashSet::new(),
+            fields: HashSet::new(),
             pins: HashMap::new(),
             criticals: HashMap::new(),
             monitors: HashMap::new(),
-            globals: HashMap::new(),
+            globals: RefCells::default(),
+            weak_globals: RefCells::default(),
             locals: HashMap::new(),
             recorder: Recorder::disabled(),
             labels: ObsLabels::default(),
@@ -406,7 +411,6 @@ impl Jinn {
     /// Checks a use of a local reference; returns an error message on
     /// violation.
     fn check_local_use(&mut self, jvm: &Jvm, thread: ThreadId, r: JRef) -> Option<String> {
-        let key = LocalKey::of(r);
         let failure = if r.owner() != thread {
             Some(format!(
                 "local reference created on thread-{} used on {}",
@@ -414,7 +418,7 @@ impl Jinn {
                 thread
             ))
         } else {
-            match self.tracker(thread).states.get(&key) {
+            match self.tracker(thread).cells.state(r) {
                 Some(RefState::Live) => None,
                 Some(RefState::Released) => Some("Error: dangling local reference".to_string()),
                 None => {
@@ -422,8 +426,8 @@ impl Jinn {
                     if jvm.resolve(thread, r).map(|o| o.is_some()).unwrap_or(false) {
                         self.stats.adopted_refs.fetch_add(1, Ordering::Relaxed);
                         let tracker = self.tracker(thread);
-                        tracker.base().refs.push(key);
-                        tracker.states.insert(key, RefState::Live);
+                        tracker.base().refs.push((r.slot(), r.generation()));
+                        tracker.cells.set(r, RefState::Live);
                         None
                     } else {
                         Some("Error: dangling local reference (never acquired)".to_string())
@@ -437,15 +441,23 @@ impl Jinn {
         failure
     }
 
+    /// The cell table of a global or weak-global reference.
+    fn global_cells(&mut self, r: JRef) -> &mut RefCells {
+        if r.kind() == RefKind::WeakGlobal {
+            &mut self.weak_globals
+        } else {
+            &mut self.globals
+        }
+    }
+
     fn check_global_use(&mut self, jvm: &Jvm, thread: ThreadId, r: JRef) -> Option<String> {
-        let key = GlobalKey::of(r);
-        let failure = match self.globals.get(&key) {
+        let failure = match self.global_cells(r).state(r) {
             Some(RefState::Live) => None,
             Some(RefState::Released) => Some(format!("Error: dangling {} reference", r.kind())),
             None => {
                 if jvm.resolve(thread, r).is_ok() {
                     self.stats.adopted_refs.fetch_add(1, Ordering::Relaxed);
-                    self.globals.insert(key, RefState::Live);
+                    self.global_cells(r).set(r, RefState::Live);
                     None
                 } else {
                     Some(format!(
@@ -580,23 +592,25 @@ impl Jinn {
             Some(JniArg::Method(m)) => *m,
             _ => return None,
         };
-        let Some(snap) = self.methods.get(&mid) else {
+        let Some(method) = self.issued_method(jvm, mid) else {
             return Some(format!("method ID {mid} was never issued by the JVM"));
         };
         // The Section 6.5 gray zone, opt-in: calling private methods.
-        if self.config.pedantic_visibility && snap.visibility == minijvm::Visibility::Private {
+        if self.config.pedantic_visibility
+            && method.flags.visibility == minijvm::Visibility::Private
+        {
             return Some(format!(
                 "call to private method {} from native code",
-                snap.name
+                method.name
             ));
         }
         // Staticness.
         let want_static = matches!(mode, EntityCallMode::Static);
-        if snap.is_static != want_static {
+        if method.flags.is_static != want_static {
             return Some(format!(
                 "method {} is {} but was invoked {}",
-                snap.name,
-                if snap.is_static {
+                method.name,
+                if method.flags.is_static {
                     "static"
                 } else {
                     "an instance method"
@@ -614,12 +628,12 @@ impl Jinn {
                 if !r.is_null() {
                     if let Ok(Some(oop)) = jvm.resolve(cx.thread, *r) {
                         let cls = jvm.class_of(oop);
-                        if !jvm.registry().is_assignable(cls, snap.class) {
+                        if !jvm.registry().is_assignable(cls, method.class) {
                             return Some(format!(
                                 "receiver of class {} does not conform to {} declaring {}",
                                 jvm.registry().class(cls).dotted_name(),
-                                jvm.registry().class(snap.class).dotted_name(),
-                                snap.name,
+                                jvm.registry().class(method.class).dotted_name(),
+                                method.name,
                             ));
                         }
                     }
@@ -632,12 +646,12 @@ impl Jinn {
                     // The Eclipse SWT bug (Section 6.4.3): the class must
                     // itself declare the method; inheriting it from a
                     // superclass is a JNI violation.
-                    if given != snap.class {
+                    if given != method.class {
                         return Some(format!(
                             "class {} does not declare {} (it is declared by {})",
                             jvm.registry().class(given).dotted_name(),
-                            snap.name,
-                            jvm.registry().class(snap.class).dotted_name(),
+                            method.name,
+                            jvm.registry().class(method.class).dotted_name(),
                         ));
                     }
                 }
@@ -648,7 +662,7 @@ impl Jinn {
             Some(JniArg::Args(v)) => v.clone(),
             _ => Vec::new(),
         };
-        self.check_args_against_sig(jvm, cx.thread, &snap.sig, &actuals)
+        self.check_args_against_sig(jvm, cx.thread, &method.sig, &actuals)
     }
 
     fn check_field_access(
@@ -662,20 +676,21 @@ impl Jinn {
             Some(JniArg::Field(f)) => *f,
             _ => return None,
         };
-        let Some(snap) = self.fields.get(&fid) else {
+        let Some(field) = self.issued_field(jvm, fid) else {
             return Some(format!("field ID {fid} was never issued by the JVM"));
         };
-        if self.config.pedantic_visibility && snap.visibility == minijvm::Visibility::Private {
+        if self.config.pedantic_visibility && field.flags.visibility == minijvm::Visibility::Private
+        {
             return Some(format!(
                 "access to private field {} from native code",
-                snap.name
+                field.name
             ));
         }
-        if snap.is_static != stat {
+        if field.flags.is_static != stat {
             return Some(format!(
                 "field {} is {} but was accessed {}",
-                snap.name,
-                if snap.is_static {
+                field.name,
+                if field.flags.is_static {
                     "static"
                 } else {
                     "an instance field"
@@ -690,11 +705,11 @@ impl Jinn {
         if stat {
             if let Some(JniArg::Ref(r)) = cx.args.first() {
                 if let Some(given) = self.resolve_class_arg(jvm, cx.thread, *r) {
-                    if given != snap.class {
+                    if given != field.class {
                         return Some(format!(
                             "class {} does not declare field {}",
                             jvm.registry().class(given).dotted_name(),
-                            snap.name,
+                            field.name,
                         ));
                     }
                 }
@@ -703,11 +718,11 @@ impl Jinn {
             if !r.is_null() {
                 if let Ok(Some(oop)) = jvm.resolve(cx.thread, *r) {
                     let cls = jvm.class_of(oop);
-                    if !jvm.registry().is_assignable(cls, snap.class) {
+                    if !jvm.registry().is_assignable(cls, field.class) {
                         return Some(format!(
                             "object of class {} has no field {}",
                             jvm.registry().class(cls).dotted_name(),
-                            snap.name,
+                            field.name,
                         ));
                     }
                 }
@@ -720,7 +735,7 @@ impl Jinn {
                 _ => None,
             };
             if let Some(v) = value {
-                match (&snap.ty, v) {
+                match (&field.ty, v) {
                     (FieldType::Prim(p), v) => {
                         if v.prim_type() != Some(*p) {
                             return Some(format!("value {v} does not conform to field type {p}"));
@@ -782,43 +797,22 @@ impl Jinn {
         }
     }
 
-    // ---- record encodings ----------------------------------------------
+    // ---- ID signature tables ---------------------------------------------
 
-    fn record_method(&mut self, jvm: &Jvm, mid: MethodId) {
-        if self.methods.contains_key(&mid) {
-            return;
-        }
-        if let Some(info) = jvm.registry().method(mid) {
-            self.methods.insert(
-                mid,
-                MethodSnapshot {
-                    class: info.class,
-                    name: info.name.clone(),
-                    sig: info.sig.clone(),
-                    is_static: info.flags.is_static,
-                    visibility: info.flags.visibility,
-                },
-            );
-        }
+    /// The registry entry of a method ID issued to native code.
+    fn issued_method<'j>(&self, jvm: &'j Jvm, mid: MethodId) -> Option<&'j MethodInfo> {
+        self.methods
+            .contains(&mid)
+            .then(|| jvm.registry().method(mid))
+            .flatten()
     }
 
-    fn record_field(&mut self, jvm: &Jvm, fid: FieldId) {
-        if self.fields.contains_key(&fid) {
-            return;
-        }
-        if let Some(info) = jvm.registry().field(fid) {
-            self.fields.insert(
-                fid,
-                FieldSnapshot {
-                    class: info.class,
-                    name: info.name.clone(),
-                    ty: info.ty.clone(),
-                    is_static: info.flags.is_static,
-                    is_final: info.flags.is_final,
-                    visibility: info.flags.visibility,
-                },
-            );
-        }
+    /// The registry entry of a field ID issued to native code.
+    fn issued_field<'j>(&self, jvm: &'j Jvm, fid: FieldId) -> Option<&'j FieldInfo> {
+        self.fields
+            .contains(&fid)
+            .then(|| jvm.registry().field(fid))
+            .flatten()
     }
 
     // ---- the check interpreter ------------------------------------------
@@ -930,7 +924,7 @@ impl Jinn {
             }
             Check::KnownMethodId { param } => {
                 if let Some(JniArg::Method(m)) = cx.args.get(param as usize) {
-                    if !self.methods.contains_key(m) {
+                    if !self.methods.contains(m) {
                         return Some(self.violation(
                             machine,
                             "Error:EntityTypeMismatch",
@@ -943,7 +937,7 @@ impl Jinn {
             }
             Check::KnownFieldId { param } => {
                 if let Some(JniArg::Field(f)) = cx.args.get(param as usize) {
-                    if !self.fields.contains_key(f) {
+                    if !self.fields.contains(f) {
                         return Some(self.violation(
                             machine,
                             "Error:EntityTypeMismatch",
@@ -956,13 +950,13 @@ impl Jinn {
             }
             Check::FinalFieldGuard => {
                 if let Some(JniArg::Field(f)) = cx.args.get(1) {
-                    if let Some(snap) = self.fields.get(f) {
-                        if snap.is_final {
+                    if let Some(field) = self.issued_field(jvm, *f) {
+                        if field.flags.is_final {
                             return Some(self.violation(
                                 machine,
                                 "Error:FinalFieldWrite",
                                 fname,
-                                format!("{fname} assigns to final field {}", snap.name),
+                                format!("{fname} assigns to final field {}", field.name),
                                 cx.stack,
                             ));
                         }
@@ -1053,10 +1047,16 @@ impl Jinn {
                     if r.is_null() {
                         return None;
                     }
-                    let key = GlobalKey::of(r);
-                    match self.globals.get(&key) {
+                    // A local passed here has no global cell.
+                    let global = r.kind() != RefKind::Local;
+                    let state = if global {
+                        self.global_cells(r).state(r)
+                    } else {
+                        None
+                    };
+                    match state {
                         Some(RefState::Live) => {
-                            self.globals.insert(key, RefState::Released);
+                            self.global_cells(r).set(r, RefState::Released);
                             self.record_ref_moved(
                                 self.labels.global_ref,
                                 cx.thread,
@@ -1075,7 +1075,9 @@ impl Jinn {
                         }
                         None => {
                             if jvm.resolve(cx.thread, r).is_ok() {
-                                self.globals.insert(key, RefState::Released);
+                                if global {
+                                    self.global_cells(r).set(r, RefState::Released);
+                                }
                             } else {
                                 return Some(self.violation(
                                     machine,
@@ -1094,14 +1096,20 @@ impl Jinn {
                     if r.is_null() || r.kind() != RefKind::Local {
                         return None;
                     }
-                    let key = LocalKey::of(r);
                     let thread = cx.thread;
-                    match self.tracker(thread).states.get(&key).copied() {
+                    // Another thread's local has no cell here.
+                    let state = if r.owner() == thread {
+                        self.tracker(thread).cells.state(r)
+                    } else {
+                        None
+                    };
+                    match state {
                         Some(RefState::Live) => {
                             let tracker = self.tracker(thread);
-                            tracker.states.insert(key, RefState::Released);
+                            tracker.cells.set(r, RefState::Released);
+                            let entry = (r.slot(), r.generation());
                             for f in tracker.frames.iter_mut() {
-                                f.refs.retain(|k| *k != key);
+                                f.refs.retain(|e| *e != entry);
                             }
                             self.record_ref_moved(
                                 self.labels.local_ref,
@@ -1121,7 +1129,7 @@ impl Jinn {
                         }
                         None => {
                             if jvm.resolve(thread, r).map(|o| o.is_some()).unwrap_or(false) {
-                                self.tracker(thread).states.insert(key, RefState::Released);
+                                self.tracker(thread).cells.set(r, RefState::Released);
                             } else {
                                 return Some(self.violation(
                                     machine,
@@ -1178,12 +1186,16 @@ impl Jinn {
         match check {
             Check::RecordMethodId => {
                 if let JniRet::Method(m) = ret {
-                    self.record_method(jvm, *m);
+                    if jvm.registry().method(*m).is_some() {
+                        self.methods.insert(*m);
+                    }
                 }
             }
             Check::RecordFieldId => {
                 if let JniRet::Field(f) = ret {
-                    self.record_field(jvm, *f);
+                    if jvm.registry().field(*f).is_some() {
+                        self.fields.insert(*f);
+                    }
                 }
             }
             Check::CriticalAcquire => {
@@ -1234,7 +1246,7 @@ impl Jinn {
             Check::GlobalAcquire => {
                 if let JniRet::Ref(r) = ret {
                     if !r.is_null() {
-                        self.globals.insert(GlobalKey::of(*r), RefState::Live);
+                        self.global_cells(*r).set(*r, RefState::Live);
                         self.record_ref_moved(
                             self.labels.global_ref,
                             cx.thread,
@@ -1249,7 +1261,7 @@ impl Jinn {
                     if !r.is_null() && r.kind() == RefKind::Local {
                         let thread = cx.thread;
                         let tracker = self.tracker(thread);
-                        tracker.acquire(LocalKey::of(*r));
+                        tracker.acquire(*r);
                         let frame = tracker.current();
                         let overflow = frame.refs.len() > frame.capacity;
                         let (len, cap) = (frame.refs.len(), frame.capacity);
@@ -1373,7 +1385,7 @@ impl Interpose for Jinn {
         let mut acquired = 0u64;
         for r in arg_refs {
             if r.kind() == RefKind::Local {
-                tracker.acquire(LocalKey::of(*r));
+                tracker.acquire(*r);
                 acquired += 1;
             }
         }
@@ -1495,11 +1507,7 @@ impl Interpose for Jinn {
                 ReportAction::ThrowException,
             ));
         }
-        let leaked_globals = self
-            .globals
-            .values()
-            .filter(|s| **s == RefState::Live)
-            .count();
+        let leaked_globals = self.globals.live() + self.weak_globals.live();
         if leaked_globals > 0 {
             reports.push(Report::new(
                 Violation {
@@ -1538,6 +1546,15 @@ pub fn install_with_config(session: &mut minijni::Session, config: JinnConfig) -
 /// (`Jinn` is `Send`). Registers the exception class, wires the
 /// session's recorder into the checker, and returns the stats handle.
 pub fn install_prebuilt(session: &mut minijni::Session, mut jinn: Jinn) -> SharedStats {
+    register_exception_class(session);
+    jinn.set_recorder(session.recorder().clone());
+    let stats = jinn.stats_handle();
+    session.attach(Box::new(jinn));
+    stats
+}
+
+/// Registers the exception class Jinn's reports throw, once per VM.
+fn register_exception_class(session: &mut minijni::Session) {
     let jvm = session.vm_mut().jvm_mut();
     if jvm.find_class(minijni::JINN_EXCEPTION_CLASS).is_none() {
         jvm.registry_mut()
@@ -1546,8 +1563,290 @@ pub fn install_prebuilt(session: &mut minijni::Session, mut jinn: Jinn) -> Share
             .build()
             .expect("register jinn exception class");
     }
-    jinn.set_recorder(session.recorder().clone());
-    let stats = jinn.stats_handle();
-    session.attach(Box::new(jinn));
-    stats
+}
+
+#[cfg(test)]
+mod tests {
+    use std::cell::RefCell;
+    use std::rc::Rc;
+    use std::sync::Mutex;
+
+    use minijni::{typed, JniEnv, JniError, RunOutcome, Session, Vm};
+
+    use super::*;
+
+    /// Forwards every hook to a shared [`Jinn`] so a test can read the
+    /// checker's private tables while the session owns the interposer.
+    /// After each hook it also records the VM's live-slot high-water
+    /// marks: main-thread locals, globals, weak globals.
+    #[derive(Clone)]
+    struct Shared {
+        jinn: Arc<Mutex<Jinn>>,
+        high_water: Arc<Mutex<[usize; 3]>>,
+    }
+
+    impl Shared {
+        fn observe(&self, jvm: &Jvm) {
+            let live = [
+                jvm.thread(jvm.main_thread()).live_local_count(),
+                jvm.global_count(),
+                jvm.weak_global_count(),
+            ];
+            let mut high_water = self.high_water.lock().unwrap();
+            for (hw, n) in high_water.iter_mut().zip(live) {
+                *hw = (*hw).max(n);
+            }
+        }
+    }
+
+    impl Interpose for Shared {
+        fn name(&self) -> &str {
+            "jinn"
+        }
+
+        fn pre_jni(&mut self, jvm: &Jvm, cx: &CallCx<'_>) -> Vec<Report> {
+            self.jinn.lock().unwrap().pre_jni(jvm, cx)
+        }
+
+        fn post_jni(&mut self, jvm: &Jvm, cx: &CallCx<'_>, ret: Option<&JniRet>) -> Vec<Report> {
+            self.observe(jvm);
+            self.jinn.lock().unwrap().post_jni(jvm, cx, ret)
+        }
+
+        fn native_enter(
+            &mut self,
+            jvm: &Jvm,
+            thread: ThreadId,
+            method: MethodId,
+            arg_refs: &[JRef],
+            stack: &[String],
+        ) -> Vec<Report> {
+            self.observe(jvm);
+            let mut jinn = self.jinn.lock().unwrap();
+            jinn.native_enter(jvm, thread, method, arg_refs, stack)
+        }
+
+        fn native_exit(
+            &mut self,
+            jvm: &Jvm,
+            thread: ThreadId,
+            method: MethodId,
+            returned_ref: Option<JRef>,
+            stack: &[String],
+        ) -> Vec<Report> {
+            let mut jinn = self.jinn.lock().unwrap();
+            jinn.native_exit(jvm, thread, method, returned_ref, stack)
+        }
+
+        fn vm_death(&mut self, jvm: &Jvm) -> Vec<Report> {
+            self.jinn.lock().unwrap().vm_death(jvm)
+        }
+    }
+
+    type Body = Rc<dyn Fn(&mut JniEnv<'_>, JRef) -> Result<(), JniError>>;
+
+    /// One VM checked by a shared Jinn, with a native method that takes
+    /// an object and runs the body under test on it.
+    struct Harness {
+        session: Session,
+        shared: Shared,
+        thread: ThreadId,
+        entry: MethodId,
+        arg: JValue,
+        body: Rc<RefCell<Body>>,
+    }
+
+    impl Harness {
+        fn new() -> Harness {
+            let mut vm = Vm::permissive();
+            let body: Rc<RefCell<Body>> = Rc::new(RefCell::new(Rc::new(|_, _| Ok(()))));
+            let current = Rc::clone(&body);
+            let (_class, entry) = vm.define_native_class(
+                "bounded/T",
+                "m",
+                "(Ljava/lang/Object;)V",
+                true,
+                Rc::new(move |env, args| {
+                    let JValue::Ref(obj) = args[0] else {
+                        panic!("object argument")
+                    };
+                    let body = Rc::clone(&current.borrow());
+                    body(env, obj)?;
+                    Ok(JValue::Void)
+                }),
+            );
+            let object = vm.jvm().find_class("java/lang/Object").unwrap();
+            let oop = vm.jvm_mut().alloc_object(object);
+            let thread = vm.jvm().main_thread();
+            let arg = JValue::Ref(vm.jvm_mut().new_local(thread, oop));
+            let mut session = Session::new(vm);
+            register_exception_class(&mut session);
+            let shared = Shared {
+                jinn: Arc::new(Mutex::new(Jinn::new())),
+                high_water: Arc::new(Mutex::new([0; 3])),
+            };
+            session.attach(Box::new(shared.clone()));
+            Harness {
+                session,
+                shared,
+                thread,
+                entry,
+                arg,
+                body,
+            }
+        }
+
+        fn run(&mut self, body: Body) -> RunOutcome {
+            *self.body.borrow_mut() = body;
+            self.session
+                .run_native(self.thread, self.entry, &[self.arg])
+        }
+
+        /// Cells in each reference table (main-thread locals, globals,
+        /// weak globals), then the issued method and field IDs.
+        fn tracked(&self) -> [usize; 5] {
+            let jinn = self.shared.jinn.lock().unwrap();
+            [
+                jinn.locals.get(&self.thread).map_or(0, |t| t.cells.0.len()),
+                jinn.globals.0.len(),
+                jinn.weak_globals.0.len(),
+                jinn.methods.len(),
+                jinn.fields.len(),
+            ]
+        }
+    }
+
+    /// Acquires and releases locals (through `DeleteLocalRef` and
+    /// `PopLocalFrame`), globals and weak globals, `rounds` times.
+    fn churn(rounds: usize) -> Body {
+        Rc::new(move |env, obj| {
+            for _ in 0..rounds {
+                let local = typed::new_local_ref(env, obj)?;
+                typed::delete_local_ref(env, local)?;
+                typed::push_local_frame(env, 4)?;
+                let a = typed::new_local_ref(env, obj)?;
+                typed::new_local_ref(env, a)?;
+                typed::pop_local_frame(env, JRef::NULL)?;
+                let global = typed::new_global_ref(env, obj)?;
+                typed::delete_global_ref(env, global)?;
+                let weak = typed::new_weak_global_ref(env, obj)?;
+                typed::delete_weak_global_ref(env, weak)?;
+            }
+            Ok(())
+        })
+    }
+
+    #[test]
+    fn reference_state_stays_within_the_live_slot_high_water_mark() {
+        const CALLS: usize = 100;
+        const ROUNDS: usize = 100;
+        let mut h = Harness::new();
+        let outcome = h.run(churn(ROUNDS));
+        assert!(matches!(outcome, RunOutcome::Completed(_)), "{outcome:?}");
+        let after_first = h.tracked();
+        for _ in 1..CALLS {
+            let outcome = h.run(churn(ROUNDS));
+            assert!(matches!(outcome, RunOutcome::Completed(_)), "{outcome:?}");
+        }
+        let after_all = h.tracked();
+        assert_eq!(
+            after_all,
+            after_first,
+            "checker state grew over {} rounds",
+            CALLS * ROUNDS
+        );
+        let high_water = *h.shared.high_water.lock().unwrap();
+        for (table, (cells, hw)) in ["locals", "globals", "weak globals"]
+            .iter()
+            .zip(after_all.iter().zip(high_water))
+        {
+            assert!(
+                *cells <= hw,
+                "{table}: {cells} cells above the VM's live-slot high-water mark {hw}"
+            );
+        }
+        assert!(h.session.shutdown().is_empty());
+    }
+
+    #[test]
+    fn forged_refs_and_ids_get_their_verdicts_and_grow_no_table() {
+        let thread = Harness::new().thread;
+        let forged_local = JRef::from_parts(RefKind::Local, thread, u32::MAX, 0);
+        let forged_global = JRef::from_parts(RefKind::Global, ThreadId(0), u32::MAX, 0);
+        let forged_weak = JRef::from_parts(RefKind::WeakGlobal, ThreadId(0), u32::MAX, 0);
+        let mut cases: Vec<(Body, &str, &str, String)> = vec![
+            (
+                Rc::new(move |env, _| typed::get_object_class(env, forged_local).map(drop)),
+                "local-reference",
+                "Error:Dangling",
+                "Error: dangling local reference (never acquired) in GetObjectClass".to_string(),
+            ),
+            (
+                Rc::new(move |env, _| typed::delete_local_ref(env, forged_local)),
+                "local-reference",
+                "Error:DoubleFree",
+                "DeleteLocalRef deletes a local reference that was never acquired".to_string(),
+            ),
+            (
+                Rc::new(move |env, _| typed::get_object_class(env, forged_global).map(drop)),
+                "global-reference",
+                "Error:Dangling",
+                "Error: dangling global reference (never acquired) in GetObjectClass".to_string(),
+            ),
+            (
+                Rc::new(move |env, _| typed::delete_global_ref(env, forged_global)),
+                "global-reference",
+                "Error:Dangling",
+                "DeleteGlobalRef deletes a global reference that was never acquired".to_string(),
+            ),
+            (
+                Rc::new(move |env, _| typed::delete_weak_global_ref(env, forged_weak)),
+                "global-reference",
+                "Error:Dangling",
+                "DeleteWeakGlobalRef deletes a global reference that was never acquired"
+                    .to_string(),
+            ),
+        ];
+        // Method and field IDs: a registry index that was never issued, and one past the registry.
+        for bits in [0, u64::from(u32::MAX)] {
+            let mid = MethodId::forged(bits);
+            let fid = FieldId::forged(bits);
+            cases.push((
+                Rc::new(move |env, obj| {
+                    let class = typed::get_object_class(env, obj)?;
+                    typed::call_static_void_method(env, class, mid, &[])
+                }),
+                "entity-typing",
+                "Error:EntityTypeMismatch",
+                format!("method ID {mid} was never issued by the JVM in CallStaticVoidMethod"),
+            ));
+            cases.push((
+                Rc::new(move |env, obj| typed::get_int_field(env, obj, fid).map(drop)),
+                "entity-typing",
+                "Error:EntityTypeMismatch",
+                format!("field ID {fid} was never issued by the JVM in GetIntField"),
+            ));
+        }
+        for (body, machine, error_state, message) in cases {
+            // Each case on a fresh VM whose tables one churn round filled.
+            let mut h = Harness::new();
+            let outcome = h.run(churn(1));
+            assert!(matches!(outcome, RunOutcome::Completed(_)), "{outcome:?}");
+            let before = h.tracked();
+            match h.run(body) {
+                RunOutcome::CheckerException(v) => {
+                    assert_eq!(
+                        (v.machine, v.error_state, &v.message),
+                        (machine, error_state, &message)
+                    );
+                }
+                other => panic!("expected {machine}/{error_state}, got {other:?}"),
+            }
+            assert_eq!(
+                h.tracked(),
+                before,
+                "a forged input grew a table: {message}"
+            );
+        }
+    }
 }

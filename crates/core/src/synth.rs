@@ -140,11 +140,10 @@ impl WorkloadManifest {
         I: IntoIterator<Item = S>,
         S: Into<String>,
     {
-        let reg = registry();
         let called: BTreeSet<String> = functions.into_iter().map(Into::into).collect();
         let unknown: Vec<String> = called
             .iter()
-            .filter(|f| !reg.iter().any(|(_, s)| s.name == **f))
+            .filter(|f| registry().id(f).is_none())
             .cloned()
             .collect();
         WorkloadManifest {

@@ -20,7 +20,7 @@ fn strip_report_prefix(line: &str) -> &str {
     }
 }
 
-fn scenario() -> jinn_microbench::Scenario {
+fn scenario() -> jinn_microbench::Program {
     scenarios()
         .into_iter()
         .find(|s| s.name == "ExceptionState")

@@ -24,9 +24,9 @@ use std::time::{Duration, Instant};
 
 use jinn_bench::env_u64;
 use jinn_replay::{
-    case_studies, check_version, diff_trace, microbench_programs, program_by_name, record_program,
-    replay_trace, standard_configs, trace_discharge, RecordVendor, ReplayConfig, Trace,
-    TraceWriter, FORMAT_VERSION,
+    check_version, diff_trace, program_by_name, program_names, record_program, replay_trace,
+    standard_configs, trace_discharge, RecordVendor, ReplayConfig, Trace, TraceWriter,
+    FORMAT_VERSION,
 };
 use jinn_vendors::Vendor;
 use jinn_workloads::{benchmark, build_workload};
@@ -70,11 +70,7 @@ fn cmd_record(args: &[String]) -> i32 {
         }
     }
     if names.is_empty() {
-        names = microbench_programs()
-            .iter()
-            .chain(case_studies().iter())
-            .map(|p| p.name.clone())
-            .collect();
+        names = program_names();
     }
     if let Err(e) = std::fs::create_dir_all(&out_dir) {
         eprintln!("replay record: cannot create {out_dir}: {e}");

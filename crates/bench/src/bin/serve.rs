@@ -35,9 +35,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use jinn_bench::env_u64;
-use jinn_replay::{
-    case_studies, encode_ingest, microbench_programs, replay_trace, ReplayConfig, Trace,
-};
+use jinn_replay::{encode_ingest, program_names, replay_trace, ReplayConfig, Trace};
 use jinn_serve::{Daemon, ServeConfig, SocketServer};
 
 fn main() {
@@ -382,10 +380,9 @@ fn cmd_bench() -> i32 {
 
     // The whole golden corpus, round-robin across the fleet.
     let traces: Arc<Vec<Vec<u8>>> = Arc::new(
-        microbench_programs()
+        program_names()
             .iter()
-            .chain(case_studies().iter())
-            .map(|p| corpus_bytes(&p.name))
+            .map(|name| corpus_bytes(name))
             .collect(),
     );
 
@@ -621,10 +618,9 @@ fn cmd_bench_streaming() -> i32 {
     let min_speedup = env_u64("JINN_SERVE_STREAMING_MIN_SPEEDUP", 5);
 
     let churn = stream_churn_trace(calls, strings);
-    let traces: Vec<Vec<u8>> = microbench_programs()
+    let traces: Vec<Vec<u8>> = program_names()
         .iter()
-        .chain(case_studies().iter())
-        .map(|p| corpus_bytes(&p.name))
+        .map(|name| corpus_bytes(name))
         .collect();
 
     let run_mode = |streaming: bool| -> StreamModeOut {

@@ -6,7 +6,7 @@
 //! ```
 
 use jinn_bench::{render_table, tick};
-use jinn_microbench::{run_scenario, scenarios, Behavior, Config};
+use jinn_microbench::{run_scenario, scenarios, Config};
 use jinn_vendors::Vendor;
 
 /// The paper's Table 1 expectations for the rows our microbenchmarks
@@ -27,14 +27,6 @@ const PAPER: [(u8, &str, &str, &str, &str, &str); 11] = [
     (11, "leak", "leak", "running", "warning", "exception"),
 ];
 
-fn behavior(name: &str, config: Config) -> Behavior {
-    let s = scenarios()
-        .into_iter()
-        .find(|s| s.name == name)
-        .expect("scenario");
-    run_scenario(&s, config).behavior
-}
-
 fn main() {
     println!("Table 1: JNI pitfalls — default behaviour, -Xcheck:jni, and Jinn");
     println!("(legend: running / crash / warning / error / NPE / leak / deadlock / exception)\n");
@@ -43,11 +35,12 @@ fn main() {
     let mut matches = 0usize;
     let mut cells = 0usize;
     for s in scenarios() {
-        let hs = behavior(s.name, Config::Default(Vendor::HotSpot));
-        let j9 = behavior(s.name, Config::Default(Vendor::J9));
-        let hsx = behavior(s.name, Config::Xcheck(Vendor::HotSpot));
-        let j9x = behavior(s.name, Config::Xcheck(Vendor::J9));
-        let jinn = behavior(s.name, Config::Jinn(Vendor::HotSpot));
+        let behavior = |config| run_scenario(&s, config).behavior;
+        let hs = behavior(Config::Default(Vendor::HotSpot));
+        let j9 = behavior(Config::Default(Vendor::J9));
+        let hsx = behavior(Config::Xcheck(Vendor::HotSpot));
+        let j9x = behavior(Config::Xcheck(Vendor::J9));
+        let jinn = behavior(Config::Jinn(Vendor::HotSpot));
         let pitfall = s
             .pitfall
             .map(|p| p.to_string())

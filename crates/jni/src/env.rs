@@ -334,10 +334,11 @@ impl<'s> JniEnv<'s> {
                     .map(Vec::as_slice)
                     .unwrap_or(&[]),
             };
-            for i in 0..self.interposers.len() {
-                let name = self.interposers[i].name().to_string();
-                let (jvm, checker) = (&self.vm.jvm, &mut self.interposers[i]);
-                pre_reports.extend(guard_hook(&name, "pre_jni", || checker.pre_jni(jvm, &cx)));
+            let jvm = &self.vm.jvm;
+            for checker in self.interposers.iter_mut() {
+                pre_reports.extend(guard_hook(checker.as_mut(), "pre_jni", |c| {
+                    c.pre_jni(jvm, &cx)
+                }));
             }
         }
         // A throwing checker prevents the wrapped function from running
@@ -372,11 +373,10 @@ impl<'s> JniEnv<'s> {
                     .unwrap_or(&[]),
             };
             let ret = result.as_ref().ok();
-            for i in 0..self.interposers.len() {
-                let name = self.interposers[i].name().to_string();
-                let (jvm, checker) = (&self.vm.jvm, &mut self.interposers[i]);
-                post_reports.extend(guard_hook(&name, "post_jni", || {
-                    checker.post_jni(jvm, &cx, ret)
+            let jvm = &self.vm.jvm;
+            for checker in self.interposers.iter_mut() {
+                post_reports.extend(guard_hook(checker.as_mut(), "post_jni", |c| {
+                    c.post_jni(jvm, &cx, ret)
                 }));
             }
         }
@@ -503,12 +503,10 @@ impl<'s> JniEnv<'s> {
 
         // Call:Java→C hooks (Acquire transitions for the argument refs).
         let mut reports = Vec::new();
-        for i in 0..self.interposers.len() {
-            let name = self.interposers[i].name().to_string();
-            let (jvm, checker) = (&self.vm.jvm, &mut self.interposers[i]);
-            let thread = self.thread;
-            reports.extend(guard_hook(&name, "native_enter", || {
-                checker.native_enter(jvm, thread, method, &arg_refs, &stack)
+        let (jvm, thread) = (&self.vm.jvm, self.thread);
+        for checker in self.interposers.iter_mut() {
+            reports.extend(guard_hook(checker.as_mut(), "native_enter", |c| {
+                c.native_enter(jvm, thread, method, &arg_refs, &stack)
             }));
         }
         if let Err(e) = self.handle_reports(reports) {
@@ -540,12 +538,10 @@ impl<'s> JniEnv<'s> {
         };
         let stack = self.stack_snapshot();
         let mut reports = Vec::new();
-        for i in 0..self.interposers.len() {
-            let name = self.interposers[i].name().to_string();
-            let (jvm, checker) = (&self.vm.jvm, &mut self.interposers[i]);
-            let thread = self.thread;
-            reports.extend(guard_hook(&name, "native_exit", || {
-                checker.native_exit(jvm, thread, method, returned_ref, &stack)
+        let (jvm, thread) = (&self.vm.jvm, self.thread);
+        for checker in self.interposers.iter_mut() {
+            reports.extend(guard_hook(checker.as_mut(), "native_exit", |c| {
+                c.native_exit(jvm, thread, method, returned_ref, &stack)
             }));
         }
         let hook_result = self.handle_reports(reports);
@@ -848,12 +844,13 @@ fn panic_text(payload: &(dyn std::any::Any + Send)) -> &str {
 /// `JniEnv`: the simulated process dies deterministically, with the
 /// panic text as its diagnosis, and the VM's own state stays coherent
 /// (frames are popped and death is latched by the normal report path).
+/// The checker's name is read only on that path.
 pub(crate) fn guard_hook(
-    checker_name: &str,
+    checker: &mut dyn Interpose,
     site: &'static str,
-    f: impl FnOnce() -> Vec<Report>,
+    hook: impl FnOnce(&mut dyn Interpose) -> Vec<Report>,
 ) -> Vec<Report> {
-    match std::panic::catch_unwind(std::panic::AssertUnwindSafe(f)) {
+    match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| hook(&mut *checker))) {
         Ok(reports) => reports,
         Err(payload) => vec![Report {
             violation: Violation {
@@ -861,7 +858,8 @@ pub(crate) fn guard_hook(
                 error_state: "Error:Panic",
                 function: site.to_string(),
                 message: format!(
-                    "checker `{checker_name}` panicked during {site}: {}",
+                    "checker `{}` panicked during {site}: {}",
+                    checker.name(),
                     panic_text(payload.as_ref())
                 ),
                 backtrace: Vec::new(),

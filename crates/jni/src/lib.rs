@@ -63,6 +63,7 @@ pub use interpose::{
     death_of, CallCx, Interpose, JniArg, JniRet, PermissiveVendor, Report, ReportAction, UbOutcome,
     UbSituation, VendorModel, Violation,
 };
+pub use raw::args_fit;
 pub use registry::{registry, ConstraintCounts, FuncId, FuncSpec, Op, ParamKind, RetKind};
 pub use tap::{BoundaryTap, ManagedOutcome};
 pub use vm::{ManagedFn, NativeFn, RunOutcome, Session, TransitionStats, Vm};

@@ -17,9 +17,31 @@ use minijvm::{
 use crate::env::{Abort, JniEnv, RawResult, JNI_ABORT};
 use crate::error::JniError;
 use crate::interpose::{JniArg, JniRet, UbSituation};
-use crate::registry::{CallMode, CallRet, FuncId, FuncSpec, Op};
+use crate::registry::{CallMode, CallRet, FuncId, FuncSpec, Op, ParamKind};
 
 // ----- argument extraction ---------------------------------------------
+
+/// Whether `args` fit `spec`'s parameters: one argument per parameter,
+/// each of a kind that the accessor below reading that parameter kind
+/// accepts. The raw semantics panic on any other argument, so a replay
+/// must reject it before it reaches them.
+pub fn args_fit(spec: &FuncSpec, args: &[JniArg]) -> bool {
+    args.len() == spec.params.len()
+        && spec.params.iter().zip(args).all(|(p, a)| match p.kind {
+            ParamKind::Ref => matches!(a, JniArg::Ref(_)),
+            ParamKind::MethodId => matches!(a, JniArg::Method(_)),
+            ParamKind::FieldId => matches!(a, JniArg::Field(_)),
+            ParamKind::Prim(_) => matches!(a, JniArg::Val(_) | JniArg::Ref(_)),
+            ParamKind::Size | ParamKind::Mode => matches!(
+                a,
+                JniArg::Size(_) | JniArg::Val(JValue::Int(_) | JValue::Long(_))
+            ),
+            ParamKind::Name => matches!(a, JniArg::Name(_) | JniArg::Opaque),
+            ParamKind::Args => matches!(a, JniArg::Args(_) | JniArg::Opaque),
+            // Read with `arg_buf` or a match with a fallback: anything goes.
+            ParamKind::Buffer | ParamKind::IsCopyOut | ParamKind::VmOut => true,
+        })
+}
 
 fn arg_ref(args: &[JniArg], i: usize) -> JRef {
     match args.get(i) {

@@ -425,7 +425,9 @@ impl Session {
     }
 
     /// Runs a native method from "Java" (the program entry of most
-    /// experiments) and classifies the outcome.
+    /// experiments) and classifies the outcome. An uncaught or checker
+    /// exception is delivered in the outcome and cleared from the thread,
+    /// as the Java caller's `catch` would, so a later run starts clean.
     pub fn run_native(
         &mut self,
         thread: ThreadId,
@@ -438,8 +440,9 @@ impl Session {
         if let Some(d) = self.vm.death() {
             return RunOutcome::Died(d.clone());
         }
-        match result {
-            Ok(v) => RunOutcome::Completed(v),
+        let outcome = match result {
+            Ok(v) => return RunOutcome::Completed(v),
+            Err(JniError::Death(d)) => return RunOutcome::Died(d),
             Err(JniError::Exception) => {
                 let desc = self
                     .vm
@@ -450,9 +453,10 @@ impl Session {
                     .unwrap_or_else(|| "unknown exception".to_string());
                 RunOutcome::UncaughtException(desc)
             }
-            Err(JniError::Death(d)) => RunOutcome::Died(d),
             Err(JniError::Detected(v)) => RunOutcome::CheckerException(v),
-        }
+        };
+        self.vm.jvm.thread_mut(thread).set_pending_exception(None);
+        outcome
     }
 
     /// Terminates the program: fires every checker's `vm_death` sweep
@@ -461,9 +465,8 @@ impl Session {
     pub fn shutdown(&mut self) -> Vec<Report> {
         let mut all = Vec::new();
         for checker in &mut self.interposers {
-            let name = checker.name().to_string();
             let jvm = &self.vm.jvm;
-            let reports = crate::env::guard_hook(&name, "vm_death", || checker.vm_death(jvm));
+            let reports = crate::env::guard_hook(checker.as_mut(), "vm_death", |c| c.vm_death(jvm));
             for r in &reports {
                 if r.action == ReportAction::Warn {
                     self.log

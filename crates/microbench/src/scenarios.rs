@@ -13,7 +13,7 @@ use minijni::{typed, Vm};
 use minijvm::class::names;
 use minijvm::{JRef, JValue, MemberFlags, MethodId};
 
-use crate::{Scenario, Setup};
+use crate::{Program, Setup};
 
 fn object_arg(vm: &mut Vm) -> JValue {
     let class = vm.jvm().find_class(names::OBJECT).expect("bootstrapped");
@@ -412,135 +412,151 @@ fn build_local_double_free(vm: &mut Vm) -> Setup {
 }
 
 /// All sixteen microbenchmarks, in machine order.
-pub fn scenarios() -> Vec<Scenario> {
+pub fn scenarios() -> Vec<Program> {
     vec![
-        Scenario {
-            name: "EnvMismatch",
+        Program {
+            name: "EnvMismatch".into(),
             pitfall: Some(14),
             machine: "jnienv-state",
             error_state: "Error:EnvMismatch",
             leaks: false,
-            build: build_env_mismatch,
+            gc_period: None,
+            build: Box::new(build_env_mismatch),
         },
-        Scenario {
-            name: "ExceptionState",
+        Program {
+            name: "ExceptionState".into(),
             pitfall: Some(1),
             machine: "exception-state",
             error_state: "Error:SensitiveCallWithPending",
             leaks: false,
-            build: build_exception_state,
+            gc_period: None,
+            build: Box::new(build_exception_state),
         },
-        Scenario {
-            name: "CriticalCall",
+        Program {
+            name: "CriticalCall".into(),
             pitfall: Some(16),
             machine: "critical-section",
             error_state: "Error:SensitiveCallInCritical",
             leaks: false,
-            build: build_critical_call,
+            gc_period: None,
+            build: Box::new(build_critical_call),
         },
-        Scenario {
-            name: "CriticalUnmatchedRelease",
+        Program {
+            name: "CriticalUnmatchedRelease".into(),
             pitfall: None,
             machine: "critical-section",
             error_state: "Error:UnmatchedRelease",
             leaks: false,
-            build: build_critical_unmatched_release,
+            gc_period: None,
+            build: Box::new(build_critical_unmatched_release),
         },
-        Scenario {
-            name: "JclassConfusion",
+        Program {
+            name: "JclassConfusion".into(),
             pitfall: Some(3),
             machine: "fixed-typing",
             error_state: "Error:FixedTypeMismatch",
             leaks: false,
-            build: build_jclass_confusion,
+            gc_period: None,
+            build: Box::new(build_jclass_confusion),
         },
-        Scenario {
-            name: "IdConfusion",
+        Program {
+            name: "IdConfusion".into(),
             pitfall: Some(6),
             machine: "entity-typing",
             error_state: "Error:EntityTypeMismatch",
             leaks: false,
-            build: build_id_confusion,
+            gc_period: None,
+            build: Box::new(build_id_confusion),
         },
-        Scenario {
-            name: "FinalFieldWrite",
+        Program {
+            name: "FinalFieldWrite".into(),
             pitfall: Some(9),
             machine: "access-control",
             error_state: "Error:FinalFieldWrite",
             leaks: false,
-            build: build_final_field_write,
+            gc_period: None,
+            build: Box::new(build_final_field_write),
         },
-        Scenario {
-            name: "NullArgument",
+        Program {
+            name: "NullArgument".into(),
             pitfall: Some(2),
             machine: "nullness",
             error_state: "Error:Null",
             leaks: false,
-            build: build_null_argument,
+            gc_period: None,
+            build: Box::new(build_null_argument),
         },
-        Scenario {
-            name: "PinLeak",
+        Program {
+            name: "PinLeak".into(),
             pitfall: Some(11),
             machine: "pinned-buffer",
             error_state: "Error:Leak",
             leaks: true,
-            build: build_pin_leak,
+            gc_period: None,
+            build: Box::new(build_pin_leak),
         },
-        Scenario {
-            name: "PinDoubleFree",
+        Program {
+            name: "PinDoubleFree".into(),
             pitfall: None,
             machine: "pinned-buffer",
             error_state: "Error:DoubleFree",
             leaks: false,
-            build: build_pin_double_free,
+            gc_period: None,
+            build: Box::new(build_pin_double_free),
         },
-        Scenario {
-            name: "MonitorLeak",
+        Program {
+            name: "MonitorLeak".into(),
             pitfall: None,
             machine: "monitor",
             error_state: "Error:Leak",
             leaks: true,
-            build: build_monitor_leak,
+            gc_period: None,
+            build: Box::new(build_monitor_leak),
         },
-        Scenario {
-            name: "GlobalLeak",
+        Program {
+            name: "GlobalLeak".into(),
             pitfall: None,
             machine: "global-reference",
             error_state: "Error:Leak",
             leaks: true,
-            build: build_global_leak,
+            gc_period: None,
+            build: Box::new(build_global_leak),
         },
-        Scenario {
-            name: "GlobalDangling",
+        Program {
+            name: "GlobalDangling".into(),
             pitfall: None,
             machine: "global-reference",
             error_state: "Error:Dangling",
             leaks: false,
-            build: build_global_dangling,
+            gc_period: None,
+            build: Box::new(build_global_dangling),
         },
-        Scenario {
-            name: "LocalOverflow",
+        Program {
+            name: "LocalOverflow".into(),
             pitfall: Some(12),
             machine: "local-reference",
             error_state: "Error:Overflow",
             leaks: true,
-            build: build_local_overflow,
+            gc_period: None,
+            build: Box::new(build_local_overflow),
         },
-        Scenario {
-            name: "LocalRefDangling",
+        Program {
+            name: "LocalRefDangling".into(),
             pitfall: Some(13),
             machine: "local-reference",
             error_state: "Error:Dangling",
             leaks: false,
-            build: build_local_dangling,
+            gc_period: None,
+            build: Box::new(build_local_dangling),
         },
-        Scenario {
-            name: "LocalDoubleFree",
+        Program {
+            name: "LocalDoubleFree".into(),
             pitfall: None,
             machine: "local-reference",
             error_state: "Error:DoubleFree",
             leaks: false,
-            build: build_local_double_free,
+            gc_period: None,
+            build: Box::new(build_local_double_free),
         },
     ]
 }

@@ -1,17 +1,14 @@
-//! The binary on-the-wire record written by the recorder fast path.
+//! The fixed-width record written by the recorder fast path.
 //!
 //! Instrumentation sites encode events directly into a fixed-width
-//! [`RawEvent`] — five `u64` words — instead of materialising an
-//! [`EventKind`] enum with `Arc<str>` labels. Strings appear only as
+//! [`RawEvent`] instead of materialising an [`EventKind`] enum with
+//! `Arc<str>` labels. Strings appear only as
 //! [`LabelId`] indices into the recorder's intern table; the enum form
 //! is reconstructed lazily at export time.
 
 use std::sync::Arc;
 
 use crate::event::{EntityTag, EventKind, FsmOutcome, TraceEvent, VerdictAction};
-
-/// Number of `u64` words in one encoded record.
-pub const RAW_WORDS: usize = 5;
 
 /// A string interned by a [`Recorder`](crate::Recorder) backend.
 ///
@@ -43,18 +40,7 @@ pub(crate) mod op {
     pub const VERDICT: u8 = 9;
 }
 
-/// A decoded fixed-width trace record.
-///
-/// Word layout:
-///
-/// | word | contents |
-/// |------|----------|
-/// | 0    | sequence number |
-/// | 1    | microseconds since recorder start (batched, coarse) |
-/// | 2    | `thread:16 \| op:8 \| flags:8 \| label:32` |
-/// | 3    | payload `x` (nanos, pin id, live count, transition label) |
-/// | 4    | payload `y` (freed count, entity: 0 = none, high bit set = |
-/// |      | opaque numeric key, else intern label + 1) |
+/// A fixed-width trace record, as the recorder's ring holds it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RawEvent {
     /// Globally unique (per backend) sequence number.
@@ -69,39 +55,14 @@ pub struct RawEvent {
     pub flags: u8,
     /// Primary label (function or machine name), as an intern-table id.
     pub label: u32,
-    /// First payload word.
+    /// First payload word (nanos, pin id, live count, transition label).
     pub x: u64,
-    /// Second payload word.
+    /// Second payload word (freed count, or entity: 0 = none, high bit
+    /// set = opaque numeric key, else intern label + 1).
     pub y: u64,
 }
 
 impl RawEvent {
-    /// Packs the record into its five-word wire form.
-    #[inline]
-    pub fn to_words(self) -> [u64; RAW_WORDS] {
-        let meta = (u64::from(self.thread) << 48)
-            | (u64::from(self.op) << 40)
-            | (u64::from(self.flags) << 32)
-            | u64::from(self.label);
-        [self.seq, self.micros, meta, self.x, self.y]
-    }
-
-    /// Unpacks a five-word wire record.
-    #[inline]
-    pub fn from_words(words: [u64; RAW_WORDS]) -> RawEvent {
-        let meta = words[2];
-        RawEvent {
-            seq: words[0],
-            micros: words[1],
-            thread: (meta >> 48) as u16,
-            op: (meta >> 40) as u8,
-            flags: (meta >> 32) as u8,
-            label: meta as u32,
-            x: words[3],
-            y: words[4],
-        }
-    }
-
     /// Reconstructs the enum event form, resolving labels through
     /// `names` (the backend's intern table snapshot). Unknown ids —
     /// possible only if the caller passes a stale snapshot — render as
@@ -300,7 +261,7 @@ mod tests {
                 id
             }
         });
-        let back = RawEvent::from_words(raw.to_words()).decode(&names);
+        let back = raw.decode(&names);
         assert_eq!(back.seq, 7);
         assert_eq!(back.micros, 42);
         assert_eq!(back.thread, 3);

@@ -2,9 +2,11 @@
 //! configurations and diff the verdicts — the mechanism behind the
 //! Table 1 matrix and Figure 9's three-way disagreement.
 
+use jinn_microbench::{standard_configs, Config};
+
 use crate::format::TraceError;
 use crate::reader::Trace;
-use crate::replay::{replay_trace, standard_configs, ReplayConfig, ReplayOutcome};
+use crate::replay::{replay_trace, ReplayOutcome};
 
 /// The result of replaying one trace under several configurations.
 #[derive(Debug, Clone)]
@@ -68,7 +70,7 @@ impl DiffReport {
 /// # Errors
 ///
 /// As for [`replay_trace`].
-pub fn diff_trace(trace: &Trace, configs: &[ReplayConfig]) -> Result<DiffReport, TraceError> {
+pub fn diff_trace(trace: &Trace, configs: &[Config]) -> Result<DiffReport, TraceError> {
     let mut outcomes = Vec::with_capacity(configs.len());
     for config in configs {
         outcomes.push(replay_trace(trace, config)?);
@@ -107,9 +109,9 @@ mod tests {
         let report = diff_trace(
             &trace,
             &[
-                ReplayConfig::Xcheck(Vendor::HotSpot),
-                ReplayConfig::Xcheck(Vendor::J9),
-                ReplayConfig::Jinn(Vendor::HotSpot),
+                Config::Xcheck(Vendor::HotSpot),
+                Config::Xcheck(Vendor::J9),
+                Config::Jinn(Vendor::HotSpot),
             ],
         )
         .unwrap();

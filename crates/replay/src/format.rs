@@ -1106,6 +1106,15 @@ impl<'a> Decoder<'a> {
                     for _ in 0..n {
                         args.push(self.jarg()?);
                     }
+                    // Replay re-issues the call through the raw JNI
+                    // semantics, which trust the argument kinds.
+                    let spec = minijni::FuncId(func).spec();
+                    if !minijni::args_fit(spec, &args) {
+                        return Err(TraceError::Corrupt(format!(
+                            "arguments do not fit {}",
+                            spec.name
+                        )));
+                    }
                     self.records += 1;
                     return Ok(Some(TraceRecord::JniEnter {
                         thread,

@@ -16,12 +16,14 @@
 //!    full arguments, results, GC points, vendor-UB outcomes — lands in a
 //!    compact self-describing binary trace (see `TRACE_FORMAT.md`).
 //! 2. **Replay** ([`replay_trace`]): rebuild the entity world from the
-//!    trace's setup section and re-feed the recorded calls through any
-//!    checker stack — a bare vendor, `-Xcheck:jni`, or Jinn under any
-//!    [`jinn_core::JinnConfig`] ablation. Because every ID in the
+//!    trace's setup section and re-feed the recorded calls through the
+//!    checker stack of one Table 1 configuration ([`ReplayConfig`]): a
+//!    bare vendor, its `-Xcheck:jni`, or Jinn. Because every ID in the
 //!    substrate is allocation-order-deterministic, replaying the
 //!    definitions and calls in recorded order reproduces the execution
-//!    exactly; only the *verdict* varies with the configuration.
+//!    exactly; only the *verdict* varies with the configuration. The
+//!    replayed run goes through `jinn-microbench`'s entry loop and
+//!    classifier, the ones live Table 1 runs use.
 //!
 //! The differential harness ([`diff_trace`]) replays one trace under N
 //! configurations and diffs the verdicts, reproducing Figure 9's
@@ -52,13 +54,13 @@ pub use format::{
     SeedRec, StreamDecoder, TraceError, TraceRecord, UbRec, FORMAT_VERSION, MAGIC,
 };
 pub use reader::{check_version, trace_discharge, Trace};
-pub use record::{
-    case_studies, microbench_programs, program_by_name, program_names, record_program, Program,
-    RecordVendor,
-};
+// Replay judges a trace under the live harness's configurations, and
+// records the live harness's programs.
+pub use jinn_microbench::{standard_configs, Config as ReplayConfig, Program};
+pub use record::{case_studies, program_by_name, program_names, record_program, RecordVendor};
 pub use replay::{
-    replay_bytes, replay_trace, replay_trace_observed, run_live_replay, standard_configs,
-    EventFeed, LiveFeeder, ReplayConfig, ReplayOutcome,
+    replay_bytes, replay_trace, replay_trace_observed, run_live_replay, EventFeed, LiveFeeder,
+    ReplayOutcome,
 };
 pub use stream::{
     decode_stream, encode_frame, encode_ingest, stream_preamble, verify_seal_declaration, Frame,

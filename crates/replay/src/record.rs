@@ -12,8 +12,8 @@
 use std::cell::RefCell;
 use std::rc::Rc;
 
-use jinn_microbench::{scenarios, Scenario, Setup};
-use minijni::{RunOutcome, Session, UbOutcome, UbSituation, VendorModel, Vm};
+use jinn_microbench::{run_entries, scenarios, Program, Setup};
+use minijni::{Session, UbOutcome, UbSituation, VendorModel, Vm};
 use minijvm::JValue;
 
 use crate::writer::TraceWriter;
@@ -33,59 +33,6 @@ impl VendorModel for RecordVendor {
     fn on_violation(&self, _situation: &UbSituation<'_>) -> UbOutcome {
         UbOutcome::Proceed
     }
-}
-
-/// A recordable program: the same shape as a microbenchmark
-/// [`Scenario`], but owning its build closure so case studies (whose
-/// builders capture state) fit too.
-pub struct Program {
-    /// Program name (becomes the `program` metadata and stack frames).
-    pub name: String,
-    /// Table 1 pitfall number, if applicable.
-    pub pitfall: Option<u8>,
-    /// The state machine the seeded bug belongs to.
-    pub machine: &'static str,
-    /// The error state the seeded bug triggers.
-    pub error_state: &'static str,
-    /// Whether the bug is a silent leak on a default VM.
-    pub leaks: bool,
-    /// Auto-GC period to set on the VM (boundary crossings per GC), if
-    /// any. Recorded in metadata and re-applied at replay.
-    pub gc_period: Option<u64>,
-    /// Builds the program into a VM.
-    #[allow(clippy::type_complexity)]
-    pub build: Box<dyn Fn(&mut Vm) -> Setup>,
-}
-
-impl std::fmt::Debug for Program {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Program")
-            .field("name", &self.name)
-            .field("machine", &self.machine)
-            .field("error_state", &self.error_state)
-            .finish_non_exhaustive()
-    }
-}
-
-impl Program {
-    /// Wraps a microbenchmark scenario.
-    pub fn from_scenario(s: &Scenario) -> Program {
-        let build = s.build;
-        Program {
-            name: s.name.to_string(),
-            pitfall: s.pitfall,
-            machine: s.machine,
-            error_state: s.error_state,
-            leaks: s.leaks,
-            gc_period: None,
-            build: Box::new(build),
-        }
-    }
-}
-
-/// All sixteen microbenchmarks as recordable programs.
-pub fn microbench_programs() -> Vec<Program> {
-    scenarios().iter().map(Program::from_scenario).collect()
 }
 
 /// The case-study programs of Section 6.4, shaped for recording.
@@ -159,7 +106,7 @@ pub fn case_studies() -> Vec<Program> {
 /// Looks up a recordable program by name: the sixteen microbenchmarks
 /// plus the four case studies.
 pub fn program_by_name(name: &str) -> Option<Program> {
-    microbench_programs()
+    scenarios()
         .into_iter()
         .chain(case_studies())
         .find(|p| p.name == name)
@@ -167,23 +114,20 @@ pub fn program_by_name(name: &str) -> Option<Program> {
 
 /// Names of every recordable program, in corpus order.
 pub fn program_names() -> Vec<String> {
-    microbench_programs()
-        .iter()
-        .chain(case_studies().iter())
-        .map(|p| p.name.clone())
+    scenarios()
+        .into_iter()
+        .chain(case_studies())
+        .map(|p| p.name)
         .collect()
 }
 
 /// Records one program: builds it on a [`RecordVendor`] VM, taps a
-/// [`TraceWriter`] in, drives the entries exactly like the microbenchmark
-/// harness, and returns the sealed trace bytes.
+/// [`TraceWriter`] in, drives the entries with the microbenchmark
+/// harness's [`run_entries`], and returns the sealed trace bytes.
 pub fn record_program(program: &Program) -> Vec<u8> {
     let mut vm = Vm::new(Box::new(RecordVendor));
     let baseline = vm.jvm().registry().class_count();
-    let setup = (program.build)(&mut vm);
-    if program.gc_period.is_some() {
-        vm.jvm_mut().set_auto_gc_period(program.gc_period);
-    }
+    let setup = program.setup(&mut vm);
 
     let writer = Rc::new(RefCell::new(TraceWriter::new()));
     {
@@ -220,25 +164,7 @@ pub fn record_program(program: &Program) -> Vec<u8> {
     let mut session = Session::new(vm);
     session.set_tap(Some(writer.clone()));
 
-    for (i, &entry) in setup.entries.iter().enumerate() {
-        {
-            let mut env = session.env(thread);
-            env.enter_java_frame(format!("{}.main({}.java:5)", program.name, program.name));
-        }
-        let args = if i == 0 {
-            setup.first_args.clone()
-        } else {
-            Vec::new()
-        };
-        let outcome = session.run_native(thread, entry, &args);
-        {
-            let mut env = session.env(thread);
-            env.exit_java_frame();
-        }
-        if !matches!(outcome, RunOutcome::Completed(_)) {
-            break;
-        }
-    }
+    run_entries(&mut session, &program.name, setup.calls(thread));
     let _ = session.shutdown();
     session.set_tap(None);
     drop(session);
@@ -267,7 +193,7 @@ mod tests {
 
     #[test]
     fn every_program_records_and_parses() {
-        for p in microbench_programs().iter().chain(case_studies().iter()) {
+        for p in scenarios().iter().chain(case_studies().iter()) {
             let bytes = record_program(p);
             let t = Trace::parse(&bytes)
                 .unwrap_or_else(|e| panic!("{}: trace must parse: {e}", p.name));

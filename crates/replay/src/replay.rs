@@ -1,6 +1,7 @@
 //! The replay driver: rebuild the recorded world, re-feed the recorded
 //! boundary calls through a freshly-configured JNI stack, and classify
-//! the outcome with the microbenchmark harness's Table 1 vocabulary.
+//! the outcome with the microbenchmark harness's own entry loop and
+//! classifier, in Table 1 vocabulary.
 //!
 //! Determinism rests on three invariants of the substrate:
 //!
@@ -21,80 +22,13 @@ use std::collections::{HashMap, VecDeque};
 use std::rc::Rc;
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 
-use jinn_core::JinnConfig;
-use jinn_microbench::Behavior;
-use jinn_vendors::Vendor;
+use jinn_microbench::{classify, run_entries, Behavior, Config};
 use minijni::{FuncId, JniEnv};
-use minijni::{JniArg, JniError, ReportAction, RunOutcome, Session, Vm};
+use minijni::{JniArg, JniError, RunOutcome, Session, Vm};
 use minijvm::{EnvToken, FieldType, JValue, MethodId, ThreadId};
 
 use crate::format::{BodyKind, CallStatus, ManagedRec, SeedKind, TraceError, TraceRecord};
 use crate::reader::Trace;
-
-/// Which stack to replay a trace under — the rows of Table 1, plus
-/// arbitrary Jinn ablations.
-#[derive(Debug, Clone)]
-pub enum ReplayConfig {
-    /// Production vendor, no checker.
-    Default(Vendor),
-    /// The vendor's `-Xcheck:jni` implementation.
-    Xcheck(Vendor),
-    /// Jinn with all eleven machines.
-    Jinn(Vendor),
-    /// Jinn with a custom configuration (ablations, pedantic mode).
-    JinnAblated(Vendor, JinnConfig),
-}
-
-impl ReplayConfig {
-    /// The underlying vendor model.
-    pub fn vendor(&self) -> Vendor {
-        match self {
-            ReplayConfig::Default(v)
-            | ReplayConfig::Xcheck(v)
-            | ReplayConfig::Jinn(v)
-            | ReplayConfig::JinnAblated(v, _) => *v,
-        }
-    }
-
-    /// Column label, matching the microbenchmark harness where possible.
-    pub fn label(&self) -> String {
-        match self {
-            ReplayConfig::Default(v) => format!("{v}"),
-            ReplayConfig::Xcheck(v) => format!("{v} -Xcheck:jni"),
-            ReplayConfig::Jinn(v) => format!("Jinn on {v}"),
-            ReplayConfig::JinnAblated(v, cfg) => {
-                format!("Jinn on {v} (-{})", cfg.disabled_machines.join(",-"))
-            }
-        }
-    }
-
-    /// Parses a CLI-style label: `hotspot`, `j9`, `xcheck:hotspot`,
-    /// `xcheck:j9`, `jinn`, `jinn:j9`.
-    pub fn parse(s: &str) -> Option<ReplayConfig> {
-        match s.to_ascii_lowercase().as_str() {
-            "hotspot" | "default" | "default:hotspot" => {
-                Some(ReplayConfig::Default(Vendor::HotSpot))
-            }
-            "j9" | "default:j9" => Some(ReplayConfig::Default(Vendor::J9)),
-            "xcheck" | "xcheck:hotspot" => Some(ReplayConfig::Xcheck(Vendor::HotSpot)),
-            "xcheck:j9" => Some(ReplayConfig::Xcheck(Vendor::J9)),
-            "jinn" | "jinn:hotspot" => Some(ReplayConfig::Jinn(Vendor::HotSpot)),
-            "jinn:j9" => Some(ReplayConfig::Jinn(Vendor::J9)),
-            _ => None,
-        }
-    }
-}
-
-/// The five standard configurations of the evaluation (Table 1 columns).
-pub fn standard_configs() -> Vec<ReplayConfig> {
-    vec![
-        ReplayConfig::Default(Vendor::HotSpot),
-        ReplayConfig::Default(Vendor::J9),
-        ReplayConfig::Xcheck(Vendor::HotSpot),
-        ReplayConfig::Xcheck(Vendor::J9),
-        ReplayConfig::Jinn(Vendor::HotSpot),
-    ]
-}
 
 /// What replaying a trace under one configuration produced.
 #[derive(Debug, Clone)]
@@ -239,7 +173,9 @@ fn rebuild_world(
                 vm.jvm_mut().mirror_oop(id)
             }
         };
-        check_thread(vm, seed.thread)?;
+        if !vm.jvm().thread_ids().any(|t| t.0 == seed.thread) {
+            return Err(unspawned(seed.thread));
+        }
         let r = vm.jvm_mut().new_local(ThreadId(seed.thread), oop);
         if r != seed.expected {
             divergences += 1;
@@ -248,16 +184,10 @@ fn rebuild_world(
     Ok(divergences)
 }
 
-/// Rejects a record on a thread the trace never spawned: the VM indexes
-/// its threads by id.
-fn check_thread(vm: &Vm, thread: u16) -> Result<(), TraceError> {
-    if vm.jvm().thread_ids().any(|t| t.0 == thread) {
-        Ok(())
-    } else {
-        Err(TraceError::Corrupt(format!(
-            "record on unspawned thread {thread}"
-        )))
-    }
+/// A record on a thread the trace never spawned: the VM indexes its
+/// threads by id, so replay rejects it.
+fn unspawned(thread: u16) -> TraceError {
+    TraceError::Corrupt(format!("record on unspawned thread {thread}"))
 }
 
 /// Replays a parsed trace under one configuration.
@@ -266,7 +196,7 @@ fn check_thread(vm: &Vm, thread: u16) -> Result<(), TraceError> {
 ///
 /// [`TraceError::Corrupt`] when the event stream is structurally invalid
 /// (unbalanced enters/exits, setup records mid-stream, unknown classes).
-pub fn replay_trace(trace: &Trace, config: &ReplayConfig) -> Result<ReplayOutcome, TraceError> {
+pub fn replay_trace(trace: &Trace, config: &Config) -> Result<ReplayOutcome, TraceError> {
     replay_complete(trace, config, None)
 }
 
@@ -282,7 +212,7 @@ pub fn replay_trace(trace: &Trace, config: &ReplayConfig) -> Result<ReplayOutcom
 /// As for [`replay_trace`].
 pub fn replay_trace_observed(
     trace: &Trace,
-    config: &ReplayConfig,
+    config: &Config,
     recorder: &jinn_obs::Recorder,
 ) -> Result<ReplayOutcome, TraceError> {
     replay_complete(trace, config, Some(recorder))
@@ -294,7 +224,7 @@ pub fn replay_trace_observed(
 /// fold, one executor, whether the events arrived at once or in chunks.
 fn replay_complete(
     trace: &Trace,
-    config: &ReplayConfig,
+    config: &Config,
     recorder: Option<&jinn_obs::Recorder>,
 ) -> Result<ReplayOutcome, TraceError> {
     let feed = Arc::new(EventFeed::new());
@@ -306,99 +236,12 @@ fn replay_complete(
     run_live_replay(trace, config, recorder, &feed)
 }
 
-/// Classification — the microbenchmark harness's algorithm, verbatim,
-/// so replayed verdicts are comparable with live Table 1 cells.
-fn classify_outcomes(
-    trace: &Trace,
-    config: &ReplayConfig,
-    outcomes: &[RunOutcome],
-    shutdown_reports: &[minijni::Report],
-    log: &[String],
-) -> Result<(Behavior, Option<String>, Vec<minijni::Violation>), TraceError> {
-    let leaks = trace.meta_value("leaks") == Some("true");
-    let is_default = matches!(config, ReplayConfig::Default(_));
-    let mut behavior = Behavior::Running;
-    let mut message = None;
-
-    let final_outcome = outcomes
-        .last()
-        .ok_or_else(|| TraceError::Corrupt("trace has no top-level entries".into()))?;
-    let jinn_shutdown = shutdown_reports
-        .iter()
-        .find(|r| r.action == ReportAction::ThrowException);
-    let warn_shutdown = shutdown_reports
-        .iter()
-        .find(|r| r.action == ReportAction::Warn);
-    let has_warnings = log.iter().any(|l| l.contains("WARNING")) || warn_shutdown.is_some();
-
-    match final_outcome {
-        RunOutcome::CheckerException(v) => {
-            behavior = Behavior::JinnException;
-            message = Some(v.message.clone());
-        }
-        RunOutcome::UncaughtException(desc) if desc.contains("JNIAssertionFailure") => {
-            behavior = Behavior::JinnException;
-            message = Some(desc.clone());
-        }
-        RunOutcome::Died(d) if d.kind == minijvm::DeathKind::FatalError => {
-            behavior = Behavior::Error;
-            message = Some(d.message.clone());
-        }
-        _ => {}
-    }
-    if behavior == Behavior::Running {
-        if let Some(r) = jinn_shutdown {
-            behavior = Behavior::JinnException;
-            message = Some(r.violation.message.clone());
-        } else if has_warnings {
-            behavior = Behavior::Warning;
-            message = log
-                .iter()
-                .find(|l| l.contains("WARNING"))
-                .cloned()
-                .or_else(|| warn_shutdown.map(|r| r.violation.message.clone()));
-        } else {
-            match final_outcome {
-                RunOutcome::UncaughtException(desc) if desc.contains("NullPointerException") => {
-                    behavior = Behavior::Npe;
-                    message = Some(desc.clone());
-                }
-                RunOutcome::Died(d) if d.kind == minijvm::DeathKind::Deadlock => {
-                    behavior = Behavior::Deadlock;
-                    message = Some(d.message.clone());
-                }
-                RunOutcome::Died(d) if d.kind == minijvm::DeathKind::Crash => {
-                    behavior = Behavior::Crash;
-                    message = Some(d.message.clone());
-                }
-                _ => {
-                    behavior = if leaks && is_default {
-                        Behavior::Leak
-                    } else {
-                        Behavior::Running
-                    };
-                }
-            }
-        }
-    }
-
-    let mut violations: Vec<minijni::Violation> = outcomes
-        .iter()
-        .filter_map(|o| match o {
-            RunOutcome::CheckerException(v) => Some(v.clone()),
-            _ => None,
-        })
-        .collect();
-    violations.extend(shutdown_reports.iter().map(|r| r.violation.clone()));
-    Ok((behavior, message, violations))
-}
-
 /// Replays raw trace bytes under one configuration (parse + replay).
 ///
 /// # Errors
 ///
 /// As for [`Trace::parse`] and [`replay_trace`].
-pub fn replay_bytes(bytes: &[u8], config: &ReplayConfig) -> Result<ReplayOutcome, TraceError> {
+pub fn replay_bytes(bytes: &[u8], config: &Config) -> Result<ReplayOutcome, TraceError> {
     let trace = Trace::parse(bytes)?;
     replay_trace(&trace, config)
 }
@@ -787,7 +630,7 @@ fn make_managed_body(
 /// the feed held no top-level entry.
 pub fn run_live_replay(
     setup: &Trace,
-    config: &ReplayConfig,
+    config: &Config,
     recorder: Option<&jinn_obs::Recorder>,
     feed: &Arc<EventFeed>,
 ) -> Result<ReplayOutcome, TraceError> {
@@ -806,53 +649,52 @@ pub fn run_live_replay(
     )?;
     counters.borrow_mut().divergences += setup_divergences;
 
+    // Threads exist only once the world is rebuilt.
+    let threads: Vec<ThreadId> = vm.jvm().thread_ids().collect();
     let mut session = Session::new(vm);
     if let Some(rec) = recorder {
         session.set_recorder(rec.clone());
     }
-    match config {
-        ReplayConfig::Default(_) => {}
-        ReplayConfig::Xcheck(v) => session.attach(v.xcheck()),
-        ReplayConfig::Jinn(_) => {
-            jinn_core::install(&mut session);
-        }
-        ReplayConfig::JinnAblated(_, cfg) => {
-            jinn_core::install_with_config(&mut session, cfg.clone());
-        }
-    }
+    config.attach(&mut session);
 
-    let name = setup.program().to_string();
-    let mut outcomes = Vec::new();
-    while let Some(top) = feed.pop_top() {
-        check_thread(session.vm(), top.thread)?;
-        let thread = ThreadId(top.thread);
-        {
-            let mut env = session.env(thread);
-            env.enter_java_frame(format!("{name}.main({name}.java:5)"));
+    // The recorded entry arguments: replayed seeds reproduce the same
+    // JRefs, so re-presenting them re-registers identical callee locals
+    // and keeps slot allocation in lock-step with the trace. The recorded
+    // program stopped at its first fatal entry; later tops stay
+    // unconsumed and are dropped with the feed.
+    let mut stray = None;
+    let tops = std::iter::from_fn(|| {
+        let top = feed.pop_top()?;
+        if !threads.contains(&ThreadId(top.thread)) {
+            stray = Some(top.thread);
+            return None;
         }
-        // The recorded entry arguments: replayed seeds reproduce the same
-        // JRefs, so re-presenting them re-registers identical callee
-        // locals and keeps slot allocation in lock-step with the trace.
-        let outcome =
-            session.run_native(thread, MethodId::forged(u64::from(top.method)), &top.args);
-        {
-            let mut env = session.env(thread);
-            env.exit_java_frame();
-        }
-        let fatal = !matches!(outcome, RunOutcome::Completed(_));
-        outcomes.push(outcome);
-        if fatal {
-            // The recorded program stopped at its first fatal entry;
-            // later tops stay unconsumed and are dropped with the feed.
-            break;
-        }
+        let method = MethodId::forged(u64::from(top.method));
+        Some((ThreadId(top.thread), method, top.args))
+    });
+    let outcomes = run_entries(&mut session, setup.program(), tops);
+    if let Some(thread) = stray {
+        return Err(unspawned(thread));
+    }
+    if outcomes.is_empty() {
+        return Err(TraceError::Corrupt("trace has no top-level entries".into()));
     }
     let shutdown_reports = session.shutdown();
     let log = session.take_log();
     drop(session);
 
-    let (behavior, message, violations) =
-        classify_outcomes(setup, config, &outcomes, &shutdown_reports, &log)?;
+    let leaks = setup.meta_value("leaks") == Some("true");
+    let (behavior, message) = classify(leaks, *config, &outcomes, &shutdown_reports, &log);
+    // Every checker verdict, in detection order: the one in flight when
+    // the run stopped, then the shutdown reports.
+    let violations = outcomes
+        .iter()
+        .filter_map(|o| match o {
+            RunOutcome::CheckerException(v) => Some(v.clone()),
+            _ => None,
+        })
+        .chain(shutdown_reports.into_iter().map(|r| r.violation))
+        .collect();
 
     let counters = counters.borrow();
     Ok(ReplayOutcome {
@@ -870,6 +712,8 @@ pub fn run_live_replay(
 mod tests {
     use super::*;
     use crate::record::{program_by_name, record_program};
+    use jinn_microbench::{scenarios, standard_configs};
+    use jinn_vendors::Vendor;
 
     #[test]
     fn figure1_replay_matrix_matches_live_runs() {
@@ -877,24 +721,24 @@ mod tests {
         let bytes = record_program(&p);
         let trace = Trace::parse(&bytes).unwrap();
 
-        let jinn = replay_trace(&trace, &ReplayConfig::Jinn(Vendor::HotSpot)).unwrap();
+        let jinn = replay_trace(&trace, &Config::Jinn(Vendor::HotSpot)).unwrap();
         assert_eq!(jinn.behavior, Behavior::JinnException, "{jinn:?}");
         assert_eq!(jinn.divergences, 0, "{jinn:?}");
         assert!(jinn.events_replayed > 0);
 
-        let hs = replay_trace(&trace, &ReplayConfig::Default(Vendor::HotSpot)).unwrap();
+        let hs = replay_trace(&trace, &Config::Default(Vendor::HotSpot)).unwrap();
         assert_eq!(hs.behavior, Behavior::Crash, "{hs:?}");
     }
 
     /// Streams a parsed trace's events through a [`LiveFeeder`] in small
     /// chunks on this thread, yielding between chunks, while the executor
     /// runs on another — the order `jinn-serve` feeds a streaming session.
-    fn threaded_replay(trace: &Trace, config: &ReplayConfig) -> Result<ReplayOutcome, TraceError> {
+    fn threaded_replay(trace: &Trace, config: &Config) -> Result<ReplayOutcome, TraceError> {
         let feed = Arc::new(EventFeed::new());
         let mut setup = trace.clone();
         setup.events = Vec::new();
         let exec_feed = Arc::clone(&feed);
-        let exec_config = config.clone();
+        let exec_config = *config;
         let executor =
             std::thread::spawn(move || run_live_replay(&setup, &exec_config, None, &exec_feed));
         let mut feeder = LiveFeeder::new(Arc::clone(&feed));
@@ -910,7 +754,7 @@ mod tests {
 
     #[test]
     fn live_replay_matches_buffered_verdicts() {
-        for p in crate::record::microbench_programs()
+        for p in scenarios()
             .iter()
             .chain(crate::record::case_studies().iter())
         {
@@ -985,25 +829,7 @@ mod tests {
                 *thread = 60_000;
             }
         }
-        let err = replay_trace(&trace, &ReplayConfig::Jinn(Vendor::HotSpot)).unwrap_err();
+        let err = replay_trace(&trace, &Config::Jinn(Vendor::HotSpot)).unwrap_err();
         assert!(err.to_string().contains("unspawned thread 60000"), "{err}");
-    }
-
-    #[test]
-    fn ablated_jinn_misses_the_machine_it_lost() {
-        let p = program_by_name("LocalRefDangling").unwrap();
-        let bytes = record_program(&p);
-        let trace = Trace::parse(&bytes).unwrap();
-        let cfg = JinnConfig {
-            disabled_machines: vec!["local-reference"],
-            ..Default::default()
-        };
-        let ablated =
-            replay_trace(&trace, &ReplayConfig::JinnAblated(Vendor::HotSpot, cfg)).unwrap();
-        assert_ne!(
-            ablated.behavior,
-            Behavior::JinnException,
-            "without the local-reference machine the dangling ref goes undiagnosed: {ablated:?}"
-        );
     }
 }

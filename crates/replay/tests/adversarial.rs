@@ -256,7 +256,7 @@ fn run_frame_decoder<'a>(
 }
 
 fn corpus_programs() -> Vec<jinn_replay::Program> {
-    let mut programs = jinn_replay::microbench_programs();
+    let mut programs = jinn_microbench::scenarios();
     programs.extend(jinn_replay::case_studies());
     programs
 }
@@ -388,7 +388,7 @@ fn stream_decoder_chunking_matches_batch_parse_across_corpus() {
 fn whole_corpus_survives_sampled_mutations() {
     // Broader sweep at lower density: every corpus program, truncations
     // and flips at stride 7.
-    for program in jinn_replay::microbench_programs()
+    for program in jinn_microbench::scenarios()
         .iter()
         .chain(jinn_replay::case_studies().iter())
     {

@@ -977,7 +977,7 @@ impl SessionTable {
             session: id,
             tenant: s.tenant.to_string(),
             state: s.state,
-            configs: s.configs.iter().map(ReplayConfig::label).collect(),
+            configs: s.configs.iter().map(|c| c.label()).collect(),
             program: s.program.as_deref().map(str::to_string),
             bytes: s.bytes_received,
             frames: s.frames,

@@ -117,7 +117,7 @@ impl StreamingSession {
         let live_state = live.then(|| {
             let feed = Arc::new(EventFeed::new());
             LiveState {
-                config: configs[0].clone(),
+                config: configs[0],
                 feeder: LiveFeeder::new(Arc::clone(&feed)),
                 feed,
                 recorder: Recorder::enabled(recorder_ring),
@@ -312,7 +312,7 @@ impl LiveState {
 
     fn spawn_executor(&mut self, session: SessionId) {
         let setup = self.setup.clone();
-        let config = self.config.clone();
+        let config = self.config;
         let recorder = self.recorder.clone();
         let feed = Arc::clone(&self.feed);
         let handle = std::thread::Builder::new()

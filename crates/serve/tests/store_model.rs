@@ -421,7 +421,7 @@ impl Model {
             session: id,
             tenant: s.tenant.clone(),
             state: s.state,
-            configs: s.configs.iter().map(ReplayConfig::label).collect(),
+            configs: s.configs.iter().map(|c| c.label()).collect(),
             program: out.map(|o| o.program.clone()),
             bytes: s.bytes,
             frames: s.frames,

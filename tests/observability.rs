@@ -258,6 +258,7 @@ fn panicking_checker_hook_does_not_poison_the_driver() {
     let outcome = session.run_native(thread, entry, &[]);
     match &outcome {
         RunOutcome::Died(d) => {
+            assert!(d.message.contains("checker `panicky`"), "{d}");
             assert!(d.message.contains("panicked during pre_jni"), "{d}");
             assert!(d.message.contains("checker bug"), "{d}");
         }

@@ -31,9 +31,11 @@ fn table_1_on_four_workers_matches_serial_run() {
         let mut parallel: Vec<(usize, Behavior, Option<String>)> = std::thread::scope(|scope| {
             let handles: Vec<_> = (0..WORKERS)
                 .map(|w| {
-                    let all = &all;
+                    // Programs own their (non-`Sync`) build closures, so
+                    // each worker builds its own list.
                     scope.spawn(move || {
-                        all.iter()
+                        scenarios()
+                            .iter()
                             .enumerate()
                             .skip(w)
                             .step_by(WORKERS)

@@ -7,8 +7,8 @@
 
 use jinn::microbench::{run_scenario, scenarios, Behavior, Config};
 use jinn::replay::{
-    case_studies, check_version, diff_trace, microbench_programs, replay_trace, ReplayConfig,
-    Trace, FORMAT_VERSION,
+    case_studies, check_version, diff_trace, program_names, replay_trace, standard_configs, Trace,
+    FORMAT_VERSION,
 };
 use jinn::vendors::Vendor;
 
@@ -24,56 +24,37 @@ fn corpus_bytes(name: &str) -> Vec<u8> {
 
 #[test]
 fn corpus_is_complete_and_validates() {
-    for p in microbench_programs().iter().chain(case_studies().iter()) {
-        let bytes = corpus_bytes(&p.name);
+    for name in program_names() {
+        let bytes = corpus_bytes(&name);
         assert_eq!(
             check_version(&bytes).unwrap(),
             FORMAT_VERSION,
-            "{}: corpus format drifted",
-            p.name
+            "{name}: corpus format drifted"
         );
-        let trace = Trace::parse(&bytes).unwrap_or_else(|e| panic!("{}: {e}", p.name));
-        assert_eq!(trace.program(), p.name);
-        assert!(!trace.events.is_empty(), "{}: empty event stream", p.name);
+        let trace = Trace::parse(&bytes).unwrap_or_else(|e| panic!("{name}: {e}"));
+        assert_eq!(trace.program(), name);
+        assert!(!trace.events.is_empty(), "{name}: empty event stream");
     }
 }
 
 /// The heart of the satellite: for all sixteen microbenchmarks and all
 /// five standard configurations, the verdict replayed from the corpus
 /// trace equals the verdict of a live run — cell for cell, the whole
-/// Table 1 matrix from recordings alone.
+/// Table 1 matrix from recordings alone. One config value drives both
+/// the live run and the replay.
 #[test]
 fn replayed_matrix_matches_live_matrix() {
-    let pairs = [
-        (
-            Config::Default(Vendor::HotSpot),
-            ReplayConfig::Default(Vendor::HotSpot),
-        ),
-        (
-            Config::Default(Vendor::J9),
-            ReplayConfig::Default(Vendor::J9),
-        ),
-        (
-            Config::Xcheck(Vendor::HotSpot),
-            ReplayConfig::Xcheck(Vendor::HotSpot),
-        ),
-        (Config::Xcheck(Vendor::J9), ReplayConfig::Xcheck(Vendor::J9)),
-        (
-            Config::Jinn(Vendor::HotSpot),
-            ReplayConfig::Jinn(Vendor::HotSpot),
-        ),
-    ];
     for scenario in scenarios() {
-        let trace = Trace::parse(&corpus_bytes(scenario.name)).expect("corpus parses");
-        for (live_config, replay_config) in &pairs {
-            let live = run_scenario(&scenario, *live_config);
-            let replayed = replay_trace(&trace, replay_config).expect("corpus replays");
+        let trace = Trace::parse(&corpus_bytes(&scenario.name)).expect("corpus parses");
+        for config in standard_configs() {
+            let live = run_scenario(&scenario, config);
+            let replayed = replay_trace(&trace, &config).expect("corpus replays");
             assert_eq!(
                 replayed.behavior,
                 live.behavior,
                 "{} under {}: live {:?} vs replayed {:?}\n  live: {:?}\n  replayed: {:?}",
                 scenario.name,
-                live_config.label(),
+                config.label(),
                 live.behavior,
                 replayed.behavior,
                 live.message,
@@ -90,14 +71,14 @@ fn replayed_matrix_matches_live_matrix() {
 fn case_study_traces_are_diagnosed_by_jinn_only() {
     for p in case_studies() {
         let trace = Trace::parse(&corpus_bytes(&p.name)).expect("corpus parses");
-        let jinn = replay_trace(&trace, &ReplayConfig::Jinn(Vendor::HotSpot)).unwrap();
+        let jinn = replay_trace(&trace, &Config::Jinn(Vendor::HotSpot)).unwrap();
         assert_eq!(
             jinn.behavior,
             Behavior::JinnException,
             "{}: Jinn must diagnose the recorded bug: {jinn:?}",
             p.name
         );
-        let hs = replay_trace(&trace, &ReplayConfig::Default(Vendor::HotSpot)).unwrap();
+        let hs = replay_trace(&trace, &Config::Default(Vendor::HotSpot)).unwrap();
         assert_ne!(
             hs.behavior,
             Behavior::JinnException,
@@ -116,9 +97,9 @@ fn exception_state_corpus_shows_figure9_disagreement() {
     let report = diff_trace(
         &trace,
         &[
-            ReplayConfig::Xcheck(Vendor::HotSpot),
-            ReplayConfig::Xcheck(Vendor::J9),
-            ReplayConfig::Jinn(Vendor::HotSpot),
+            Config::Xcheck(Vendor::HotSpot),
+            Config::Xcheck(Vendor::J9),
+            Config::Jinn(Vendor::HotSpot),
         ],
     )
     .unwrap();

@@ -14,10 +14,10 @@ use jinn::jvm::JValue;
 use jinn::microbench::{Behavior, Setup};
 use jinn::replay::format::fnv1a;
 use jinn::replay::{
-    case_studies, decode_stream, encode_frame, encode_ingest, microbench_programs, record_program,
+    decode_stream, encode_frame, encode_ingest, program_names, record_program, replay_bytes,
     replay_trace, Frame, Program, ReplayConfig, StreamDecoder, Trace, TraceRecord,
 };
-use jinn::serve::{Daemon, Query, QueryItem, QueryKind, ServeConfig, SessionState};
+use jinn::serve::{Daemon, Query, QueryItem, QueryKind, ServeConfig, SessionState, SessionStats};
 
 fn corpus_bytes(name: &str) -> Vec<u8> {
     let path = format!("{}/tests/corpus/{name}.jtrace", env!("CARGO_MANIFEST_DIR"));
@@ -25,11 +25,7 @@ fn corpus_bytes(name: &str) -> Vec<u8> {
 }
 
 fn corpus_names() -> Vec<String> {
-    microbench_programs()
-        .iter()
-        .chain(case_studies().iter())
-        .map(|p| p.name.clone())
-        .collect()
+    program_names()
 }
 
 /// The verdict multiset of one local replay: (machine, error_state,
@@ -918,21 +914,31 @@ fn frame_stream_corruption_is_contained_to_its_connection() {
     daemon.shutdown();
 }
 
-/// Rewrites one field of a single-raw-record event in a corpus trace and
-/// re-seals it: the first record tagged `tag` (`TRACE_FORMAT.md`) that
-/// introduces no intern definitions gets its `field`-th varint after
-/// the tag replaced by `value`.
-fn reseal_with_field(bytes: &[u8], tag: u8, field: usize, value: u64) -> Vec<u8> {
+/// The byte span `[start, end)` of the first record tagged `tag`
+/// (`TRACE_FORMAT.md`) that introduces no intern definitions, with the
+/// trace's decoded records.
+fn raw_record_span(bytes: &[u8], tag: u8) -> (Vec<(TraceRecord, usize, u64)>, usize, usize) {
     let records = records_of(bytes);
     let at = (1..records.len())
         .find(|&i| records[i].2 - records[i - 1].2 == 1 && bytes[records[i - 1].1] == tag)
         .expect("an event record with this tag");
-    let start = records[at - 1].1;
+    let (start, end) = (records[at - 1].1, records[at].1);
+    (records, start, end)
+}
+
+/// The end of the varint starting at `pos`.
+fn varint_end(bytes: &[u8], pos: usize) -> usize {
+    pos + bytes[pos..].iter().position(|b| b & 0x80 == 0).unwrap() + 1
+}
+
+/// Rewrites one field of a single-raw-record event in a corpus trace and
+/// re-seals it: the record [`raw_record_span`] finds gets its `field`-th
+/// varint after the tag replaced by `value`.
+fn reseal_with_field(bytes: &[u8], tag: u8, field: usize, value: u64) -> Vec<u8> {
+    let (records, start, _) = raw_record_span(bytes, tag);
     let mut pos = start + 1;
-    let varint_end =
-        |pos: usize| pos + bytes[pos..].iter().position(|b| b & 0x80 == 0).unwrap() + 1;
     for _ in 0..field {
-        pos = varint_end(pos);
+        pos = varint_end(bytes, pos);
     }
     let mut body = bytes[..pos].to_vec();
     let mut v = value;
@@ -946,13 +952,36 @@ fn reseal_with_field(bytes: &[u8], tag: u8, field: usize, value: u64) -> Vec<u8>
         body.push(byte | 0x80);
     }
     let &(_, end_pos, raw) = records.last().expect("records decoded");
-    body.extend_from_slice(&bytes[varint_end(pos)..end_pos]);
+    body.extend_from_slice(&bytes[varint_end(bytes, pos)..end_pos]);
     seal_records(body, raw)
+}
+
+const JNI_ENTER: u8 = 0x06;
+
+/// Streams `trace` into `daemon` as session `id` under `configs` on a
+/// client thread of its own and waits for the session's terminal state,
+/// so a panic or a wedged worker fails the test instead of hanging it.
+fn run_session(daemon: &Daemon, id: u64, configs: &str, trace: &[u8]) -> SessionStats {
+    let handle = daemon.handle();
+    let frames = decode_stream(&encode_ingest(id, "t", configs, trace, 64)).unwrap();
+    let (tx, rx) = std::sync::mpsc::channel();
+    let client = thread::spawn(move || {
+        for frame in &frames {
+            if handle.apply_frame(frame).is_err() {
+                break;
+            }
+        }
+        let _ = tx.send(handle.wait_session(id).expect("session exists"));
+    });
+    let stats = rx
+        .recv_timeout(std::time::Duration::from_secs(30))
+        .unwrap_or_else(|e| panic!("session {id} never finished: {e}"));
+    client.join().expect("client thread");
+    stats
 }
 
 #[test]
 fn hostile_ids_quarantine_live_and_retained_sessions_alike() {
-    const JNI_ENTER: u8 = 0x06;
     const NATIVE_ENTER: u8 = 0x08;
     let bytes = corpus_bytes("LocalRefDangling");
     // JniEnter is (thread, presented env, func, ...); NativeEnter is
@@ -975,30 +1004,10 @@ fn hostile_ids_quarantine_live_and_retained_sessions_alike() {
         streaming_sessions: 0,
         ..ServeConfig::default()
     });
-    // Each session is driven on a thread of its own, so a panic or a
-    // wedged worker fails the test instead of hanging it.
-    let run = |daemon: &Daemon, id: u64, trace: &[u8]| {
-        let handle = daemon.handle();
-        let frames = decode_stream(&encode_ingest(id, "t", "jinn", trace, 64)).unwrap();
-        let (tx, rx) = std::sync::mpsc::channel();
-        let client = thread::spawn(move || {
-            for frame in &frames {
-                if handle.apply_frame(frame).is_err() {
-                    break;
-                }
-            }
-            let _ = tx.send(handle.wait_session(id).expect("session exists"));
-        });
-        let stats = rx
-            .recv_timeout(std::time::Duration::from_secs(30))
-            .unwrap_or_else(|e| panic!("session {id} never finished: {e}"));
-        client.join().expect("client thread");
-        stats
-    };
     for (i, (what, trace)) in hostile.iter().enumerate() {
         let id = 10 + i as u64;
-        let on_live = run(&live, id, trace);
-        let on_retained = run(&retaining, id, trace);
+        let on_live = run_session(&live, id, "jinn", trace);
+        let on_retained = run_session(&retaining, id, "jinn", trace);
         assert_eq!(on_live.state, SessionState::Quarantined, "{what}: live");
         assert_eq!(
             on_retained.state,
@@ -1010,9 +1019,80 @@ fn hostile_ids_quarantine_live_and_retained_sessions_alike() {
         assert!(reason.contains("corrupt trace"), "{what}: {reason}");
     }
     for daemon in [&live, &retaining] {
-        let stats = run(daemon, 99, &bytes);
+        let stats = run_session(daemon, 99, "jinn", &bytes);
         assert_eq!(stats.state, SessionState::Judged, "{:?}", stats.reason);
     }
     live.shutdown();
     retaining.shutdown();
+}
+
+/// Every one-field mutation of each corpus trace's first intern-free
+/// `JniEnter` (its first 8 varint fields, each set to a few small and
+/// boundary values) replays under Jinn without a panic: arguments that
+/// do not fit the function are a corrupt trace, not a panic in the raw
+/// JNI semantics.
+#[test]
+fn mutated_jni_enter_fields_never_panic_replay() {
+    const VALUES: [u64; 7] = [0, 1, 2, 3, 60_000, u32::MAX as u64, u64::MAX];
+    let jinn = ReplayConfig::parse("jinn").unwrap();
+    let mut cases = 0;
+    let mut panics = Vec::new();
+    for name in corpus_names() {
+        let bytes = corpus_bytes(&name);
+        let (_, start, end) = raw_record_span(&bytes, JNI_ENTER);
+        let mut pos = start + 1;
+        for field in 0..8 {
+            if pos >= end {
+                break;
+            }
+            pos = varint_end(&bytes, pos);
+            for value in VALUES {
+                let mutated = reseal_with_field(&bytes, JNI_ENTER, field, value);
+                cases += 1;
+                if std::panic::catch_unwind(|| replay_bytes(&mutated, &jinn)).is_err() {
+                    panics.push(format!("{name}: field {field} = {value}"));
+                }
+            }
+        }
+    }
+    assert!(
+        panics.is_empty(),
+        "{} of {cases} mutations panicked: {panics:?}",
+        panics.len()
+    );
+}
+
+/// Hostile `JniEnter` arguments cannot wedge a default daemon. Multi-config
+/// sessions are retained and judged on the workers; four hostile ones
+/// (as many as `ServeConfig::default()` has workers) must each be
+/// quarantined, and a clean session sent after them must be judged.
+#[test]
+fn hostile_arguments_do_not_wedge_a_default_daemon() {
+    let daemon = Daemon::start(ServeConfig::default());
+    // Field 2 is the function id; field 4 the first argument's tag.
+    let hostile = [
+        ("LocalRefDangling", 2, 1),
+        ("CriticalCall", 2, 1),
+        ("GlobalLeak", 2, 2),
+        ("ExceptionState", 4, 1),
+    ];
+    for (i, &(name, field, value)) in hostile.iter().enumerate() {
+        let trace = reseal_with_field(&corpus_bytes(name), JNI_ENTER, field, value);
+        let stats = run_session(&daemon, 10 + i as u64, "jinn,xcheck", &trace);
+        let what = format!("{name} field {field} = {value}");
+        assert_eq!(stats.state, SessionState::Quarantined, "{what}");
+        let reason = stats.reason.unwrap_or_default();
+        assert!(
+            reason.starts_with("unreadable trace: corrupt trace"),
+            "{what}: {reason}"
+        );
+    }
+    let clean = run_session(
+        &daemon,
+        99,
+        "jinn,xcheck",
+        &corpus_bytes("LocalRefDangling"),
+    );
+    assert_eq!(clean.state, SessionState::Judged, "{:?}", clean.reason);
+    daemon.shutdown();
 }

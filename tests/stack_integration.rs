@@ -403,3 +403,52 @@ fn exception_propagates_from_java_through_c_to_java() {
         other => panic!("expected uncaught exception, got {other:?}"),
     }
 }
+
+/// `run_native` delivers an uncaught or checker exception to its caller
+/// and clears it, as a Java caller's `catch` would: a second run in the
+/// same session starts with no stale pending exception and ends the same
+/// way as the first.
+#[test]
+fn a_delivered_exception_does_not_leak_into_the_next_run() {
+    let mut vm = Vm::permissive();
+    let (_c, throws) = vm.define_native_class(
+        "leak/Throws",
+        "m",
+        "()V",
+        true,
+        Rc::new(|env, _| {
+            let class = typed::find_class(env, "java/lang/RuntimeException")?;
+            typed::throw_new(env, class, "boom")?;
+            Err(JniError::Exception)
+        }),
+    );
+    let (_c, double_free) = vm.define_native_class(
+        "leak/DoubleFree",
+        "m",
+        "()V",
+        true,
+        Rc::new(|env, _| {
+            let s = typed::new_string_utf(env, "x")?;
+            typed::delete_local_ref(env, s)?;
+            typed::delete_local_ref(env, s)?;
+            Ok(JValue::Void)
+        }),
+    );
+    let thread = vm.jvm().main_thread();
+    let mut session = Session::new(vm);
+    jinn::core::install(&mut session);
+    for entry in [throws, double_free] {
+        let first = session.run_native(thread, entry, &[]);
+        assert!(
+            matches!(
+                first,
+                RunOutcome::UncaughtException(_) | RunOutcome::CheckerException(_)
+            ),
+            "{first:?}"
+        );
+        let pending = session.vm().jvm().thread(thread).pending_exception();
+        assert!(pending.is_none(), "exception left pending after {first:?}");
+        let second = session.run_native(thread, entry, &[]);
+        assert_eq!(second, first);
+    }
+}

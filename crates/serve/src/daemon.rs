@@ -51,11 +51,13 @@ pub struct ServeConfig {
     pub default_configs: String,
     /// Ring capacity of the per-session replay recorder.
     pub recorder_ring: usize,
-    /// Caps executor threads: sessions a live executor replays while
-    /// they upload. A single-config session opened while a slot is free
-    /// is replayed live; every other session (all of them at `0`) keeps
-    /// its bytes until a worker judges it. Every session decodes through
-    /// the same scanner either way.
+    /// Caps live sessions, and so executor threads. A single-config
+    /// session opened while a slot is free is live: it decodes as it
+    /// uploads, and an executor thread replays it only while its upload
+    /// is still arriving (a trace that arrives whole in one `Append` is
+    /// replayed by the worker, with no thread). Every other session (all
+    /// of them at `0`) keeps its bytes until a worker judges it. Every
+    /// session decodes through the same scanner either way.
     pub streaming_sessions: usize,
 }
 
@@ -158,6 +160,8 @@ pub(crate) struct Shared {
     /// Each tenant's declared call-site set (the manifest audit).
     manifests: Mutex<HashMap<String, Arc<BTreeSet<String>>>>,
     streams: Mutex<Streams>,
+    /// Replay and judge panics contained so far (`FleetStats`).
+    contained_panics: AtomicU64,
     next_auto: AtomicU64,
     shutting_down: AtomicBool,
 }
@@ -221,6 +225,7 @@ impl Daemon {
             pool: EnginePool::new(jinn_spec::machines()),
             manifests: Mutex::new(HashMap::new()),
             streams: Mutex::new(Streams::default()),
+            contained_panics: AtomicU64::new(0),
             next_auto: AtomicU64::new(AUTO_SESSION_BASE),
             shutting_down: AtomicBool::new(false),
             config,
@@ -285,7 +290,13 @@ fn worker_loop(shared: &Arc<Shared>) {
         };
         let manifest = shared.manifest(&tenant);
         let max_events = shared.config.max_events_per_session;
-        let judged = stream.collect(&tenant, manifest.as_deref(), &shared.pool, max_events);
+        let judged = stream.collect(
+            &tenant,
+            manifest.as_deref(),
+            &shared.pool,
+            max_events,
+            &shared.contained_panics,
+        );
         match judged {
             Ok(out) => shared.table.finish(id, out),
             Err(reason) => shared.table.fail(id, &reason),
@@ -525,7 +536,10 @@ impl DaemonHandle {
 
     /// Fleet counters.
     pub fn fleet(&self) -> FleetStats {
-        self.shared.table.fleet()
+        FleetStats {
+            contained_panics: self.shared.contained_panics.load(Ordering::Relaxed),
+            ..self.shared.table.fleet()
+        }
     }
 
     /// Engine-pool counters: machines per set and leases taken.

@@ -20,16 +20,22 @@
 //!   queue of sealed sessions. A single-config session opened while a
 //!   `streaming_sessions` slot is free is *live*: its decoder drains as
 //!   bytes arrive (only the undecoded tail stays resident) into a replay
-//!   executor, so the worker joins an already-computed result. Every
-//!   other session is *retained*: its bytes stay in the decoder until a
-//!   worker drains it into a trace and replays it under each config
+//!   feed. While the upload is still arriving, an executor thread
+//!   replays the feed, so the worker joins an already-computed result;
+//!   a trace that arrives whole in one `Append` spawns no thread, and
+//!   the worker replays its finished feed inline. Every other session
+//!   is *retained*: its bytes stay in the decoder until a worker drains
+//!   it into a trace and replays it under each config
 //!   ([`judge_trace`]). Compiled check tables are cloned from a
 //!   process-wide synthesis cache, and per-machine entity rollups run on
 //!   fresh single-threaded engines leased at judging from one machine
 //!   set compiled at start ([`jinn_fsm::EnginePool`]). Corrupt input —
 //!   frame checksum mismatch, seal mismatch, unreadable trace, a JNI
 //!   function or thread id that does not exist — quarantines the one
-//!   poisoned session and never stalls the fleet; a live verdict is
+//!   poisoned session and never stalls the fleet. So does a panic in
+//!   replay or judging: it is contained, quarantines its session as
+//!   `replay under … panicked` and counts in
+//!   [`FleetStats::contained_panics`]. A live verdict is
 //!   never observable before seal verification passes (`streaming`
 //!   module docs, DESIGN.md §13 and §16).
 //! * **Verdict/history store with retention** — per-session verdicts,

@@ -310,6 +310,7 @@ fn handle_request(line: &str, handle: &DaemonHandle) -> String {
                 .num("outside_manifest_sessions", f.outside_manifest_sessions)
                 .num("streamed_sessions", f.streamed_sessions)
                 .num("buffered_bytes_high_water", f.buffered_bytes_high_water)
+                .num("contained_panics", f.contained_panics)
                 .num("pool_leases", handle.pool_stats().leases)
                 .build()
         }

@@ -214,6 +214,11 @@ pub struct FleetStats {
     /// so this is the figure the streaming bench's peak-resident-bytes
     /// comparison reads.
     pub buffered_bytes_high_water: u64,
+    /// Panics in replay or judging that the daemon contained: each
+    /// quarantined its session as `replay under … panicked`, and the
+    /// worker lived on. The daemon counts these, not the table:
+    /// [`SessionTable::fleet`] leaves it `0`.
+    pub contained_panics: u64,
 }
 
 /// An `(offset, len)` slice of a [`History`]'s text.
@@ -515,7 +520,10 @@ struct Session {
 }
 
 struct TableInner {
-    sessions: HashMap<SessionId, Session>,
+    /// Boxed so the map's buckets stay two words: insert/remove churn
+    /// at the record cap makes the map rehash into twice the buckets it
+    /// needs, and an inline record made that step cost ~16 MiB resident.
+    sessions: HashMap<SessionId, Box<Session>>,
     /// Terminal sessions by `(opened_seq, id)`: record-eviction order.
     terminal: BTreeSet<(u64, SessionId)>,
     /// Sessions holding history by `(opened_seq, id)`: purge order.
@@ -641,7 +649,7 @@ impl SessionTable {
         t.live += 1;
         t.sessions.insert(
             id,
-            Session {
+            Box::new(Session {
                 opened_seq,
                 tenant: tenant.into(),
                 configs: configs.into_boxed_slice(),
@@ -664,7 +672,7 @@ impl SessionTable {
                 divergences: 0,
                 summaries_dropped: 0,
                 bytes_received: 0,
-            },
+            }),
         );
         self.changed.notify_all();
         Ok(())
@@ -673,6 +681,7 @@ impl SessionTable {
     fn session_mut(t: &mut TableInner, id: SessionId) -> Result<&mut Session, ServeError> {
         t.sessions
             .get_mut(&id)
+            .map(|s| &mut **s)
             .ok_or(ServeError::UnknownSession(id))
     }
 

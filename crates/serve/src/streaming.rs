@@ -4,17 +4,22 @@
 //! Each session owns a resumable record-granularity scanner
 //! ([`StreamDecoder`]) that every `Append` feeds, and whose running
 //! length and checksum verify the `Seal` declaration in O(1). The one
-//! decision left is whether an executor replays the session while it
-//! uploads:
+//! decision left, made at `Open`, is whether the session is decoded and
+//! replayed while it uploads:
 //!
 //! - **Live** (a single-config session opened while a
 //!   `streaming_sessions` slot is free): each `Append` is decoded as it
 //!   arrives, its bytes released as they decode (only the undecoded tail
-//!   stays resident), and the event records piped into a live replay
-//!   executor thread ([`run_live_replay`]) via an [`EventFeed`]. By
-//!   `Seal` the replay has usually kept pace, so seal-to-verdict work is
-//!   draining the tail, joining the executor, and rolling the recorder up
-//!   through fresh engines leased then.
+//!   stays resident), and the event records folded into an
+//!   [`EventFeed`]. An `Append` that routes events while the upload is
+//!   still arriving (no `End` decoded yet) spawns a replay executor
+//!   thread ([`run_live_replay`]) on the feed, so replay overlaps the
+//!   rest of the upload; by `Seal` it has usually kept pace, and
+//!   seal-to-verdict work is draining the tail and joining it. A session
+//!   whose first event-bearing `Append` also carried `End` has nothing
+//!   left to overlap: it spawns no thread, and the worker runs the same
+//!   replay inline on the finished feed. Either way the recorder is
+//!   rolled up through fresh engines leased at `Seal`.
 //! - **Retained** (every other session): `Append`s go into the same
 //!   decoder without being drained, so the wire bytes stay resident and
 //!   are charged to the buffered-bytes budgets. The worker drains the
@@ -45,11 +50,19 @@
 //! A structurally invalid event stream (an unbalanced exit, say) stops
 //! the feed and fails the session with `replay under … failed: …`.
 //!
+//! A panic in replay or judging, on the executor or on the worker, is
+//! contained ([`contain`]): the session is quarantined with `replay
+//! under {label} panicked` (a retained session's first config names
+//! it), the daemon counts it in `FleetStats::contained_panics`, and the
+//! worker lives on.
+//!
 //! The manifest audit is decided at seal: the session is flagged
 //! `outside_manifest` when its (now complete) call-site set leaves the
 //! tenant's declared manifest.
 
 use std::collections::BTreeSet;
+use std::panic::{self, AssertUnwindSafe};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 
@@ -72,9 +85,10 @@ pub(crate) struct StreamingSession {
     session: SessionId,
     configs: Vec<ReplayConfig>,
     recorder_ring: usize,
-    /// Whether an executor replays the session while it uploads; fixed
-    /// at `Open`. Kept outside the mutex so the stream registry can read
-    /// it while a worker holds the lock through a join.
+    /// Whether the session decodes as it uploads, replayed by an
+    /// executor while the upload is unfinished; fixed at `Open`. Kept
+    /// outside the mutex so the stream registry can read it while a
+    /// worker holds the lock through a join.
     live: bool,
     inner: Mutex<StreamInner>,
 }
@@ -98,6 +112,8 @@ struct LiveState {
     /// The call-site set, accumulated record-by-record during ingest for
     /// the seal-time manifest and discharge audits.
     called: BTreeSet<String>,
+    /// Spawned only while the upload is still arriving; `None` means
+    /// the worker replays inline at collect.
     executor: Option<JoinHandle<Result<ReplayOutcome, TraceError>>>,
     decode_error: Option<TraceError>,
     /// A structurally invalid event; feeding stopped at it.
@@ -106,8 +122,10 @@ struct LiveState {
 
 impl StreamingSession {
     /// Starts the scanner. A live session's executor thread is spawned
-    /// lazily at the first *event* record — only then is the setup
-    /// section known complete (a later setup record is a decode error).
+    /// later, if at all: at the end of an `ingest` that routed events
+    /// while `End` is still to come. Only once an event has arrived is
+    /// the setup section known complete (a later setup record is a
+    /// decode error).
     pub(crate) fn start(
         session: SessionId,
         configs: Vec<ReplayConfig>,
@@ -145,19 +163,30 @@ impl StreamingSession {
         self.inner.lock().expect("streaming session poisoned")
     }
 
-    /// Whether an executor replays this session while it uploads.
+    /// Whether this session decodes as it uploads (and takes a
+    /// `streaming_sessions` slot).
     pub(crate) fn is_live(&self) -> bool {
         self.live
     }
 
     /// Feeds one `Append` chunk and returns the undecoded bytes — the
     /// ones still resident. A live session decodes and routes whatever
-    /// records the chunk completes; a retained one keeps every byte.
+    /// records the chunk completes, and starts its executor if events
+    /// are in while the upload is unfinished; a retained one keeps every
+    /// byte.
     pub(crate) fn ingest(&self, chunk: &[u8]) -> u64 {
         let g = &mut *self.lock();
         g.decoder.feed(chunk);
         if let Some(live) = &mut g.live {
-            live.drain(self.session, &mut g.decoder);
+            live.drain(&mut g.decoder);
+            if live.executor.is_none()
+                && live.saw_event
+                && live.decode_error.is_none()
+                && live.replay_error.is_none()
+                && !g.decoder.is_finished()
+            {
+                live.spawn_executor(self.session);
+            }
         }
         g.decoder.pending()
     }
@@ -187,7 +216,7 @@ impl StreamingSession {
     pub(crate) fn finalize(&self) {
         let g = &mut *self.lock();
         if let Some(live) = &mut g.live {
-            live.drain(self.session, &mut g.decoder);
+            live.drain(&mut g.decoder);
             if live.decode_error.is_none() {
                 if let Err(e) = g.decoder.finish() {
                     live.decode_error = Some(e);
@@ -197,36 +226,43 @@ impl StreamingSession {
         }
     }
 
-    /// Worker entry after `Seal`. A live session joins its executor and
-    /// publishes its (no-longer-speculative) outcome; a retained one is
-    /// decoded into a [`Trace`] and judged under every config.
+    /// Worker entry after `Seal`. A live session joins its executor, or
+    /// replays inline when it has none, and publishes its
+    /// (no-longer-speculative) outcome; a retained one is decoded into a
+    /// [`Trace`] and judged under every config. A panic anywhere in here
+    /// is contained and counted in `panics`.
     ///
     /// # Errors
     ///
     /// A quarantine reason: `unreadable trace: …` for a decode error,
-    /// `replay under … failed: …` for a structurally impossible replay.
+    /// `replay under … failed: …` for a structurally impossible replay,
+    /// `replay under … panicked` for a contained panic.
     pub(crate) fn collect(
         &self,
         tenant: &str,
         manifest: Option<&BTreeSet<String>>,
         pool: &EnginePool<u64>,
         max_events: usize,
+        panics: &AtomicU64,
     ) -> Result<JudgeOutput, String> {
-        let g = &mut *self.lock();
-        if let Some(live) = &mut g.live {
-            return live.collect(self.session, tenant, manifest, pool, max_events);
-        }
-        let trace = decode(&mut g.decoder).map_err(|e| format!("unreadable trace: {e}"))?;
-        judge_trace(
-            &trace,
-            self.session,
-            tenant,
-            &self.configs,
-            pool,
-            manifest,
-            self.recorder_ring,
-            max_events,
-        )
+        let judged = panic::catch_unwind(AssertUnwindSafe(|| {
+            let g = &mut *self.lock();
+            if let Some(live) = &mut g.live {
+                return live.collect(self.session, tenant, manifest, pool, max_events, panics);
+            }
+            let trace = decode(&mut g.decoder).map_err(|e| format!("unreadable trace: {e}"))?;
+            judge_trace(
+                &trace,
+                self.session,
+                tenant,
+                &self.configs,
+                pool,
+                manifest,
+                self.recorder_ring,
+                max_events,
+            )
+        }));
+        contain(judged, &self.configs[0].label(), panics)?
     }
 
     /// Tears the session down without publishing anything: quarantine,
@@ -242,6 +278,20 @@ impl StreamingSession {
             }
         }
     }
+}
+
+/// The one containment of a replay panic, for the live executor's join
+/// and the worker's collect alike: a caught panic becomes the quarantine
+/// reason `replay under {label} panicked` and is counted in `panics`.
+fn contain<R>(
+    caught: std::thread::Result<R>,
+    label: &str,
+    panics: &AtomicU64,
+) -> Result<R, String> {
+    caught.map_err(|_| {
+        panics.fetch_add(1, Ordering::Relaxed);
+        format!("replay under {label} panicked")
+    })
 }
 
 /// Drains a retained session's decoder into a [`Trace`], with
@@ -260,12 +310,12 @@ fn decode(decoder: &mut StreamDecoder) -> Result<Trace, TraceError> {
 }
 
 impl LiveState {
-    fn drain(&mut self, session: SessionId, decoder: &mut StreamDecoder) {
+    fn drain(&mut self, decoder: &mut StreamDecoder) {
         loop {
             match decoder.next_record() {
                 // Past a decode error nothing is judged; later records
                 // are decoded only to release their bytes.
-                Ok(Some(rec)) if self.decode_error.is_none() => self.route(session, rec),
+                Ok(Some(rec)) if self.decode_error.is_none() => self.route(rec),
                 Ok(Some(_)) => {}
                 Ok(None) => break,
                 Err(e) => {
@@ -286,16 +336,13 @@ impl LiveState {
         }
     }
 
-    fn route(&mut self, session: SessionId, rec: TraceRecord) {
+    fn route(&mut self, rec: TraceRecord) {
         let event = match self.setup.absorb_setup(rec, self.saw_event) {
             Ok(Some(event)) => event,
             Ok(None) => return,
             Err(e) => return self.fail_decode(e),
         };
-        if !self.saw_event {
-            self.saw_event = true;
-            self.spawn_executor(session);
-        }
+        self.saw_event = true;
         if let TraceRecord::JniEnter { func, .. } = &event {
             let name = minijni::FuncId(*func).name();
             if !self.called.contains(name) {
@@ -323,8 +370,9 @@ impl LiveState {
     }
 
     /// Joins the executor and builds the session's rows with the same
-    /// helpers [`judge_trace`] uses. A trace that streamed no events has
-    /// no executor; its replay runs here, on the finished feed.
+    /// helpers [`judge_trace`] uses. A session without an executor (its
+    /// events all arrived with `End`, or it streamed none) replays here,
+    /// on the finished feed.
     fn collect(
         &mut self,
         session: SessionId,
@@ -332,16 +380,19 @@ impl LiveState {
         manifest: Option<&BTreeSet<String>>,
         pool: &EnginePool<u64>,
         max_events: usize,
+        panics: &AtomicU64,
     ) -> Result<JudgeOutput, String> {
         if let Some(e) = &self.decode_error {
             return Err(format!("unreadable trace: {e}"));
         }
         let label = self.config.label();
-        let joined = self.executor.take().map(JoinHandle::join);
+        let joined = self
+            .executor
+            .take()
+            .map(|h| contain(h.join(), &label, panics));
         let replayed = match (self.replay_error.take(), joined) {
             (Some(e), _) => Err(e),
-            (None, Some(Ok(result))) => result,
-            (None, Some(Err(_))) => return Err(format!("replay under {label} panicked")),
+            (None, Some(joined)) => joined?,
             (None, None) => {
                 run_live_replay(&self.setup, &self.config, Some(&self.recorder), &self.feed)
             }
@@ -371,12 +422,33 @@ impl LiveState {
 mod tests {
     use super::*;
 
+    /// The largest corpus trace: 1576 bytes, several native calls.
+    const TRACE: &[u8] = include_bytes!("../../../tests/corpus/SvnInfoCallback.jtrace");
+
+    fn jinn() -> ReplayConfig {
+        ReplayConfig::parse("jinn").unwrap()
+    }
+
+    fn has_executor(stream: &StreamingSession) -> bool {
+        let g = stream.lock();
+        g.live.as_ref().expect("a live session").executor.is_some()
+    }
+
+    /// Seals and collects a live session the way a worker does.
+    fn seal_and_collect(stream: &StreamingSession, pool: &EnginePool<u64>) -> String {
+        stream.finalize();
+        let panics = AtomicU64::new(0);
+        let out = stream.collect("t", None, pool, 16, &panics).unwrap();
+        assert_eq!(panics.load(Ordering::Relaxed), 0);
+        format!("{out:?}")
+    }
+
     fn retained_reason(bytes: &[u8]) -> String {
-        let configs = vec![ReplayConfig::parse("jinn").unwrap()];
-        let stream = StreamingSession::start(1, configs, 64, false);
+        let stream = StreamingSession::start(1, vec![jinn()], 64, false);
         assert_eq!(stream.ingest(bytes), bytes.len() as u64, "retained");
         let pool = EnginePool::new(jinn_spec::machines());
-        stream.collect("t", None, &pool, 16).unwrap_err()
+        let panics = AtomicU64::new(0);
+        stream.collect("t", None, &pool, 16, &panics).unwrap_err()
     }
 
     #[test]
@@ -385,5 +457,67 @@ mod tests {
             let batch = Trace::parse(bytes).unwrap_err();
             assert_eq!(retained_reason(bytes), format!("unreadable trace: {batch}"));
         }
+    }
+
+    /// A whole upload in one `Append` decodes `End` in the same ingest
+    /// that routes its events, so it spawns no executor and replays
+    /// inline at collect, with `judge_trace`'s output for the same
+    /// bytes. Fed in 64-byte chunks, the same trace gets its executor
+    /// at the first chunk that routes an event, and judges the same.
+    #[test]
+    fn only_an_unfinished_upload_spawns_an_executor() {
+        let pool = EnginePool::new(jinn_spec::machines());
+        let judged = judge_trace(
+            &Trace::parse(TRACE).unwrap(),
+            1,
+            "t",
+            &[jinn()],
+            &pool,
+            None,
+            64,
+            16,
+        )
+        .unwrap();
+        let judged = format!("{judged:?}");
+
+        let whole = StreamingSession::start(1, vec![jinn()], 64, true);
+        assert_eq!(
+            whole.ingest(TRACE),
+            0,
+            "a live session keeps no decoded bytes"
+        );
+        assert!(!has_executor(&whole), "a finished upload spawns no thread");
+        assert_eq!(seal_and_collect(&whole, &pool), judged);
+
+        let chunked = StreamingSession::start(1, vec![jinn()], 64, true);
+        let mut chunks = TRACE.chunks(64);
+        for chunk in chunks.by_ref() {
+            chunked.ingest(chunk);
+            if chunked.lock().live.as_ref().unwrap().saw_event {
+                break;
+            }
+        }
+        assert!(chunks.len() > 0, "events arrive before the last chunk");
+        assert!(
+            has_executor(&chunked),
+            "an unfinished upload replays on its executor"
+        );
+        for chunk in chunks {
+            chunked.ingest(chunk);
+        }
+        assert_eq!(seal_and_collect(&chunked, &pool), judged);
+    }
+
+    #[test]
+    fn a_contained_panic_is_a_counted_quarantine_reason() {
+        let panics = AtomicU64::new(0);
+        let caught = panic::catch_unwind(|| -> u32 { panic!("replay blew up") });
+        assert_eq!(
+            contain(caught, "jinn", &panics),
+            Err("replay under jinn panicked".to_string())
+        );
+        assert_eq!(panics.load(Ordering::Relaxed), 1);
+        assert_eq!(contain(Ok(7), "jinn", &panics), Ok(7));
+        assert_eq!(panics.load(Ordering::Relaxed), 1, "only panics count");
     }
 }

@@ -409,6 +409,8 @@ impl Model {
         FleetStats {
             live: self.live,
             history_bytes: self.history_bytes as u64,
+            // The daemon counts contained panics; the table never sees one.
+            contained_panics: 0,
             ..self.fleet
         }
     }

@@ -353,9 +353,18 @@ fn declared_manifests_flag_without_changing_verdicts_across_corpus() {
 /// (`buffered_bytes_high_water`). Every unreadable-trace reason is pinned
 /// to the batch parser: `unreadable trace: ` and `Trace::parse`'s error
 /// for the uploaded bytes.
+///
+/// The corpus runs twice: each trace uploaded whole in one `Append` (a
+/// live session that spawns no executor thread and replays inline at
+/// collect) and in 64-byte chunks (a live session whose executor
+/// replays while the rest uploads).
 #[test]
 fn streaming_daemon_matches_buffered_daemon_across_corpus() {
-    const CHUNK: usize = 512; // small chunks: many incremental-decode resume points
+    streaming_matches_buffered(usize::MAX);
+    streaming_matches_buffered(64);
+}
+
+fn streaming_matches_buffered(chunk: usize) {
     const CORRUPT: u64 = 1000; // flipped byte, stale seal declaration
     const UNREADABLE: u64 = 2000; // flipped byte, *honest* seal declaration
     const ABORTED: u64 = 3000;
@@ -404,7 +413,7 @@ fn streaming_daemon_matches_buffered_daemon_across_corpus() {
         (err, h.wait_session(id).expect("session exists"))
     };
     let clean = |id: u64, tenant: &str, bytes: &[u8]| {
-        decode_stream(&encode_ingest(id, tenant, "jinn", bytes, CHUNK)).unwrap()
+        decode_stream(&encode_ingest(id, tenant, "jinn", bytes, chunk)).unwrap()
     };
     let flip_mid_append = |frames: &mut [Frame]| {
         let mid = frames.len() / 2;
@@ -548,22 +557,25 @@ fn streaming_daemon_matches_buffered_daemon_across_corpus() {
         }
     }
 
-    // Live replay really ran, and it held less resident than retaining:
-    // the retaining daemon's high-water is at least one whole trace, the
-    // live daemon's only the undecoded tail of an in-flight chunk.
+    // Live replay really ran, and with chunked uploads it held less
+    // resident than retaining: the retaining daemon's high-water is at
+    // least one whole trace, the live daemon's only the undecoded tail
+    // of an in-flight chunk. A whole-trace `Append` is charged in full
+    // on both daemons before it decodes.
     let sf = sh.fleet();
     let bf = bh.fleet();
     assert_eq!(sf.judged, bf.judged);
     assert_eq!(sf.quarantined, bf.quarantined);
     assert_eq!(sf.streamed_sessions, 2 * traces.len() as u64);
     assert_eq!(bf.streamed_sessions, 0);
+    assert_eq!((sf.contained_panics, bf.contained_panics), (0, 0));
     let max_len = traces.iter().map(|(_, b)| b.len() as u64).max().unwrap();
     assert!(
         bf.buffered_bytes_high_water >= max_len,
         "retaining daemon must hold a whole trace at seal"
     );
     assert!(
-        sf.buffered_bytes_high_water < bf.buffered_bytes_high_water,
+        chunk as u64 >= max_len || sf.buffered_bytes_high_water < bf.buffered_bytes_high_water,
         "live daemon held {} resident bytes, retaining {}",
         sf.buffered_bytes_high_water,
         bf.buffered_bytes_high_water

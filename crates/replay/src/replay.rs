@@ -203,9 +203,9 @@ pub fn replay_trace(trace: &Trace, config: &Config) -> Result<ReplayOutcome, Tra
 /// Like [`replay_trace`], but with a live [`jinn_obs::Recorder`] wired
 /// into the replayed session *before* the checker stack attaches, so
 /// FSM-transition and verdict events from the re-judged execution land
-/// in the caller's ring. This is the `jinn-serve` seam: each ingest
-/// worker hands the daemon's per-session recorder in and reads event
-/// summaries back out of it.
+/// in the caller's ring. `jinn-serve` does not call it: its judge feeds
+/// [`run_live_replay`] directly, with the session's recorder wired into
+/// the first config, and reads event summaries back out of it.
 ///
 /// # Errors
 ///
@@ -561,6 +561,9 @@ impl LiveFeeder {
 struct Counters {
     events_replayed: u64,
     divergences: u64,
+    /// The first recorded throw of a class the replayed VM does not
+    /// have: the trace is corrupt.
+    unregistered_throw: Option<String>,
 }
 
 fn make_native_body(
@@ -607,7 +610,16 @@ fn make_managed_body(
     Rc::new(
         move |env: &mut JniEnv<'_>, _args: &[JValue]| match feed.pop_managed(method) {
             Some(ManagedRec::Return(v)) => Ok(v),
-            Some(ManagedRec::Threw { class, message }) => Err(env.java_throw(&class, &message)),
+            Some(ManagedRec::Threw { class, message })
+                if env.jvm().find_class(&class).is_some() =>
+            {
+                Err(env.java_throw(&class, &message))
+            }
+            Some(ManagedRec::Threw { class, .. }) => {
+                let mut counters = counters.borrow_mut();
+                counters.unregistered_throw.get_or_insert(class);
+                Ok(JValue::Void)
+            }
             Some(ManagedRec::Died | ManagedRec::Detected) | None => {
                 counters.borrow_mut().divergences += 1;
                 Ok(JValue::Void)
@@ -626,8 +638,10 @@ fn make_managed_body(
 ///
 /// # Errors
 ///
-/// [`TraceError::Corrupt`] when the setup section cannot be rebuilt or
-/// the feed held no top-level entry.
+/// [`TraceError::Corrupt`] when the setup section cannot be rebuilt,
+/// the feed held no top-level entry, an entry ran on a thread the trace
+/// never spawned, or a managed exit threw a class the world does not
+/// have.
 pub fn run_live_replay(
     setup: &Trace,
     config: &Config,
@@ -675,6 +689,11 @@ pub fn run_live_replay(
     let outcomes = run_entries(&mut session, setup.program(), tops);
     if let Some(thread) = stray {
         return Err(unspawned(thread));
+    }
+    if let Some(class) = counters.borrow_mut().unregistered_throw.take() {
+        return Err(TraceError::Corrupt(format!(
+            "managed exit throws unregistered class `{class}`"
+        )));
     }
     if outcomes.is_empty() {
         return Err(TraceError::Corrupt("trace has no top-level entries".into()));
@@ -831,5 +850,31 @@ mod tests {
         }
         let err = replay_trace(&trace, &Config::Jinn(Vendor::HotSpot)).unwrap_err();
         assert!(err.to_string().contains("unspawned thread 60000"), "{err}");
+    }
+
+    #[test]
+    fn throws_of_unregistered_classes_are_corrupt_not_a_panic() {
+        let mut trace =
+            Trace::parse(&record_program(&program_by_name("ExceptionState").unwrap())).unwrap();
+        let mut threw = 0;
+        for event in &mut trace.events {
+            if let TraceRecord::ManagedExit {
+                outcome: ManagedRec::Threw { class, .. },
+                ..
+            } = event
+            {
+                *class = "no/such/Throwable".to_string();
+                threw += 1;
+            }
+        }
+        assert!(threw > 0, "ExceptionState records a managed throw");
+        for config in standard_configs() {
+            let err = replay_trace(&trace, &config).unwrap_err();
+            assert!(
+                err.to_string()
+                    .contains("throws unregistered class `no/such/Throwable`"),
+                "{err}"
+            );
+        }
     }
 }

@@ -31,7 +31,10 @@ pub struct ServeConfig {
     pub workers: usize,
     /// Sealed sessions the queue holds before `seal` blocks.
     pub queue_capacity: usize,
-    /// Per-session ingest buffer cap (backpressure threshold).
+    /// Per-session upload cap: an `Append` that would take a session's
+    /// uploaded bytes past it fails with [`ServeError::Backpressure`].
+    /// It reads uploads, not resident bytes, because a live session
+    /// keeps what it decodes (setup records, interned strings).
     pub max_buffered_bytes: u64,
     /// Live sessions admitted at once; `open` past it fails with
     /// [`ServeError::FleetSaturated`].
@@ -326,21 +329,26 @@ impl DaemonHandle {
     ///
     /// # Errors
     ///
-    /// [`ServeError::BadConfig`] naming the first unknown label.
+    /// [`ServeError::BadConfig`] naming the first unknown label, or the
+    /// whole selection when it names no config (`","`, say).
     pub fn parse_configs(&self, selection: &str) -> Result<Vec<ReplayConfig>, ServeError> {
         let effective = if selection.trim().is_empty() {
             &self.shared.config.default_configs
         } else {
             selection
         };
-        effective
+        let configs: Vec<ReplayConfig> = effective
             .split(',')
             .map(str::trim)
             .filter(|s| !s.is_empty())
             .map(|label| {
                 ReplayConfig::parse(label).ok_or_else(|| ServeError::BadConfig(label.to_string()))
             })
-            .collect()
+            .collect::<Result<_, _>>()?;
+        if configs.is_empty() {
+            return Err(ServeError::BadConfig(effective.to_string()));
+        }
+        Ok(configs)
     }
 
     /// Opens a session with a client-chosen id.
@@ -361,7 +369,7 @@ impl DaemonHandle {
             .table
             .open(session, tenant, configs.clone(), live)?;
         let ring = self.shared.config.recorder_ring;
-        let stream = StreamingSession::start(session, configs, ring, live);
+        let stream = StreamingSession::start(session, &configs, ring, live);
         streams.sessions.insert(session, Arc::new(stream));
         streams.live += usize::from(live);
         Ok(())

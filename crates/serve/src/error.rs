@@ -19,12 +19,13 @@ pub enum ServeError {
         /// Its actual state, rendered.
         state: String,
     },
-    /// Per-session backpressure: the append would exceed the per-session
-    /// buffer cap. The client should drain (seal) or slow down.
+    /// Per-session backpressure: the append would take the bytes the
+    /// session has uploaded past the per-session cap. The client should
+    /// seal what it has sent.
     Backpressure {
         /// The addressed session.
         session: SessionId,
-        /// Bytes already buffered.
+        /// Bytes the session has already uploaded.
         buffered: u64,
         /// The per-session cap.
         cap: u64,
@@ -82,7 +83,7 @@ impl fmt::Display for ServeError {
                 cap,
             } => write!(
                 f,
-                "session {session} backpressure: {buffered} bytes buffered, cap {cap}"
+                "session {session} backpressure: {buffered} bytes uploaded, cap {cap}"
             ),
             ServeError::Quarantined { session, reason } => {
                 write!(f, "session {session} quarantined: {reason}")

@@ -1,29 +1,40 @@
-//! The worker side of ingest: re-judge a sealed session's decoded trace
-//! under the session's checker stack, and condense the results into
-//! history rows for the store.
+//! The one judge path: from a session's decoded records to the history
+//! rows it contributes to the store.
 //!
-//! One replay per configuration; the first configuration runs with a
-//! live [`Recorder`] wired in ([`jinn_replay::replay_trace_observed`])
-//! so the re-judged execution's events can be summarized for the query
-//! API. The session's FSM-transition stream is additionally re-applied
+//! Every session's [`Judge`] routes its setup records into a setup
+//! section and folds each event record into one replay feed per config
+//! as the record decodes: a live session's at each `Append`, a retained
+//! session's when a worker takes it, and [`judge_trace`]'s from a parsed
+//! trace. Judging replays every config on its finished feed
+//! ([`jinn_replay::run_live_replay`], the one replay fold), the first
+//! with a live [`Recorder`] wired in so the re-judged execution's events
+//! can be summarized for the query API. One function,
+//! [`Judge::judge`], builds the [`JudgeOutput`].
+//!
+//! The first config's recorded FSM-transition stream is also re-applied
 //! through fresh [`CompiledStore`] engines to produce per-machine entity
 //! rollups. The daemon's [`EnginePool`] compiles the spec machines once;
 //! each [`rollup_events`] call leases one new, empty engine per machine
-//! over those tables, owned by the calling worker alone. A live
-//! session's executor publishes through the same row helpers.
+//! over those tables, owned by the calling worker alone.
 //!
 //! [`CompiledStore`]: jinn_fsm::CompiledStore
 
 use std::collections::{BTreeSet, HashMap};
-use std::sync::OnceLock;
+use std::sync::atomic::AtomicU64;
+use std::sync::{Arc, OnceLock};
+use std::thread::JoinHandle;
 
 use jinn_fsm::{Engine, EnginePool, MachineSpec, TransitionOutcome};
 use jinn_obs::{EventKind, Recorder, TraceEvent};
-use jinn_replay::{replay_trace, replay_trace_observed, ReplayConfig, ReplayOutcome, Trace};
+use jinn_replay::{
+    run_live_replay, EventFeed, LiveFeeder, ReplayConfig, ReplayOutcome, StreamDecoder, Trace,
+    TraceError, TraceRecord,
+};
 
 use crate::session::{
     DischargeStats, EventSummary, MachineRollup, ObsCounters, OutcomeRec, SessionId, VerdictRec,
 };
+use crate::streaming::contain;
 
 /// Everything one judged session contributes to the store.
 #[derive(Debug, Clone)]
@@ -39,7 +50,9 @@ pub struct JudgeOutput {
     pub events: Vec<EventSummary>,
     /// Re-judged events beyond the summary cap.
     pub events_dropped: u64,
-    /// Per-machine rollups from the re-applied transition stream.
+    /// Per-machine rollups from the re-applied transition stream: the
+    /// first config's recorder ring, so a session that records more
+    /// than `recorder_ring` events rolls up only the newest of them.
     pub rollups: Vec<MachineRollup>,
     /// Recorder coverage of the *recorded* trace (its `obs.*` meta).
     pub obs: ObsCounters,
@@ -54,20 +67,6 @@ pub struct JudgeOutput {
     pub outside_manifest: bool,
 }
 
-/// Reads the recorded trace's `obs.*` metadata (written by
-/// `jinn_replay::append_obs_events` at record time).
-pub fn obs_counters(trace: &Trace) -> ObsCounters {
-    let num = |key: &str| {
-        trace
-            .meta_value(key)
-            .and_then(|v| v.parse::<u64>().ok())
-            .unwrap_or(0)
-    };
-    ObsCounters {
-        dropped: num("obs.dropped"),
-    }
-}
-
 /// The spec machines the discharge audit runs against, built once per
 /// process: they never change, and building them costs about as much
 /// as the audit itself.
@@ -76,11 +75,10 @@ pub(crate) fn audit_machines() -> &'static [MachineSpec] {
     MACHINES.get_or_init(jinn_spec::machines)
 }
 
-/// The static-discharge audit row for one trace. Takes the trace's
-/// call-site set precomputed so callers that already hold one
-/// ([`judge_trace`] computes it for the manifest audit too; a live
-/// session accumulates it during ingest) never walk the events again.
-pub(crate) fn discharge_stats(program: &str, called: &BTreeSet<String>) -> DischargeStats {
+/// The static-discharge audit row for one trace, from the call-site
+/// set its judge accumulates as records route, so the events are never
+/// walked again.
+fn discharge_stats(program: &str, called: &BTreeSet<String>) -> DischargeStats {
     let manifest = jinn_core::WorkloadManifest::new(program, called.iter().map(String::as_str));
     let report = jinn_core::discharge(audit_machines(), &manifest);
     DischargeStats {
@@ -145,18 +143,11 @@ fn summarize(session: SessionId, ev: &TraceEvent) -> EventSummary {
     }
 }
 
-/// Whether a trace's call-site set `called` leaves the tenant's
-/// declared `manifest`. A tenant that declared nothing is never flagged.
-pub(crate) fn outside_manifest(
-    manifest: Option<&BTreeSet<String>>,
-    called: &BTreeSet<String>,
-) -> bool {
-    manifest.is_some_and(|declared| !called.is_subset(declared))
-}
-
 /// Re-applies the session's transition stream through fresh engines
 /// leased from `pool`, producing one rollup per machine that saw
-/// traffic.
+/// traffic. The judge passes the first config's recorder events, which
+/// hold only the newest `recorder_ring` (1024 by default): the rollups
+/// of a longer session count its tail, not its whole stream.
 ///
 /// Re-exported at the crate root so benchmarks can drive the daemon's
 /// exact rollup path.
@@ -228,62 +219,281 @@ pub fn rollup_events(pool: &EnginePool<u64>, events: &[TraceEvent]) -> Vec<Machi
     out
 }
 
-/// Adds one config's replay to `out`: its outcome row, its verdict
-/// rows, and its replay counters. Shared by [`judge_trace`] and live
-/// sessions, so both publish the same rows.
-pub(crate) fn push_replay_rows(
-    session: SessionId,
-    tenant: &str,
-    config: &ReplayConfig,
-    outcome: &ReplayOutcome,
-    out: &mut JudgeOutput,
-) {
-    let label = config.label();
-    out.events_replayed += outcome.events_replayed;
-    out.divergences += outcome.divergences;
-    out.verdicts
-        .extend(outcome.violations.iter().map(|v| VerdictRec {
-            session,
-            tenant: tenant.to_string(),
-            config: label.clone(),
-            machine: v.machine.to_string(),
-            error_state: v.error_state.to_string(),
-            function: v.function.clone(),
-            message: v.message.clone(),
-        }));
-    out.outcomes.push(OutcomeRec {
-        session,
-        config: label,
-        behavior: outcome.behavior.to_string(),
-        message: outcome.message.clone(),
-        events_replayed: outcome.events_replayed,
-        divergences: outcome.divergences,
-    });
+/// One session's judge, and the only path from decoded records to a
+/// [`JudgeOutput`]: every [`StreamingSession`] owns one, and
+/// [`judge_trace`] feeds one a parsed trace.
+///
+/// Setup records go into [`Judge::setup`]; each event record is folded
+/// into one [`EventFeed`] per config. The first config replays with the
+/// recorder wired in, on an executor thread while a live upload is
+/// still arriving ([`Judge::overlap`]) or inline at judging; every other
+/// config replays inline at judging, one after another.
+///
+/// [`StreamingSession`]: crate::streaming::StreamingSession
+pub(crate) struct Judge {
+    /// The trace's setup section, plus any trailing `obs.*` metadata.
+    /// Event records go to the feeds and are not retained.
+    setup: Trace,
+    saw_event: bool,
+    /// The call-site set, accumulated record by record for the manifest
+    /// and discharge audits.
+    called: BTreeSet<String>,
+    /// One replay per config, in selection order.
+    replays: Vec<Replay>,
+    /// The first config's recorder.
+    recorder: Recorder,
+    /// The first config's replay thread, spawned only while the upload
+    /// is still arriving; `None` means it replays inline at judging.
+    executor: Option<JoinHandle<Result<ReplayOutcome, TraceError>>>,
+    decode_error: Option<TraceError>,
+    /// A structurally invalid event; feeding stopped at it.
+    replay_error: Option<TraceError>,
 }
 
-/// The recorder's share of a judged session: the newest `max_events`
-/// event summaries, the count of events beyond them (ring drops
-/// included), and the per-machine rollups on a lease from `pool`.
-/// Shared by [`judge_trace`] and live sessions.
-pub(crate) fn recorder_rows(
-    session: SessionId,
-    recorder: &Recorder,
-    pool: &EnginePool<u64>,
-    max_events: usize,
-) -> (Vec<EventSummary>, u64, Vec<MachineRollup>) {
-    let all = recorder.events();
-    let rollups = rollup_events(pool, &all);
-    let skip = all.len().saturating_sub(max_events);
-    let dropped = recorder.dropped_events() + skip as u64;
-    let events = all
-        .iter()
-        .skip(skip)
-        .map(|e| summarize(session, e))
-        .collect();
-    (events, dropped, rollups)
+/// One config's replay input.
+struct Replay {
+    config: ReplayConfig,
+    feed: Arc<EventFeed>,
+    feeder: LiveFeeder,
 }
 
-/// Re-judges one decoded trace under each of its session's configs.
+impl Judge {
+    /// A judge for `configs` (at least one) with a recorder of
+    /// `recorder_ring` events for the first.
+    pub(crate) fn new(configs: &[ReplayConfig], recorder_ring: usize) -> Judge {
+        let replays = configs
+            .iter()
+            .map(|&config| {
+                let feed = Arc::new(EventFeed::new());
+                Replay {
+                    config,
+                    feeder: LiveFeeder::new(Arc::clone(&feed)),
+                    feed,
+                }
+            })
+            .collect();
+        Judge {
+            setup: Trace::empty(0),
+            saw_event: false,
+            called: BTreeSet::new(),
+            replays,
+            recorder: Recorder::enabled(recorder_ring),
+            executor: None,
+            decode_error: None,
+            replay_error: None,
+        }
+    }
+
+    /// The first config's label, which names the session's replay
+    /// failures and panics.
+    pub(crate) fn label(&self) -> String {
+        self.replays[0].config.label()
+    }
+
+    /// Routes every record `decoder` can decode now.
+    pub(crate) fn drain(&mut self, decoder: &mut StreamDecoder) {
+        loop {
+            match decoder.next_record() {
+                // Past a decode error nothing is judged; later records
+                // are decoded only to release their bytes.
+                Ok(Some(rec)) if self.decode_error.is_none() => self.route(rec),
+                Ok(Some(_)) => {}
+                Ok(None) => break,
+                Err(e) => {
+                    self.fail_decode(e);
+                    break;
+                }
+            }
+        }
+        self.setup.version = decoder.version();
+    }
+
+    /// Drains the rest of the stream, runs the decoder's end-of-stream
+    /// verification (missing `End`, trailing bytes — batch error parity)
+    /// and finishes every feed.
+    pub(crate) fn close(&mut self, decoder: &mut StreamDecoder) {
+        self.drain(decoder);
+        if self.decode_error.is_none() {
+            if let Err(e) = decoder.finish() {
+                self.decode_error = Some(e);
+            }
+        }
+        self.finish_feeds();
+    }
+
+    fn finish_feeds(&self) {
+        for replay in &self.replays {
+            replay.feed.finish();
+        }
+    }
+
+    fn fail_decode(&mut self, e: TraceError) {
+        if self.decode_error.is_none() {
+            self.decode_error = Some(e);
+            // Nothing past a decode error can be judged; unblock the
+            // executor now.
+            self.finish_feeds();
+        }
+    }
+
+    fn route(&mut self, rec: TraceRecord) {
+        match self.setup.absorb_setup(rec, self.saw_event) {
+            Ok(Some(event)) => self.push_event(&event),
+            Ok(None) => {}
+            Err(e) => self.fail_decode(e),
+        }
+    }
+
+    fn push_event(&mut self, event: &TraceRecord) {
+        self.saw_event = true;
+        if let TraceRecord::JniEnter { func, .. } = event {
+            let name = minijni::FuncId(*func).name();
+            if !self.called.contains(name) {
+                self.called.insert(name.to_string());
+            }
+        }
+        if self.replay_error.is_none() {
+            let pushed = self
+                .replays
+                .iter_mut()
+                .try_for_each(|r| r.feeder.push(event));
+            if let Err(e) = pushed {
+                self.replay_error = Some(e);
+                self.finish_feeds();
+            }
+        }
+    }
+
+    /// Spawns the first config's executor once events are in while the
+    /// upload is still arriving (`upload_done` false), so replay overlaps
+    /// the rest of the upload. Only once the first event has arrived is
+    /// the setup section known complete (a later setup record is a
+    /// decode error).
+    pub(crate) fn overlap(&mut self, session: SessionId, upload_done: bool) {
+        if upload_done
+            || self.executor.is_some()
+            || !self.saw_event
+            || self.decode_error.is_some()
+            || self.replay_error.is_some()
+        {
+            return;
+        }
+        let setup = self.setup.clone();
+        let config = self.replays[0].config;
+        let recorder = self.recorder.clone();
+        let feed = Arc::clone(&self.replays[0].feed);
+        let handle = std::thread::Builder::new()
+            .name(format!("jinn-serve-stream-{session}"))
+            .spawn(move || run_live_replay(&setup, &config, Some(&recorder), &feed))
+            .expect("spawn streaming executor");
+        self.executor = Some(handle);
+    }
+
+    /// Whether the first config replays on an executor thread.
+    #[cfg(test)]
+    pub(crate) fn has_executor(&self) -> bool {
+        self.executor.is_some()
+    }
+
+    /// Tears the judge down without judging: finishes every feed so a
+    /// running executor drains and exits, and drops its result.
+    pub(crate) fn discard(&mut self) {
+        self.finish_feeds();
+        if let Some(h) = self.executor.take() {
+            let _ = h.join();
+        }
+    }
+
+    /// Judges the session once its feeds are finished: joins the first
+    /// config's executor, or replays that config inline with the
+    /// recorder, then replays every other config inline, and builds the
+    /// session's rows. A panic on the executor is contained and counted
+    /// in `panics`.
+    ///
+    /// # Errors
+    ///
+    /// A quarantine reason: `unreadable trace: …` for a decode error
+    /// (it wins over a replay error), `replay under … failed: …` for a
+    /// structurally impossible replay (an invalid event names the first
+    /// config), `replay under … panicked` for a contained executor panic.
+    pub(crate) fn judge(
+        &mut self,
+        session: SessionId,
+        tenant: &str,
+        manifest: Option<&BTreeSet<String>>,
+        pool: &EnginePool<u64>,
+        max_events: usize,
+        panics: &AtomicU64,
+    ) -> Result<JudgeOutput, String> {
+        if let Some(e) = &self.decode_error {
+            return Err(format!("unreadable trace: {e}"));
+        }
+        let label = self.label();
+        let joined = self
+            .executor
+            .take()
+            .map(|h| contain(h.join(), &label, panics));
+        if let Some(e) = self.replay_error.take() {
+            return Err(format!("replay under {label} failed: {e}"));
+        }
+        let mut first = joined.transpose()?;
+        let mut outcomes = Vec::with_capacity(self.replays.len());
+        for (i, r) in self.replays.iter().enumerate() {
+            let replayed = first.take().unwrap_or_else(|| {
+                let recorder = (i == 0).then_some(&self.recorder);
+                run_live_replay(&self.setup, &r.config, recorder, &r.feed)
+            });
+            let outcome =
+                replayed.map_err(|e| format!("replay under {} failed: {e}", r.config.label()))?;
+            outcomes.push(outcome);
+        }
+        let all = self.recorder.events();
+        let skip = all.len().saturating_sub(max_events);
+        let dropped = self.setup.meta_value("obs.dropped");
+        Ok(JudgeOutput {
+            program: self.setup.program().to_string(),
+            verdicts: outcomes
+                .iter()
+                .flat_map(|o| {
+                    o.violations.iter().map(|v| VerdictRec {
+                        session,
+                        tenant: tenant.to_string(),
+                        config: o.label.clone(),
+                        machine: v.machine.to_string(),
+                        error_state: v.error_state.to_string(),
+                        function: v.function.clone(),
+                        message: v.message.clone(),
+                    })
+                })
+                .collect(),
+            events_replayed: outcomes.iter().map(|o| o.events_replayed).sum(),
+            divergences: outcomes.iter().map(|o| o.divergences).sum(),
+            outcomes: outcomes
+                .into_iter()
+                .map(|o| OutcomeRec {
+                    session,
+                    config: o.label,
+                    behavior: o.behavior.to_string(),
+                    message: o.message,
+                    events_replayed: o.events_replayed,
+                    divergences: o.divergences,
+                })
+                .collect(),
+            events: all[skip..].iter().map(|e| summarize(session, e)).collect(),
+            events_dropped: self.recorder.dropped_events() + skip as u64,
+            rollups: rollup_events(pool, &all),
+            obs: ObsCounters {
+                dropped: dropped.and_then(|v| v.parse().ok()).unwrap_or(0),
+            },
+            discharge: discharge_stats(self.setup.program(), &self.called),
+            outside_manifest: manifest.is_some_and(|declared| !self.called.is_subset(declared)),
+        })
+    }
+}
+
+/// Re-judges one parsed trace under each of its session's configs: the
+/// session's own [`Judge`], fed the trace's setup section and events
+/// instead of a decoder.
 ///
 /// `manifest` is the tenant's declared call-site set, if it declared
 /// one: a trace that calls outside it is flagged
@@ -305,34 +515,27 @@ pub fn judge_trace(
     recorder_ring: usize,
     max_events: usize,
 ) -> Result<JudgeOutput, String> {
-    let called = trace.called_functions();
-    let mut out = JudgeOutput {
-        program: trace.program().to_string(),
-        outcomes: Vec::with_capacity(configs.len()),
-        verdicts: Vec::new(),
+    let mut judge = Judge::new(configs, recorder_ring);
+    judge.setup = Trace {
+        meta: trace.meta.clone(),
+        classes: trace.classes.clone(),
+        threads: trace.threads.clone(),
+        seeds: trace.seeds.clone(),
         events: Vec::new(),
-        events_dropped: 0,
-        rollups: Vec::new(),
-        obs: obs_counters(trace),
-        discharge: discharge_stats(trace.program(), &called),
-        events_replayed: 0,
-        divergences: 0,
-        outside_manifest: outside_manifest(manifest, &called),
+        version: trace.version,
     };
-    for (i, config) in configs.iter().enumerate() {
-        let recorder = (i == 0).then(|| Recorder::enabled(recorder_ring));
-        let outcome = match &recorder {
-            Some(rec) => replay_trace_observed(trace, config, rec),
-            None => replay_trace(trace, config),
-        }
-        .map_err(|e| format!("replay under {} failed: {e}", config.label()))?;
-        push_replay_rows(session, tenant, config, &outcome, &mut out);
-        if let Some(rec) = recorder {
-            (out.events, out.events_dropped, out.rollups) =
-                recorder_rows(session, &rec, pool, max_events);
-        }
+    for event in &trace.events {
+        judge.push_event(event);
     }
-    Ok(out)
+    judge.finish_feeds();
+    judge.judge(
+        session,
+        tenant,
+        manifest,
+        pool,
+        max_events,
+        &AtomicU64::new(0),
+    )
 }
 
 #[cfg(test)]

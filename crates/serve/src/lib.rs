@@ -25,8 +25,9 @@
 //!   a trace that arrives whole in one `Append` spawns no thread, and
 //!   the worker replays its finished feed inline. Every other session
 //!   is *retained*: its bytes stay in the decoder until a worker drains
-//!   it into a trace and replays it under each config
-//!   ([`judge_trace`]). Compiled check tables are cloned from a
+//!   it. Either way the records drain into the session's one judge,
+//!   which replays each config on its own feed and builds the rows;
+//!   [`judge_trace`] is that judge fed a parsed trace. Compiled check tables are cloned from a
 //!   process-wide synthesis cache, and per-machine entity rollups run on
 //!   fresh single-threaded engines leased at judging from one machine
 //!   set compiled at start ([`jinn_fsm::EnginePool`]). Corrupt input —
@@ -97,7 +98,7 @@ mod streaming;
 
 pub use daemon::{Daemon, DaemonHandle, ServeConfig, AUTO_SESSION_BASE};
 pub use error::ServeError;
-pub use judge::{judge_trace, obs_counters, rollup_events, JudgeOutput};
+pub use judge::{judge_trace, rollup_events, JudgeOutput};
 pub use manifest::ManifestSummary;
 pub use session::{
     DischargeStats, EventSummary, MachineRollup, ObsCounters, OutcomeRec, SessionId, SessionState,

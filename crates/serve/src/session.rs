@@ -288,7 +288,9 @@ impl OutcomeRec {
 }
 
 /// Final entity-population rollup of one machine after re-applying the
-/// session's transition stream through a fresh engine.
+/// session's transition stream through a fresh engine. The stream is
+/// the recorder ring's newest `recorder_ring` events, so a session that
+/// records more rolls up only its tail.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct MachineRollup {
     /// The machine name.

@@ -60,8 +60,9 @@
 //! ## Admission control
 //!
 //! Every other resource the table holds is bounded too
-//! ([`StoreLimits`]): `open` past the live-session cap and `admit`
-//! past the fleet-wide buffered-bytes cap fail with typed errors, and
+//! ([`StoreLimits`]): `open` past the live-session cap, and `admit`
+//! past a session's upload cap or the fleet-wide buffered-bytes cap,
+//! fail with typed errors, and
 //! whole session *records* beyond the record cap are evicted
 //! oldest-first among terminal sessions whenever one goes terminal —
 //! an evicted id stops answering stats and may be reopened. Live
@@ -89,7 +90,9 @@ use crate::session::{
 pub struct StoreLimits {
     /// Global byte budget for judged history (see the module docs).
     pub retention_bytes: usize,
-    /// Per-session ingest buffer cap ([`ServeError::Backpressure`]).
+    /// Per-session upload cap: an `Append` that would take the bytes a
+    /// session has uploaded past it fails with
+    /// [`ServeError::Backpressure`], live or retained.
     pub max_buffered: u64,
     /// Live (open/queued/judging) sessions admitted at once
     /// ([`ServeError::FleetSaturated`] past it).
@@ -510,8 +513,8 @@ struct Session {
     seal_to_verdict_micros: Option<u64>,
     first_frame_micros: Option<u64>,
     streamed: bool,
-    /// Bytes the session's decoder holds, as charged against the
-    /// per-session and fleet buffered-bytes budgets.
+    /// Bytes the session's decoder holds, as charged against the fleet
+    /// buffered-bytes budget.
     buffered: u64,
     events_replayed: u64,
     divergences: u64,
@@ -702,15 +705,18 @@ impl SessionTable {
     /// Admits one `Append` chunk of `chunk_len` bytes: lifecycle and
     /// backpressure checks, byte and frame accounting. The chunk itself
     /// goes to the session's decoder, not the table; the whole chunk is
-    /// charged to the buffered budgets, and [`SessionTable::settle`]
-    /// releases what the decoder let go of.
+    /// charged to the fleet's buffered budget, and
+    /// [`SessionTable::settle`] releases what the decoder let go of.
     ///
     /// # Errors
     ///
     /// [`ServeError::Backpressure`] when the chunk would take the bytes
-    /// charged to the session past the per-session cap,
-    /// [`ServeError::FleetBackpressure`] when it would exceed the
-    /// fleet-wide one; lifecycle errors otherwise.
+    /// the session has uploaded past the per-session cap (a live
+    /// session's decoded records stay resident in its judge, so the cap
+    /// reads uploads, not the undecoded tail),
+    /// [`ServeError::FleetBackpressure`] when it would take the bytes
+    /// resident fleet-wide past the fleet cap; lifecycle errors
+    /// otherwise.
     pub fn admit(&self, id: SessionId, chunk_len: u64) -> Result<(), ServeError> {
         let mut t = self.lock();
         let cap = self.limits.max_buffered;
@@ -718,10 +724,10 @@ impl SessionTable {
         let total_cap = self.limits.max_total_buffered;
         let s = Self::session_mut(&mut t, id)?;
         Self::require_open(s, id)?;
-        if s.buffered + chunk_len > cap {
+        if s.bytes_received + chunk_len > cap {
             return Err(ServeError::Backpressure {
                 session: id,
-                buffered: s.buffered,
+                buffered: s.bytes_received,
                 cap,
             });
         }

@@ -3,30 +3,29 @@
 //!
 //! Each session owns a resumable record-granularity scanner
 //! ([`StreamDecoder`]) that every `Append` feeds, and whose running
-//! length and checksum verify the `Seal` declaration in O(1). The one
-//! decision left, made at `Open`, is whether the session is decoded and
-//! replayed while it uploads:
+//! length and checksum verify the `Seal` declaration in O(1), and the
+//! one [`Judge`] that its decoded records drain into. The one decision
+//! left, made at `Open`, is *when* the decoder drains:
 //!
 //! - **Live** (a single-config session opened while a
-//!   `streaming_sessions` slot is free): each `Append` is decoded as it
-//!   arrives, its bytes released as they decode (only the undecoded tail
-//!   stays resident), and the event records folded into an
-//!   [`EventFeed`]. An `Append` that routes events while the upload is
+//!   `streaming_sessions` slot is free): at each `Append`, so the bytes
+//!   are released as they decode (only the undecoded tail stays
+//!   resident). An `Append` that routes events while the upload is
 //!   still arriving (no `End` decoded yet) spawns a replay executor
-//!   thread ([`run_live_replay`]) on the feed, so replay overlaps the
-//!   rest of the upload; by `Seal` it has usually kept pace, and
+//!   thread ([`run_live_replay`]) on the first feed, so replay overlaps
+//!   the rest of the upload; by `Seal` it has usually kept pace, and
 //!   seal-to-verdict work is draining the tail and joining it. A session
 //!   whose first event-bearing `Append` also carried `End` has nothing
-//!   left to overlap: it spawns no thread, and the worker runs the same
-//!   replay inline on the finished feed. Either way the recorder is
-//!   rolled up through fresh engines leased at `Seal`.
-//! - **Retained** (every other session): `Append`s go into the same
-//!   decoder without being drained, so the wire bytes stay resident and
-//!   are charged to the buffered-bytes budgets. The worker drains the
-//!   decoder into a [`Trace`] ([`Trace::absorb_setup`], the split
-//!   `Trace::parse` uses) and judges it under every config
-//!   ([`judge_trace`]). Decoded records are larger than the wire bytes
-//!   the budgets charge, so nothing decodes before the worker does.
+//!   left to overlap: it spawns no thread, and the worker replays the
+//!   finished feed inline.
+//! - **Retained** (every other session): at collect, on the worker.
+//!   Until then the wire bytes stay resident in the decoder and are
+//!   charged to the buffered-bytes budgets; decoded records are larger
+//!   than those bytes, so nothing decodes before the worker does.
+//!
+//! Either way the worker judges through the same [`Judge::judge`]: every
+//! config replays on its finished feed, and the recorder is rolled up
+//! through fresh engines leased at judging.
 //!
 //! ## Soundness
 //!
@@ -34,9 +33,8 @@
 //! is *speculative* and externally invisible: verdicts only become
 //! observable through `SessionTable::finish`, which a worker calls
 //! strictly after `Seal` succeeded. The executor runs the one replay
-//! fold ([`jinn_replay::replay_trace`] runs the same fold on a finished
-//! feed), so a live verdict is the retained verdict. Two checks discard
-//! speculation:
+//! fold on the same feed the worker would, so a live verdict is the
+//! retained verdict. Two checks discard speculation:
 //!
 //! - **Seal mismatch** — the declared length/checksum disagrees with
 //!   the running totals: the session is poisoned and nothing is
@@ -48,7 +46,7 @@
 //!   same bytes.
 //!
 //! A structurally invalid event stream (an unbalanced exit, say) stops
-//! the feed and fails the session with `replay under … failed: …`.
+//! the feeds and fails the session with `replay under … failed: …`.
 //!
 //! A panic in replay or judging, on the executor or on the worker, is
 //! contained ([`contain`]): the session is quarantined with `replay
@@ -59,33 +57,25 @@
 //! The manifest audit is decided at seal: the session is flagged
 //! `outside_manifest` when its (now complete) call-site set leaves the
 //! tenant's declared manifest.
+//!
+//! [`run_live_replay`]: jinn_replay::run_live_replay
 
 use std::collections::BTreeSet;
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard};
-use std::thread::JoinHandle;
+use std::sync::{Mutex, MutexGuard};
 
 use jinn_fsm::EnginePool;
-use jinn_obs::Recorder;
-use jinn_replay::{
-    run_live_replay, verify_seal_declaration, EventFeed, LiveFeeder, ReplayConfig, ReplayOutcome,
-    StreamDecoder, Trace, TraceError, TraceRecord,
-};
+use jinn_replay::{verify_seal_declaration, ReplayConfig, StreamDecoder};
 
-use crate::judge::{
-    discharge_stats, judge_trace, obs_counters, outside_manifest, push_replay_rows, recorder_rows,
-    JudgeOutput,
-};
+use crate::judge::{Judge, JudgeOutput};
 use crate::session::SessionId;
 
-/// One session's ingest: the scanner fed by its connection, and, for a
-/// live session, the executor replaying what it decodes.
+/// One session's ingest: the scanner fed by its connection, and the
+/// judge its records drain into.
 pub(crate) struct StreamingSession {
     session: SessionId,
-    configs: Vec<ReplayConfig>,
-    recorder_ring: usize,
-    /// Whether the session decodes as it uploads, replayed by an
+    /// Whether the session drains as it uploads, replayed by an
     /// executor while the upload is unfinished; fixed at `Open`. Kept
     /// outside the mutex so the stream registry can read it while a
     /// worker holds the lock through a join.
@@ -95,66 +85,26 @@ pub(crate) struct StreamingSession {
 
 struct StreamInner {
     decoder: StreamDecoder,
-    /// `None` for a retained session.
-    live: Option<LiveState>,
-}
-
-/// A live session's replay side.
-struct LiveState {
-    config: ReplayConfig,
-    feed: Arc<EventFeed>,
-    feeder: LiveFeeder,
-    recorder: Recorder,
-    /// The trace's setup section, plus any trailing `obs.*` metadata.
-    /// Event records go to the feed and are not retained.
-    setup: Trace,
-    saw_event: bool,
-    /// The call-site set, accumulated record-by-record during ingest for
-    /// the seal-time manifest and discharge audits.
-    called: BTreeSet<String>,
-    /// Spawned only while the upload is still arriving; `None` means
-    /// the worker replays inline at collect.
-    executor: Option<JoinHandle<Result<ReplayOutcome, TraceError>>>,
-    decode_error: Option<TraceError>,
-    /// A structurally invalid event; feeding stopped at it.
-    replay_error: Option<TraceError>,
+    judge: Judge,
 }
 
 impl StreamingSession {
-    /// Starts the scanner. A live session's executor thread is spawned
-    /// later, if at all: at the end of an `ingest` that routed events
-    /// while `End` is still to come. Only once an event has arrived is
-    /// the setup section known complete (a later setup record is a
-    /// decode error).
+    /// Starts the scanner and the judge for `configs` (at least one).
+    /// A live session's executor thread is spawned later, if at all: at
+    /// the end of an `ingest` that routed events while `End` is still to
+    /// come.
     pub(crate) fn start(
         session: SessionId,
-        configs: Vec<ReplayConfig>,
+        configs: &[ReplayConfig],
         recorder_ring: usize,
         live: bool,
     ) -> StreamingSession {
-        let live_state = live.then(|| {
-            let feed = Arc::new(EventFeed::new());
-            LiveState {
-                config: configs[0],
-                feeder: LiveFeeder::new(Arc::clone(&feed)),
-                feed,
-                recorder: Recorder::enabled(recorder_ring),
-                setup: Trace::empty(0),
-                saw_event: false,
-                called: BTreeSet::new(),
-                executor: None,
-                decode_error: None,
-                replay_error: None,
-            }
-        });
         StreamingSession {
             session,
-            configs,
-            recorder_ring,
             live,
             inner: Mutex::new(StreamInner {
                 decoder: StreamDecoder::new(),
-                live: live_state,
+                judge: Judge::new(configs, recorder_ring),
             }),
         }
     }
@@ -170,23 +120,16 @@ impl StreamingSession {
     }
 
     /// Feeds one `Append` chunk and returns the undecoded bytes — the
-    /// ones still resident. A live session decodes and routes whatever
-    /// records the chunk completes, and starts its executor if events
+    /// ones still resident. A live session drains whatever records the
+    /// chunk completes into its judge, and starts its executor if events
     /// are in while the upload is unfinished; a retained one keeps every
     /// byte.
     pub(crate) fn ingest(&self, chunk: &[u8]) -> u64 {
         let g = &mut *self.lock();
         g.decoder.feed(chunk);
-        if let Some(live) = &mut g.live {
-            live.drain(&mut g.decoder);
-            if live.executor.is_none()
-                && live.saw_event
-                && live.decode_error.is_none()
-                && live.replay_error.is_none()
-                && !g.decoder.is_finished()
-            {
-                live.spawn_executor(self.session);
-            }
+        if self.live {
+            g.judge.drain(&mut g.decoder);
+            g.judge.overlap(self.session, g.decoder.is_finished());
         }
         g.decoder.pending()
     }
@@ -208,35 +151,24 @@ impl StreamingSession {
         .map_err(|m| m.to_string())
     }
 
-    /// Closes a live stream after a successful seal: drains any residual
-    /// tail, runs the scanner's end-of-stream verification (missing
-    /// `End`, trailing bytes — batch error parity), and finishes the
-    /// feed so the executor completes. A retained stream is left whole
-    /// for the worker.
+    /// Closes a live stream after a successful seal ([`Judge::close`]),
+    /// so its executor completes. A retained stream is left whole for
+    /// the worker.
     pub(crate) fn finalize(&self) {
-        let g = &mut *self.lock();
-        if let Some(live) = &mut g.live {
-            live.drain(&mut g.decoder);
-            if live.decode_error.is_none() {
-                if let Err(e) = g.decoder.finish() {
-                    live.decode_error = Some(e);
-                }
-            }
-            live.feeder.finish();
+        if self.live {
+            let g = &mut *self.lock();
+            g.judge.close(&mut g.decoder);
         }
     }
 
-    /// Worker entry after `Seal`. A live session joins its executor, or
-    /// replays inline when it has none, and publishes its
-    /// (no-longer-speculative) outcome; a retained one is decoded into a
-    /// [`Trace`] and judged under every config. A panic anywhere in here
-    /// is contained and counted in `panics`.
+    /// Worker entry after `Seal`: a retained session's decoder drains
+    /// into its judge and closes here, then the judge publishes the
+    /// (no-longer-speculative) outcome ([`Judge::judge`]). A panic
+    /// anywhere in here is contained and counted in `panics`.
     ///
     /// # Errors
     ///
-    /// A quarantine reason: `unreadable trace: …` for a decode error,
-    /// `replay under … failed: …` for a structurally impossible replay,
-    /// `replay under … panicked` for a contained panic.
+    /// A quarantine reason, as for [`Judge::judge`].
     pub(crate) fn collect(
         &self,
         tenant: &str,
@@ -245,45 +177,32 @@ impl StreamingSession {
         max_events: usize,
         panics: &AtomicU64,
     ) -> Result<JudgeOutput, String> {
+        // Held outside the unwind boundary, so a contained panic does
+        // not poison the session's lock.
+        let g = &mut *self.lock();
+        let label = g.judge.label();
         let judged = panic::catch_unwind(AssertUnwindSafe(|| {
-            let g = &mut *self.lock();
-            if let Some(live) = &mut g.live {
-                return live.collect(self.session, tenant, manifest, pool, max_events, panics);
+            if !self.live {
+                g.judge.close(&mut g.decoder);
             }
-            let trace = decode(&mut g.decoder).map_err(|e| format!("unreadable trace: {e}"))?;
-            judge_trace(
-                &trace,
-                self.session,
-                tenant,
-                &self.configs,
-                pool,
-                manifest,
-                self.recorder_ring,
-                max_events,
-            )
+            g.judge
+                .judge(self.session, tenant, manifest, pool, max_events, panics)
         }));
-        contain(judged, &self.configs[0].label(), panics)?
+        contain(judged, &label, panics)?
     }
 
     /// Tears the session down without publishing anything: quarantine,
     /// abort, and shutdown all land here. Safe to call at any point — a
-    /// live feed is finished so a running executor drains and exits, and
-    /// its result is dropped.
+    /// running executor drains and exits, and its result is dropped.
     pub(crate) fn discard(&self) {
-        let mut g = self.lock();
-        if let Some(live) = &mut g.live {
-            live.feed.finish();
-            if let Some(h) = live.executor.take() {
-                let _ = h.join();
-            }
-        }
+        self.lock().judge.discard();
     }
 }
 
 /// The one containment of a replay panic, for the live executor's join
 /// and the worker's collect alike: a caught panic becomes the quarantine
 /// reason `replay under {label} panicked` and is counted in `panics`.
-fn contain<R>(
+pub(crate) fn contain<R>(
     caught: std::thread::Result<R>,
     label: &str,
     panics: &AtomicU64,
@@ -294,147 +213,25 @@ fn contain<R>(
     })
 }
 
-/// Drains a retained session's decoder into a [`Trace`], with
-/// [`Trace::parse`]'s setup/event split and error order.
-fn decode(decoder: &mut StreamDecoder) -> Result<Trace, TraceError> {
-    let mut trace = Trace::empty(0);
-    while let Some(record) = decoder.next_record()? {
-        let events_began = !trace.events.is_empty();
-        if let Some(event) = trace.absorb_setup(record, events_began)? {
-            trace.events.push(event);
-        }
-    }
-    decoder.finish()?;
-    trace.version = decoder.version();
-    Ok(trace)
-}
-
-impl LiveState {
-    fn drain(&mut self, decoder: &mut StreamDecoder) {
-        loop {
-            match decoder.next_record() {
-                // Past a decode error nothing is judged; later records
-                // are decoded only to release their bytes.
-                Ok(Some(rec)) if self.decode_error.is_none() => self.route(rec),
-                Ok(Some(_)) => {}
-                Ok(None) => break,
-                Err(e) => {
-                    self.fail_decode(e);
-                    break;
-                }
-            }
-        }
-        self.setup.version = decoder.version();
-    }
-
-    fn fail_decode(&mut self, e: TraceError) {
-        if self.decode_error.is_none() {
-            self.decode_error = Some(e);
-            // Nothing past a decode error can be judged; unblock the
-            // executor now.
-            self.feed.finish();
-        }
-    }
-
-    fn route(&mut self, rec: TraceRecord) {
-        let event = match self.setup.absorb_setup(rec, self.saw_event) {
-            Ok(Some(event)) => event,
-            Ok(None) => return,
-            Err(e) => return self.fail_decode(e),
-        };
-        self.saw_event = true;
-        if let TraceRecord::JniEnter { func, .. } = &event {
-            let name = minijni::FuncId(*func).name();
-            if !self.called.contains(name) {
-                self.called.insert(name.to_string());
-            }
-        }
-        if self.replay_error.is_none() {
-            if let Err(e) = self.feeder.push(&event) {
-                self.replay_error = Some(e);
-                self.feed.finish();
-            }
-        }
-    }
-
-    fn spawn_executor(&mut self, session: SessionId) {
-        let setup = self.setup.clone();
-        let config = self.config;
-        let recorder = self.recorder.clone();
-        let feed = Arc::clone(&self.feed);
-        let handle = std::thread::Builder::new()
-            .name(format!("jinn-serve-stream-{session}"))
-            .spawn(move || run_live_replay(&setup, &config, Some(&recorder), &feed))
-            .expect("spawn streaming executor");
-        self.executor = Some(handle);
-    }
-
-    /// Joins the executor and builds the session's rows with the same
-    /// helpers [`judge_trace`] uses. A session without an executor (its
-    /// events all arrived with `End`, or it streamed none) replays here,
-    /// on the finished feed.
-    fn collect(
-        &mut self,
-        session: SessionId,
-        tenant: &str,
-        manifest: Option<&BTreeSet<String>>,
-        pool: &EnginePool<u64>,
-        max_events: usize,
-        panics: &AtomicU64,
-    ) -> Result<JudgeOutput, String> {
-        if let Some(e) = &self.decode_error {
-            return Err(format!("unreadable trace: {e}"));
-        }
-        let label = self.config.label();
-        let joined = self
-            .executor
-            .take()
-            .map(|h| contain(h.join(), &label, panics));
-        let replayed = match (self.replay_error.take(), joined) {
-            (Some(e), _) => Err(e),
-            (None, Some(joined)) => joined?,
-            (None, None) => {
-                run_live_replay(&self.setup, &self.config, Some(&self.recorder), &self.feed)
-            }
-        };
-        let outcome = replayed.map_err(|e| format!("replay under {label} failed: {e}"))?;
-        let (events, events_dropped, rollups) =
-            recorder_rows(session, &self.recorder, pool, max_events);
-        let mut out = JudgeOutput {
-            program: self.setup.program().to_string(),
-            outcomes: Vec::with_capacity(1),
-            verdicts: Vec::new(),
-            events,
-            events_dropped,
-            rollups,
-            obs: obs_counters(&self.setup),
-            discharge: discharge_stats(self.setup.program(), &self.called),
-            events_replayed: 0,
-            divergences: 0,
-            outside_manifest: outside_manifest(manifest, &self.called),
-        };
-        push_replay_rows(session, tenant, &self.config, &outcome, &mut out);
-        Ok(out)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    /// The largest corpus trace: 1576 bytes, several native calls.
-    const TRACE: &[u8] = include_bytes!("../../../tests/corpus/SvnInfoCallback.jtrace");
+    use jinn_replay::{Trace, TraceRecord};
 
-    fn jinn() -> ReplayConfig {
-        ReplayConfig::parse("jinn").unwrap()
+    fn configs(selection: &str) -> Vec<ReplayConfig> {
+        selection
+            .split(',')
+            .map(|label| ReplayConfig::parse(label).unwrap())
+            .collect()
     }
 
     fn has_executor(stream: &StreamingSession) -> bool {
-        let g = stream.lock();
-        g.live.as_ref().expect("a live session").executor.is_some()
+        stream.lock().judge.has_executor()
     }
 
-    /// Seals and collects a live session the way a worker does.
+    /// Seals and collects a session the way a worker does, and renders
+    /// the whole output.
     fn seal_and_collect(stream: &StreamingSession, pool: &EnginePool<u64>) -> String {
         stream.finalize();
         let panics = AtomicU64::new(0);
@@ -444,7 +241,7 @@ mod tests {
     }
 
     fn retained_reason(bytes: &[u8]) -> String {
-        let stream = StreamingSession::start(1, vec![jinn()], 64, false);
+        let stream = StreamingSession::start(1, &configs("jinn"), 64, false);
         assert_eq!(stream.ingest(bytes), bytes.len() as u64, "retained");
         let pool = EnginePool::new(jinn_spec::machines());
         let panics = AtomicU64::new(0);
@@ -459,53 +256,95 @@ mod tests {
         }
     }
 
-    /// A whole upload in one `Append` decodes `End` in the same ingest
-    /// that routes its events, so it spawns no executor and replays
-    /// inline at collect, with `judge_trace`'s output for the same
-    /// bytes. Fed in 64-byte chunks, the same trace gets its executor
-    /// at the first chunk that routes an event, and judges the same.
+    /// Over the whole corpus, every way a session reaches the judge
+    /// gives `judge_trace`'s whole output for the same bytes. A whole
+    /// upload in one `Append` decodes `End` in the same ingest that
+    /// routes its events, so it spawns no executor and replays inline
+    /// at collect. Fed in 64-byte chunks, the same trace gets its
+    /// executor at the first chunk that routes an event, unless its
+    /// events all arrive with `End`. A retained session drains at
+    /// collect, under one config or three.
     #[test]
     fn only_an_unfinished_upload_spawns_an_executor() {
         let pool = EnginePool::new(jinn_spec::machines());
-        let judged = judge_trace(
-            &Trace::parse(TRACE).unwrap(),
-            1,
-            "t",
-            &[jinn()],
-            &pool,
-            None,
-            64,
-            16,
-        )
-        .unwrap();
-        let judged = format!("{judged:?}");
+        let (jinn, three) = (configs("jinn"), configs("jinn,xcheck,hotspot"));
+        let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/../../tests/corpus");
+        let (mut traces, mut overlapped) = (0, 0);
+        for entry in std::fs::read_dir(dir).unwrap() {
+            let path = entry.unwrap().path();
+            if path.extension().is_none_or(|e| e != "jtrace") {
+                continue;
+            }
+            traces += 1;
+            let bytes = std::fs::read(&path).unwrap();
+            let name = path.file_name().unwrap().to_string_lossy();
+            let judged = |configs: &[ReplayConfig]| {
+                let trace = Trace::parse(&bytes).unwrap();
+                let out = crate::judge_trace(&trace, 1, "t", configs, &pool, None, 64, 16);
+                format!("{:?}", out.unwrap())
+            };
 
-        let whole = StreamingSession::start(1, vec![jinn()], 64, true);
-        assert_eq!(
-            whole.ingest(TRACE),
-            0,
-            "a live session keeps no decoded bytes"
-        );
-        assert!(!has_executor(&whole), "a finished upload spawns no thread");
-        assert_eq!(seal_and_collect(&whole, &pool), judged);
+            let whole = StreamingSession::start(1, &jinn, 64, true);
+            assert_eq!(
+                whole.ingest(&bytes),
+                0,
+                "{name}: live keeps no decoded bytes"
+            );
+            assert!(
+                !has_executor(&whole),
+                "{name}: a whole upload spawns no thread"
+            );
+            assert_eq!(
+                seal_and_collect(&whole, &pool),
+                judged(&jinn),
+                "{name}: whole"
+            );
 
-        let chunked = StreamingSession::start(1, vec![jinn()], 64, true);
-        let mut chunks = TRACE.chunks(64);
-        for chunk in chunks.by_ref() {
-            chunked.ingest(chunk);
-            if chunked.lock().live.as_ref().unwrap().saw_event {
-                break;
+            let chunked = StreamingSession::start(1, &jinn, 64, true);
+            let mut chunks = bytes.chunks(64);
+            for chunk in chunks.by_ref() {
+                chunked.ingest(chunk);
+                if has_executor(&chunked) {
+                    break;
+                }
+            }
+            let early = event_before_last_chunk(&bytes, 64);
+            assert_eq!(has_executor(&chunked), early, "{name}: executor");
+            overlapped += usize::from(early);
+            for chunk in chunks {
+                chunked.ingest(chunk);
+            }
+            assert_eq!(
+                seal_and_collect(&chunked, &pool),
+                judged(&jinn),
+                "{name}: chunked"
+            );
+
+            for configs in [&jinn, &three] {
+                let retained = StreamingSession::start(1, configs, 64, false);
+                assert_eq!(retained.ingest(&bytes), bytes.len() as u64, "{name}");
+                let out = seal_and_collect(&retained, &pool);
+                assert_eq!(out, judged(configs), "{name}: retained");
             }
         }
-        assert!(chunks.len() > 0, "events arrive before the last chunk");
-        assert!(
-            has_executor(&chunked),
-            "an unfinished upload replays on its executor"
-        );
-        for chunk in chunks {
-            chunked.ingest(chunk);
-        }
-        assert_eq!(seal_and_collect(&chunked, &pool), judged);
+        assert_eq!(traces, 20);
+        assert!(overlapped > 0, "some corpus uploads overlap replay");
+    }
+
+    /// Whether an event record decodes from the `chunk`-byte chunks
+    /// before the last one.
+    fn event_before_last_chunk(bytes: &[u8], chunk: usize) -> bool {
+        let mut decoder = StreamDecoder::new();
+        decoder.feed(&bytes[..(bytes.len() - 1) / chunk * chunk]);
+        std::iter::from_fn(|| decoder.next_record().unwrap()).any(|rec| {
+            !matches!(
+                rec,
+                TraceRecord::Meta { .. }
+                    | TraceRecord::DefClass(_)
+                    | TraceRecord::SpawnThread { .. }
+                    | TraceRecord::Seed(_)
+            )
+        })
     }
 
     #[test]

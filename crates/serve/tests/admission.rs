@@ -1,5 +1,6 @@
 //! Admission-control coverage: the late-finish/quarantine race, the
-//! live-session cap, the fleet-wide buffered-bytes cap, and
+//! live-session cap, the per-session upload cap, the fleet-wide
+//! buffered-bytes cap, and
 //! oldest-first eviction of terminal session records.
 
 use jinn_replay::format::fnv1a;
@@ -105,6 +106,82 @@ fn fleet_buffered_cap_backpressures_append() {
     // Dropping session 1's buffer readmits the bytes.
     handle.abort(1, "drop").expect("abort");
     handle.append(2, &[0u8; 6]).expect("bytes freed");
+    daemon.shutdown();
+}
+
+/// A session cannot upload past the per-session cap, live or retained.
+/// A live session releases the bytes it decodes, but the records they
+/// decode to stay resident: here a 64 KiB interned string per `Append`,
+/// referenced by a setup `Meta` record that keeps key and value.
+#[test]
+fn per_session_cap_bounds_live_and_retained_uploads() {
+    const CAP: u64 = 1 << 20;
+    let mut header = b"JTRC".to_vec();
+    header.extend_from_slice(&1u16.to_le_bytes());
+    // One `Append`: intern record `i` (tag 0x01, id, length, bytes),
+    // then a `Meta` record (tag 0x02) whose key and value are both `i`.
+    let append = |i: u64| {
+        let mut chunk = vec![0x01];
+        for v in [i, 64 * 1024] {
+            let mut v = v;
+            while v >= 0x80 {
+                chunk.push(v as u8 | 0x80);
+                v >>= 7;
+            }
+            chunk.push(v as u8);
+        }
+        chunk.resize(chunk.len() + 64 * 1024, b'a' + (i % 26) as u8);
+        chunk.extend([0x02, i as u8, i as u8]);
+        chunk
+    };
+    for streaming_sessions in [1, 0] {
+        let daemon = Daemon::start(ServeConfig {
+            max_buffered_bytes: CAP,
+            streaming_sessions,
+            ..ServeConfig::default()
+        });
+        let handle = daemon.handle();
+        handle.open(1, "t", "jinn").expect("open");
+        handle.append(1, &header).expect("header");
+        let mut sent = header.len() as u64;
+        let refused = (0..2 * CAP / (64 * 1024)).find_map(|i| {
+            let chunk = append(i);
+            match handle.append(1, &chunk) {
+                Ok(()) => {
+                    sent += chunk.len() as u64;
+                    None
+                }
+                Err(e) => Some(e),
+            }
+        });
+        let what = if streaming_sessions == 1 {
+            "live"
+        } else {
+            "retained"
+        };
+        assert_eq!(
+            refused,
+            Some(ServeError::Backpressure {
+                session: 1,
+                buffered: sent,
+                cap: CAP
+            }),
+            "{what}"
+        );
+        assert!(sent <= CAP, "{what}: {sent} bytes accepted");
+        daemon.shutdown();
+    }
+}
+
+/// A selection that names no config is refused at `Open`: a session
+/// with nothing to replay has no judge.
+#[test]
+fn a_selection_of_no_configs_is_refused_at_open() {
+    let daemon = Daemon::start(ServeConfig::default());
+    let handle = daemon.handle();
+    let err = handle.open(1, "t", " , ").expect_err("no config named");
+    assert_eq!(err, ServeError::BadConfig(" , ".to_string()));
+    handle.open(1, "t", "jinn").expect("the id is still free");
     daemon.shutdown();
 }
 

@@ -124,7 +124,7 @@ struct Session {
     live: bool,
     /// Every byte uploaded: the decoder's running totals.
     uploaded: Vec<u8>,
-    /// Bytes charged to the buffered budgets.
+    /// Bytes charged to the fleet's buffered budget.
     charged: u64,
     frames: u64,
     bytes: u64,
@@ -225,10 +225,12 @@ impl Model {
     fn admit(&mut self, id: u64, chunk: &[u8]) -> Result<(), ServeError> {
         let s = self.open_session(id)?;
         let len = chunk.len() as u64;
-        if s.charged + len > self.limits.max_buffered {
+        // The per-session cap reads uploaded bytes, live or retained;
+        // the fleet cap reads what is still charged.
+        if s.bytes + len > self.limits.max_buffered {
             return Err(ServeError::Backpressure {
                 session: id,
-                buffered: s.charged,
+                buffered: s.bytes,
                 cap: self.limits.max_buffered,
             });
         }
